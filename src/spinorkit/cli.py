@@ -5,8 +5,7 @@
 
 Exit codes: 0 all checks pass, 1 a property failed, 2 usage or parse error.
 The JSON report on stdout is byte-identical for identical (suite, seed,
-trials); timing goes to stderr only.  SPINORKIT_THREADS caps suite
-parallelism (per-trial substreams keep reports order-independent).
+trials); timing goes to stderr only.
 """
 
 from __future__ import annotations

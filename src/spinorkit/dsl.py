@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import diracw, fnforms, fockalg, spintensor
 from .exactfield import Scalar
-from .fnforms import AXIS_NAMES, Form, MatrixForm, Poly, TangentForm, VectorForm
+from .fnforms import AXIS_NAMES, SCALAR, Fibre, Poly, ValuedForm
 from .fockalg import FockState, OperatorElement, Sector, Statistics, Universe
 from .spintensor import ScaledTensor, Variance
 
@@ -34,6 +34,10 @@ class DslError(ValueError):
 
 _PUNCT = set("()[]{},;:*^|'=+-/\"->")
 _TWO_CHAR = ("->",)
+# Deepest nesting of parentheses, call arguments and literals the parser
+# accepts; each level costs several Python frames, so this keeps deep input
+# from overflowing the interpreter stack.
+MAX_NESTING = 64
 
 
 class Token:
@@ -94,7 +98,11 @@ def tokenize(text: str) -> List[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("int", int(text[i:j]), line, col))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # beyond the interpreter's int string-conversion limit
+                raise DslError(f"integer literal of {j - i} digits is too long", line, col) from None
+            tokens.append(Token("int", value, line, col))
             col += j - i
             i = j
             continue
@@ -119,10 +127,10 @@ _VARIANCES = {
 }
 
 
-def _poly_from_string(text: str, dim: int, line: int, col: int) -> Poly:
-    """Parse a polynomial string like 'x^2*y + (1+i)*z - 3/2'."""
-    sub = Parser(tokenize(text), Environment())
+def _poly_from_string(text: str, dim: int, line: int, col: int, depth: int) -> Poly:
+    """Parse a polynomial string like 'x^2*y + (1+i)*z - 3/2' found at nesting `depth`."""
     try:
+        sub = Parser(tokenize(text), Environment(), depth)
         poly = sub._parse_poly_sum(dim)
         sub.expect_eof()
     except DslError as exc:
@@ -204,10 +212,11 @@ _FUNCTIONS = {
 
 
 class Parser:
-    def __init__(self, tokens: List[Token], env: Environment):
+    def __init__(self, tokens: List[Token], env: Environment, depth: int = 0):
         self.tokens = tokens
         self.pos = 0
         self.env = env
+        self.depth = depth
 
     # -- cursor helpers ---------------------------------------------------------
 
@@ -258,6 +267,16 @@ class Parser:
     def expect_eof(self):
         if self.peek().kind != "eof":
             self.error("unexpected trailing input")
+
+    def nested(self, parse, *args):
+        """parse(*args) one nesting level deeper, refused beyond MAX_NESTING."""
+        if self.depth >= MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse(*args)
+        finally:
+            self.depth -= 1
 
     # -- program --------------------------------------------------------------
 
@@ -312,7 +331,7 @@ class Parser:
     # -- expressions -------------------------------------------------------------
 
     def parse_expr(self):
-        return self._parse_additive()
+        return self.nested(self._parse_additive)
 
     def _parse_additive(self):
         value = self._parse_multiplicative()
@@ -344,9 +363,13 @@ class Parser:
         return value
 
     def _parse_unary(self):
-        if self.match_punct("-"):
-            return _negate(self._parse_unary(), self)
-        return self._parse_postfix()
+        negations = 0
+        while self.match_punct("-"):
+            negations += 1
+        value = self._parse_postfix()
+        for _ in range(negations):
+            value = _negate(value, self)
+        return value
 
     def _parse_postfix(self):
         value = self._parse_atom()
@@ -432,8 +455,15 @@ class Parser:
         num = self.expect_int()
         den = 1
         if self.match_punct("/"):
-            den = self.expect_int()
+            den = self._expect_denominator()
         return Fraction(sign * num, den)
+
+    def _expect_denominator(self) -> int:
+        tok = self.peek()
+        den = self.expect_int()
+        if den == 0:
+            self.error("zero denominator", tok)
+        return den
 
     def _parse_tensor_literal(self) -> ScaledTensor:
         self.expect_punct("[")
@@ -510,9 +540,9 @@ class Parser:
         if tok.kind != "string":
             self.error("expected a quoted polynomial")
         self.advance()
-        return _poly_from_string(tok.value, dim, tok.line, tok.col)
+        return _poly_from_string(tok.value, dim, tok.line, tok.col, self.depth)
 
-    def _parse_form_literal(self, keyword: str):
+    def _parse_form_literal(self, keyword: str) -> ValuedForm:
         header = {}
         for key in ("deg", "dim") + (("fibre",) if keyword in ("mform", "vform") else ()):
             if not self.match_name(key):
@@ -520,46 +550,48 @@ class Parser:
             self.expect_punct("=")
             header[key] = self.expect_int()
         degree, dim = header["deg"], header["dim"]
-        fibre = header.get("fibre")
+        if not 1 <= dim <= 4:
+            self.error(f"chart dimension must be 1..4, got {dim}")
+        size = header.get("fibre")
         self.expect_punct("{")
-        scalar_comps: Dict[Tuple[int, ...], Poly] = {}
-        tangent_comps = {}
-        matrix_comps = {}
-        vector_comps = {}
-        is_tangent = False
+        comps: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}
+        scalar = tangent = False
         while not self.match_punct("}"):
             if self.match_punct(";"):
                 continue
             axes = self._parse_axes_label(dim)
-            if self.match_punct("->"):
+            if self.peek().kind == "punct" and self.peek().value == "->":
+                if keyword != "form":
+                    self.error(f"'-> axis' components belong in 'form' literals, not '{keyword}'")
+                self.advance()
                 if not self.match_name("axis"):
                     self.error("expected 'axis'")
                 axis_name = self.expect_name()
                 if axis_name not in AXIS_NAMES[:dim]:
                     self.error(f"bad axis {axis_name!r}")
                 self.expect_punct(":")
-                poly = self._parse_poly_value(dim)
-                tangent_comps[(axes, AXIS_NAMES.index(axis_name))] = poly
-                is_tangent = True
+                comps[(axes, (AXIS_NAMES.index(axis_name),))] = self._parse_poly_value(dim)
+                tangent = True
                 continue
             self.expect_punct(":")
             if keyword == "mform":
-                matrix_comps[axes] = self._parse_poly_matrix(dim, fibre)
+                rows = self._parse_poly_matrix(dim, size)
+                comps.update(((axes, (i, j)), p) for i, row in enumerate(rows) for j, p in enumerate(row))
             elif keyword == "vform":
-                vector_comps[axes] = self._parse_poly_vector(dim, fibre)
+                comps.update(((axes, (j,)), p) for j, p in enumerate(self._parse_poly_vector(dim, size)))
             else:
-                scalar_comps[axes] = self._parse_poly_value(dim)
+                comps[(axes, ())] = self._parse_poly_value(dim)
+                scalar = True
+        if scalar and tangent:
+            self.error("cannot mix scalar and tangent components")
+        fibre = {
+            "mform": Fibre("matrix", size),
+            "vform": Fibre("vector", size),
+            "form": Fibre("tangent", dim) if tangent else SCALAR,
+        }[keyword]
         try:
-            if keyword == "mform":
-                return MatrixForm(dim, degree, fibre, matrix_comps)
-            if keyword == "vform":
-                return VectorForm(dim, degree, fibre, vector_comps)
-            if is_tangent:
-                if scalar_comps:
-                    self.error("cannot mix scalar and tangent components")
-                return TangentForm(dim, degree, tangent_comps)
-            return Form(dim, degree, scalar_comps)
-        except Exception as exc:
+            return ValuedForm(dim, degree, fibre, comps)
+        except ValueError as exc:
             self.error(str(exc))
 
     def _parse_poly_vector(self, dim: int, fibre: int):
@@ -603,7 +635,7 @@ class Parser:
                 self.advance()
                 num = tok.value
                 if self.match_punct("/"):
-                    den = self.expect_int()
+                    den = self._expect_denominator()
                     coeff = coeff * Scalar(Fraction(num, den))
                 else:
                     coeff = coeff * Scalar(num)
@@ -621,7 +653,7 @@ class Parser:
                 exps[AXIS_NAMES.index(tok.value)] += power
             elif tok.kind == "punct" and tok.value == "(":
                 self.advance()
-                inner = self._parse_poly_sum(dim)
+                inner = self.nested(self._parse_poly_sum, dim)
                 self.expect_punct(")")
                 if inner.terms and all(e == 0 for k in inner.terms for e in k):
                     coeff = coeff * inner.terms[(0,) * dim]
@@ -694,12 +726,8 @@ def _binop_wedge(a, b, parser):
     try:
         if isinstance(a, FockState) and isinstance(b, FockState):
             return fockalg.exterior_product(a, b)
-        if isinstance(a, Form) and isinstance(b, Form):
+        if isinstance(a, ValuedForm) and isinstance(b, ValuedForm):
             return a.wedge(b)
-        if isinstance(a, MatrixForm) and isinstance(b, MatrixForm):
-            return a.wedge_matrix(b)
-        if isinstance(a, MatrixForm) and isinstance(b, VectorForm):
-            return a.wedge_vector(b)
     except DslError:
         raise
     except Exception as exc:

@@ -15,16 +15,9 @@ from typing import Union
 
 Rat = Union[int, Fraction]
 
-# exact rational backend: gmpy2.mpq when available (C-implemented, much
-# faster), plain Fraction otherwise; both hash and compare identically
-try:
-    from gmpy2 import mpq as _rat
-    from gmpy2 import mpq as _mpq_type, mpz as _mpz_type
-
-    _RAT_TYPES = (int, Fraction, type(_mpq_type(1)), type(_mpz_type(1)))
-except ImportError:  # pragma: no cover - gmpy2 is a soft dependency
-    _rat = Fraction
-    _RAT_TYPES = (int, Fraction)
+# exact rational backend and the rational types a Scalar accepts
+_rat = Fraction
+_RAT_TYPES = (int, Fraction)
 
 
 class ExactError(ValueError):
@@ -195,12 +188,6 @@ class Scalar:
         return f"Scalar({self})"
 
 
-ZERO = Scalar.zero()
-ONE = Scalar.one()
-I = Scalar.i()
-SQRT2 = Scalar.sqrt2()
-
-
 def _frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -348,16 +335,6 @@ def parse_scalar(text: str) -> Scalar:
 # exponents, dual spaces negate them.
 
 UnitExponent = Fraction
-
-
-def unit_combine(u1: Fraction, u2: Fraction) -> Fraction:
-    """Exponent of a tensor product of scaled quantities."""
-    return Fraction(u1) + Fraction(u2)
-
-
-def unit_dual(u: Fraction) -> Fraction:
-    """Exponent of the dual: L^-1 is the dual of L."""
-    return -Fraction(u)
 
 
 class UnitMismatchError(ValueError):

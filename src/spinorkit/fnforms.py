@@ -1,12 +1,14 @@
 """Differential forms with exact polynomial coefficients on a coordinate chart.
 
 Forms live on R^m with 1 <= m <= 4; coefficients are polynomials over
-Q(i, sqrt2), so every identity below is decided exactly.  Components are
-stored on strictly increasing axis subsets; all signs flow from sorting
-permutation parity.  Scalar-, tangent-, vector- and matrix-valued forms share
-the same skeleton:
+Q(i, sqrt2), so every identity below is decided exactly.  Scalar-, tangent-,
+vector- and matrix-valued forms are one construction, sections of
+Lambda^r T* (x) E for a fibre E, and one class, :class:`ValuedForm`, holds
+them all.  Components are stored sparsely on strictly increasing axis subsets
+and fibre indices; all signs flow from sorting permutation parity.  On top of
+that class sit:
 
-* exterior differential and wedge products,
+* exterior differential and the wedge product with its fibre product rule,
 * Lie derivative along a polynomial vector field (direct coordinate formula,
   with the Cartan identity kept as an independent test),
 * the Frolicher-Nijenhuis bracket of tangent-valued forms via the five-term
@@ -17,7 +19,7 @@ the same skeleton:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .exactfield import Scalar
 
@@ -90,7 +92,7 @@ class Poly:
         return self._binop(other, True)
 
     def __neg__(self) -> "Poly":
-        return self.scaled(Scalar(-1))
+        return Poly(self.dim, {k: -v for k, v in self.terms.items()})
 
     def scaled(self, factor) -> "Poly":
         factor = Scalar.coerce(factor)
@@ -174,144 +176,241 @@ def _subsets_ok(axes: Axes, dim: int):
         raise ChartError(f"axes must be strictly increasing, got {axes}")
 
 
-class Form:
-    """Scalar-valued differential form with polynomial coefficients."""
 
-    __slots__ = ("dim", "degree", "comps")
 
-    def __init__(self, dim: int, degree: int, comps: Dict[Axes, Poly] | None = None):
+# -- valued forms -----------------------------------------------------------------
+
+
+class Fibre(NamedTuple):
+    """The fibre E of a form: one of the kinds in ``_RANKS`` and its dimension.
+
+    A fibre index has ``_RANKS[kind]`` entries, each in ``range(size)``: ()
+    for a scalar, (j,) for a tangent vector (``size`` is the chart dimension)
+    or a vector in C^size, (i, j) for a size x size matrix.
+    """
+
+    kind: str
+    size: int
+
+
+_RANKS = {"scalar": 0, "tangent": 1, "vector": 1, "matrix": 2}
+SCALAR = Fibre("scalar", 1)
+_DIFFERENTIABLE = ("scalar", "vector", "matrix")
+
+Key = Tuple[Axes, Tuple[int, ...]]
+
+
+def _accumulate(out: Dict[Key, Poly], key: Key, poly: Poly, sign: int = 1):
+    """out[key] += sign * poly, without adding to a zero placeholder or scaling by -1."""
+    prev = out.get(key)
+    if prev is None:
+        out[key] = poly if sign > 0 else -poly
+    else:
+        out[key] = prev + poly if sign > 0 else prev - poly
+
+
+def _fill(form: "ValuedForm", dim: int, degree: int, fibre: Fibre, comps: Dict[Key, Poly]):
+    clean = {key: poly for key, poly in comps.items() if poly.terms}
+    for name, value in zip(ValuedForm.__slots__, (dim, degree, fibre, clean)):
+        object.__setattr__(form, name, value)
+    return form
+
+
+def _build(dim: int, degree: int, fibre: Fibre, comps: Dict[Key, Poly]) -> "ValuedForm":
+    """A form from components computed in this module: zeros dropped, no re-validation."""
+    return _fill(object.__new__(ValuedForm), dim, degree, fibre, comps)
+
+
+def _require(form, kinds, what: str):
+    """ChartError unless `form` is a ValuedForm whose fibre kind is one of `kinds`."""
+    if not isinstance(form, ValuedForm) or form.fibre.kind not in kinds:
+        got = f"{form.fibre.kind}-valued form" if isinstance(form, ValuedForm) else type(form).__name__
+        raise ChartError(f"{what} is not defined for a {got}")
+
+
+def _product_fibre(left: Fibre, right: Fibre) -> Fibre:
+    """Fibre of left /\\ right: scalar times scalar, or a k x k matrix on a k x k matrix or k-vector."""
+    if left.kind == right.kind == "scalar" or (
+        left.kind == "matrix" and right.kind in ("matrix", "vector") and left.size == right.size
+    ):
+        return right
+    raise ChartError(
+        f"no wedge product of a {left.kind}-valued form (fibre size {left.size})"
+        f" and a {right.kind}-valued form (fibre size {right.size})"
+    )
+
+
+class ValuedForm:
+    """Form of degree `degree` on R^dim with values in `fibre`.
+
+    `comps` maps (axes, fibre_index) to a nonzero Poly, with `axes` strictly
+    increasing and of length `degree`; missing components are zero, so ``==``
+    compares canonical representations.
+    """
+
+    __slots__ = ("dim", "degree", "fibre", "comps")
+
+    def __init__(self, dim: int, degree: int, fibre: Fibre, comps: Dict[Key, Poly] | None = None):
         _check_dim(dim)
         if degree < 0:
             raise DegreeOverflowError("negative degree")
-        clean: Dict[Axes, Poly] = {}
-        for axes, poly in (comps or {}).items():
-            axes = tuple(axes)
+        rank = _RANKS.get(fibre.kind)
+        if rank is None or fibre.size < 1 or (fibre.kind == "tangent" and fibre.size != dim):
+            raise ChartError(f"bad fibre {fibre} on a chart of dimension {dim}")
+        clean: Dict[Key, Poly] = {}
+        for (axes, index), poly in (comps or {}).items():
+            axes, index = tuple(axes), tuple(index)
             if len(axes) != degree:
                 raise ChartError(f"component {axes} has wrong arity for degree {degree}")
             _subsets_ok(axes, dim)
+            if len(index) != rank or any(not 0 <= k < fibre.size for k in index):
+                raise ChartError(f"fibre index {index} out of range for {fibre}")
             if poly.dim != dim:
                 raise ChartError("component polynomial on wrong chart")
-            if not poly.is_zero():
-                clean[axes] = poly
-        if degree > dim and clean:
+            clean[(axes, index)] = poly
+        if degree > dim and any(not poly.is_zero() for poly in clean.values()):
             raise DegreeOverflowError(f"degree {degree} exceeds dimension {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", clean)
+        _fill(self, dim, degree, fibre, clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Form is immutable")
+        raise AttributeError("ValuedForm is immutable")
 
     def is_zero(self) -> bool:
         return not self.comps
 
-    def __add__(self, other: "Form") -> "Form":
-        if (self.dim, self.degree) != (other.dim, other.degree):
+    def _combined(self, other: "ValuedForm", sign: int) -> "ValuedForm":
+        if not isinstance(other, ValuedForm) or (self.dim, self.degree, self.fibre) != (
+            other.dim,
+            other.degree,
+            other.fibre,
+        ):
             raise ChartError("form shape mismatch")
         comps = dict(self.comps)
-        for axes, poly in other.comps.items():
-            comps[axes] = comps.get(axes, Poly(self.dim)) + poly
-        return Form(self.dim, self.degree, comps)
+        for key, poly in other.comps.items():
+            _accumulate(comps, key, poly, sign)
+        return _build(self.dim, self.degree, self.fibre, comps)
 
-    def __sub__(self, other: "Form") -> "Form":
-        return self + other.scaled(Scalar(-1))
+    def __add__(self, other: "ValuedForm") -> "ValuedForm":
+        return self._combined(other, 1)
 
-    def __neg__(self) -> "Form":
-        return self.scaled(Scalar(-1))
+    def __sub__(self, other: "ValuedForm") -> "ValuedForm":
+        return self._combined(other, -1)
 
-    def scaled(self, factor) -> "Form":
-        return Form(
-            self.dim, self.degree, {k: v.scaled(factor) for k, v in self.comps.items()}
-        )
+    def __neg__(self) -> "ValuedForm":
+        return _build(self.dim, self.degree, self.fibre, {k: -p for k, p in self.comps.items()})
 
-    def wedge(self, other: "Form") -> "Form":
-        if self.dim != other.dim:
+    def scaled(self, factor) -> "ValuedForm":
+        factor = Scalar.coerce(factor)
+        return _build(self.dim, self.degree, self.fibre, {k: p.scaled(factor) for k, p in self.comps.items()})
+
+    def wedge(self, other: "ValuedForm") -> "ValuedForm":
+        """Wedge of the forms, contracting the last fibre index of self with the first of other."""
+        if not isinstance(other, ValuedForm) or self.dim != other.dim:
             raise ChartError("wedge across different charts")
-        out: Dict[Axes, Poly] = {}
-        for s1, p1 in self.comps.items():
-            for s2, p2 in other.comps.items():
+        fibre = _product_fibre(self.fibre, other.fibre)
+        out: Dict[Key, Poly] = {}
+        for (s1, i1), p1 in self.comps.items():
+            for (s2, i2), p2 in other.comps.items():
+                if i1[1:] != i2[:1]:
+                    continue
                 merged = _merge_axes(s1, s2)
                 if merged is None:
                     continue
                 sign, axes = merged
-                add = (p1 * p2).scaled(Scalar(sign))
-                out[axes] = out.get(axes, Poly(self.dim)) + add
-        return Form(self.dim, self.degree + other.degree, out)
+                _accumulate(out, (axes, i1[:1] + i2[1:]), p1 * p2, sign)
+        return _build(self.dim, self.degree + other.degree, fibre, out)
 
-    def d(self) -> "Form":
-        out: Dict[Axes, Poly] = {}
-        for axes, poly in self.comps.items():
+    def d(self) -> "ValuedForm":
+        _require(self, _DIFFERENTIABLE, "d")
+        out: Dict[Key, Poly] = {}
+        for (axes, index), poly in self.comps.items():
             for j in range(self.dim):
                 if j in axes:
                     continue
                 dp = poly.diff(j)
-                if dp.is_zero():
-                    continue
-                sign, new_axes = _merge_axes((j,), axes)
-                out[new_axes] = out.get(new_axes, Poly(self.dim)) + dp.scaled(Scalar(sign))
-        return Form(self.dim, self.degree + 1, out)
+                if not dp.is_zero():
+                    sign, new_axes = _merge_axes((j,), axes)
+                    _accumulate(out, (new_axes, index), dp, sign)
+        return _build(self.dim, self.degree + 1, self.fibre, out)
 
-    def interior(self, field) -> "Form":
-        """Contraction with a polynomial vector field (list of dim polynomials)."""
-        if self.degree == 0:
-            return Form(self.dim, 0)
-        out: Dict[Axes, Poly] = {}
-        for axes, poly in self.comps.items():
+    def interior(self, field) -> "ValuedForm":
+        """Contraction of a scalar form with a polynomial vector field (list of dim polynomials)."""
+        _require(self, ("scalar",), "interior")
+        out: Dict[Key, Poly] = {}
+        for (axes, index), poly in self.comps.items():
             for t, axis in enumerate(axes):
                 u_comp = field[axis]
-                if u_comp.is_zero():
-                    continue
-                rest = axes[:t] + axes[t + 1:]
-                add = (u_comp * poly).scaled(Scalar((-1) ** t))
-                out[rest] = out.get(rest, Poly(self.dim)) + add
-        return Form(self.dim, self.degree - 1, out)
+                if not u_comp.is_zero():
+                    _accumulate(out, (axes[:t] + axes[t + 1:], index), u_comp * poly, (-1) ** t)
+        return _build(self.dim, max(self.degree - 1, 0), self.fibre, out)
 
-    def lie(self, field) -> "Form":
-        """Lie derivative along a polynomial vector field, coordinate formula."""
-        out: Dict[Axes, Poly] = {}
-
-        def accumulate(axes, poly):
-            if not poly.is_zero():
-                out[axes] = out.get(axes, Poly(self.dim)) + poly
-
-        for axes, poly in self.comps.items():
-            directional = Poly(self.dim)
+    def lie(self, field) -> "ValuedForm":
+        """Lie derivative of a scalar form along a polynomial vector field, coordinate formula."""
+        _require(self, ("scalar",), "lie")
+        out: Dict[Key, Poly] = {}
+        for (axes, index), poly in self.comps.items():
             for j in range(self.dim):
-                directional = directional + field[j] * poly.diff(j)
-            accumulate(axes, directional)
+                _accumulate(out, (axes, index), field[j] * poly.diff(j))
             # frame terms: replace axis s_t by j with weight d(u^{s_t})/dx^j
             for t, axis in enumerate(axes):
+                rest = axes[:t] + axes[t + 1:]
                 for j in range(self.dim):
+                    if j in rest:
+                        continue
                     du = field[axis].diff(j)
                     if du.is_zero():
                         continue
-                    if j in axes and j != axis:
-                        continue
-                    if j == axis:
-                        accumulate(axes, du * poly)
-                        continue
-                    merged = _merge_axes((j,), axes[:t] + axes[t + 1:])
-                    if merged is None:
-                        continue
-                    sign, new_axes = merged
+                    sign, new_axes = _merge_axes((j,), rest)
                     # dx^j lands in slot t of the original ordering
-                    accumulate(new_axes, (du * poly).scaled(Scalar(sign * (-1) ** t)))
-        return Form(self.dim, self.degree, out)
+                    _accumulate(out, (new_axes, index), du * poly, sign * (-1) ** t)
+        return _build(self.dim, self.degree, self.fibre, out)
+
+    def field_components(self):
+        """For a degree-0 tangent form: the dim polynomial components."""
+        _require(self, ("tangent",), "field_components")
+        if self.degree != 0:
+            raise ChartError("not a vector field")
+        return [self.comps.get(((), (j,)), Poly(self.dim)) for j in range(self.dim)]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Form):
+        if not isinstance(other, ValuedForm):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.degree == other.degree
-            and self.comps == other.comps
+        return (self.dim, self.degree, self.fibre, self.comps) == (
+            other.dim,
+            other.degree,
+            other.fibre,
+            other.comps,
         )
 
     def __hash__(self):
-        return hash((self.dim, self.degree, tuple(sorted(self.comps.items(), key=lambda kv: kv[0]))))
+        return hash((self.dim, self.degree, self.fibre, tuple(sorted(self.comps.items()))))
 
     def __str__(self) -> str:
-        return format_form(self)
+        kind, size = self.fibre
+        shape = f"deg={self.degree} dim={self.dim}"
+        if kind in ("scalar", "tangent"):
+            body = "; ".join(
+                _axes_label(axes)
+                + "".join(f" -> axis {AXIS_NAMES[j]}" for j in index)
+                + f' : poly "{poly}"'
+                for (axes, index), poly in sorted(self.comps.items())
+            )
+            return f"form {shape} {{ {body} }}"
+        zero = Poly(self.dim)
+
+        def row(axes, prefix):
+            cells = (f'poly "{self.comps.get((axes, prefix + (j,)), zero)}"' for j in range(size))
+            return "[" + ", ".join(cells) + "]"
+
+        entries = []
+        for axes in sorted({axes for axes, _ in self.comps}):
+            if kind == "vector":
+                value = row(axes, ())
+            else:
+                value = "[" + ", ".join(row(axes, (i,)) for i in range(size)) + "]"
+            entries.append(f"{_axes_label(axes)} : {value}")
+        keyword = "vform" if kind == "vector" else "mform"
+        return f"{keyword} {shape} fibre={size} {{ {'; '.join(entries)} }}"
 
     __repr__ = __str__
 
@@ -320,101 +419,56 @@ def _axes_label(axes: Axes) -> str:
     return "^".join("d" + AXIS_NAMES[a] for a in axes) if axes else "1"
 
 
-def format_form(f: Form) -> str:
-    body = "; ".join(
-        f'{_axes_label(axes)} : poly "{poly}"' for axes, poly in sorted(f.comps.items())
+# -- constructors from the dense payloads --------------------------------------------
+
+
+def Form(dim: int, degree: int, comps: Dict[Axes, Poly] | None = None) -> ValuedForm:
+    """Scalar-valued form from {axes: Poly}."""
+    return ValuedForm(dim, degree, SCALAR, {(axes, ()): poly for axes, poly in (comps or {}).items()})
+
+
+def TangentForm(dim: int, degree: int, comps=None) -> ValuedForm:
+    """Tangent-valued form from {(axes, output axis): Poly}."""
+    return ValuedForm(
+        dim, degree, Fibre("tangent", dim), {(axes, (out,)): poly for (axes, out), poly in (comps or {}).items()}
     )
-    return f"form deg={f.degree} dim={f.dim} {{ {body} }}"
 
 
-class TangentForm:
-    """Tangent-valued form: sum of (scalar form) (x) coordinate vector field."""
-
-    __slots__ = ("dim", "degree", "comps")
-
-    def __init__(self, dim: int, degree: int, comps=None):
-        _check_dim(dim)
-        clean: Dict[Tuple[Axes, int], Poly] = {}
-        for (axes, out_axis), poly in (comps or {}).items():
-            axes = tuple(axes)
-            if len(axes) != degree:
-                raise ChartError("component arity mismatch")
-            _subsets_ok(axes, dim)
-            if not 0 <= out_axis < dim:
-                raise ChartError(f"output axis {out_axis} out of range")
-            if poly.dim != dim:
-                raise ChartError("component polynomial on wrong chart")
-            if not poly.is_zero():
-                clean[(axes, out_axis)] = poly
-        if degree > dim and clean:
-            raise DegreeOverflowError(f"degree {degree} exceeds dimension {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TangentForm is immutable")
-
-    @classmethod
-    def vector_field(cls, dim: int, components) -> "TangentForm":
-        comps = {}
-        for axis, poly in enumerate(components):
-            comps[((), axis)] = poly
-        return cls(dim, 0, comps)
-
-    def field_components(self):
-        """For a degree-0 form: the dim polynomial components."""
-        if self.degree != 0:
-            raise ChartError("not a vector field")
-        return [self.comps.get(((), j), Poly(self.dim)) for j in range(self.dim)]
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def __add__(self, other: "TangentForm") -> "TangentForm":
-        if (self.dim, self.degree) != (other.dim, other.degree):
-            raise ChartError("tangent form shape mismatch")
-        comps = dict(self.comps)
-        for key, poly in other.comps.items():
-            comps[key] = comps.get(key, Poly(self.dim)) + poly
-        return TangentForm(self.dim, self.degree, comps)
-
-    def __sub__(self, other: "TangentForm") -> "TangentForm":
-        return self + other.scaled(Scalar(-1))
-
-    def __neg__(self) -> "TangentForm":
-        return self.scaled(Scalar(-1))
-
-    def scaled(self, factor) -> "TangentForm":
-        return TangentForm(
-            self.dim, self.degree, {k: v.scaled(factor) for k, v in self.comps.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TangentForm):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.degree == other.degree
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, tuple(sorted(self.comps.items(), key=lambda kv: (kv[0][0], kv[0][1])))))
-
-    def __str__(self) -> str:
-        body = "; ".join(
-            f'{_axes_label(axes)} -> axis {AXIS_NAMES[out]} : poly "{poly}"'
-            for (axes, out), poly in sorted(
-                self.comps.items(), key=lambda kv: (kv[0][0], kv[0][1])
-            )
-        )
-        return f"form deg={self.degree} dim={self.dim} {{ {body} }}"
-
-    __repr__ = __str__
+def vector_field(dim: int, components) -> ValuedForm:
+    """Polynomial vector field: the degree-0 tangent form with the given dim components."""
+    return TangentForm(dim, 0, {((), axis): poly for axis, poly in enumerate(components)})
 
 
-def fn_bracket(zeta: TangentForm, xi: TangentForm) -> TangentForm:
+def VectorForm(dim: int, degree: int, fibre: int, comps=None) -> ValuedForm:
+    """Form with values in C^fibre from {axes: fibre-tuple of Poly}."""
+    sparse = {}
+    for axes, vec in (comps or {}).items():
+        vec = tuple(vec)
+        if len(vec) != fibre:
+            raise ChartError("bad fibre vector")
+        sparse.update(((axes, (j,)), poly) for j, poly in enumerate(vec))
+    return ValuedForm(dim, degree, Fibre("vector", fibre), sparse)
+
+
+def MatrixForm(dim: int, degree: int, fibre: int, comps=None) -> ValuedForm:
+    """Form with values in fibre x fibre matrices (a connection or curvature) from {axes: rows}."""
+    sparse = {}
+    for axes, mat in (comps or {}).items():
+        mat = tuple(tuple(row) for row in mat)
+        if len(mat) != fibre or any(len(row) != fibre for row in mat):
+            raise ChartError("bad fibre matrix")
+        sparse.update(((axes, (i, j)), poly) for i, row in enumerate(mat) for j, poly in enumerate(row))
+    return ValuedForm(dim, degree, Fibre("matrix", fibre), sparse)
+
+
+# -- the Frolicher-Nijenhuis bracket --------------------------------------------------
+
+
+def _scalar_form(dim: int, degree: int, axes: Axes, poly: Poly) -> ValuedForm:
+    return _build(dim, degree, SCALAR, {(axes, ()): poly})
+
+
+def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
     """Frolicher-Nijenhuis bracket via the five-term rule on decomposables.
 
     For decomposables l (x) u and m (x) v (u, v coordinate fields, so [u,v]
@@ -423,6 +477,8 @@ def fn_bracket(zeta: TangentForm, xi: TangentForm) -> TangentForm:
         fnb = l /\\ (L[u] m) (x) v  -  (L[v] l) /\\ m (x) u
               + (-1)^r (v | l) /\\ dm (x) u  +  (-1)^r dl /\\ (u | m) (x) v
     """
+    _require(zeta, ("tangent",), "fn_bracket")
+    _require(xi, ("tangent",), "fn_bracket")
     if zeta.dim != xi.dim:
         raise ChartError("bracket across different charts")
     dim = zeta.dim
@@ -431,28 +487,22 @@ def fn_bracket(zeta: TangentForm, xi: TangentForm) -> TangentForm:
         raise DegreeOverflowError(
             f"bracket degree {r}+{s} exceeds chart dimension {dim}"
         )
-    out: Dict[Tuple[Axes, int], Poly] = {}
+    out: Dict[Key, Poly] = {}
 
-    def accumulate(form: Form, out_axis: int, sign: int = 1):
-        for axes, poly in form.comps.items():
-            if sign != 1:
-                poly = poly.scaled(Scalar(sign))
-            key = (axes, out_axis)
-            prev = out.get(key)
-            out[key] = poly if prev is None else prev + poly
+    def accumulate(form: ValuedForm, out_axis: int, sign: int = 1):
+        for (axes, _), poly in form.comps.items():
+            _accumulate(out, (axes, (out_axis,)), poly, sign)
 
     sign_r = (-1) ** r
-    for (s_axes, j), lam_poly in zeta.comps.items():
-        lam = Form(dim, r, {s_axes: lam_poly})
+    for (s_axes, (j,)), lam_poly in zeta.comps.items():
+        lam = _scalar_form(dim, r, s_axes, lam_poly)
         d_lam = lam.d()
-        for (t_axes, k), mu_poly in xi.comps.items():
-            mu = Form(dim, s, {t_axes: mu_poly})
+        for (t_axes, (k,)), mu_poly in xi.comps.items():
+            mu = _scalar_form(dim, s, t_axes, mu_poly)
             # term 2: l /\ (d_j m) (x) v
-            dj_mu = Form(dim, s, {t_axes: mu_poly.diff(j)})
-            accumulate(lam.wedge(dj_mu), k)
+            accumulate(lam.wedge(_scalar_form(dim, s, t_axes, mu_poly.diff(j))), k)
             # term 3: - (d_k l) /\ m (x) u
-            dk_lam = Form(dim, r, {s_axes: lam_poly.diff(k)})
-            accumulate(dk_lam.wedge(mu), j, -1)
+            accumulate(_scalar_form(dim, r, s_axes, lam_poly.diff(k)).wedge(mu), j, -1)
             # term 4: (-1)^r (v | l) /\ dm (x) u
             if k in s_axes:
                 v_lam = lam.interior(_basis_field(dim, k))
@@ -461,7 +511,7 @@ def fn_bracket(zeta: TangentForm, xi: TangentForm) -> TangentForm:
             if j in t_axes:
                 u_mu = mu.interior(_basis_field(dim, j))
                 accumulate(d_lam.wedge(u_mu), k, sign_r)
-    return TangentForm(dim, r + s, out)
+    return _build(dim, r + s, Fibre("tangent", dim), out)
 
 
 def _basis_field(dim: int, axis: int):
@@ -471,297 +521,40 @@ def _basis_field(dim: int, axis: int):
     return fields
 
 
-def lie_bracket(u: TangentForm, v: TangentForm) -> TangentForm:
-    """Lie bracket of vector fields; the degree-(0,0) case of the bracket."""
-    return fn_bracket(u, v)
-
-
-# -- vector- and matrix-valued forms ------------------------------------------
-
-
-class VectorForm:
-    """Form with values in a fibre C^k (components are k-tuples of polynomials)."""
-
-    __slots__ = ("dim", "degree", "fibre", "comps")
-
-    def __init__(self, dim: int, degree: int, fibre: int, comps=None):
-        _check_dim(dim)
-        if fibre < 1:
-            raise ChartError("fibre dimension must be positive")
-        clean: Dict[Axes, tuple] = {}
-        for axes, vec in (comps or {}).items():
-            axes = tuple(axes)
-            if len(axes) != degree:
-                raise ChartError("component arity mismatch")
-            _subsets_ok(axes, dim)
-            vec = tuple(vec)
-            if len(vec) != fibre or any(p.dim != dim for p in vec):
-                raise ChartError("bad fibre vector")
-            if any(not p.is_zero() for p in vec):
-                clean[axes] = vec
-        if degree > dim and clean:
-            raise DegreeOverflowError(f"degree {degree} exceeds dimension {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "fibre", fibre)
-        object.__setattr__(self, "comps", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorForm is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def _zero_vec(self):
-        return tuple(Poly(self.dim) for _ in range(self.fibre))
-
-    def __add__(self, other: "VectorForm") -> "VectorForm":
-        if (self.dim, self.degree, self.fibre) != (other.dim, other.degree, other.fibre):
-            raise ChartError("vector form shape mismatch")
-        comps = dict(self.comps)
-        for axes, vec in other.comps.items():
-            base = comps.get(axes, self._zero_vec())
-            comps[axes] = tuple(a + b for a, b in zip(base, vec))
-        return VectorForm(self.dim, self.degree, self.fibre, comps)
-
-    def __sub__(self, other: "VectorForm") -> "VectorForm":
-        return self + other.scaled(Scalar(-1))
-
-    def scaled(self, factor) -> "VectorForm":
-        return VectorForm(
-            self.dim,
-            self.degree,
-            self.fibre,
-            {k: tuple(p.scaled(factor) for p in v) for k, v in self.comps.items()},
-        )
-
-    def d(self) -> "VectorForm":
-        out: Dict[Axes, tuple] = {}
-        for axes, vec in self.comps.items():
-            for j in range(self.dim):
-                if j in axes:
-                    continue
-                dvec = tuple(p.diff(j) for p in vec)
-                if all(p.is_zero() for p in dvec):
-                    continue
-                sign, new_axes = _merge_axes((j,), axes)
-                base = out.get(new_axes, self._zero_vec())
-                out[new_axes] = tuple(
-                    b + p.scaled(Scalar(sign)) for b, p in zip(base, dvec)
-                )
-        return VectorForm(self.dim, self.degree + 1, self.fibre, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorForm):
-            return NotImplemented
-        return (
-            (self.dim, self.degree, self.fibre) == (other.dim, other.degree, other.fibre)
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, self.fibre, tuple(sorted(self.comps.items(), key=lambda kv: kv[0]))))
-
-    def __str__(self) -> str:
-        body = "; ".join(
-            f"{_axes_label(axes)} : [" + ", ".join(f'poly "{p}"' for p in vec) + "]"
-            for axes, vec in sorted(self.comps.items())
-        )
-        return f"vform deg={self.degree} dim={self.dim} fibre={self.fibre} {{ {body} }}"
-
-    __repr__ = __str__
-
-
-class MatrixForm:
-    """Form with values in k x k matrices of polynomials (a connection/curvature)."""
-
-    __slots__ = ("dim", "degree", "fibre", "comps")
-
-    def __init__(self, dim: int, degree: int, fibre: int, comps=None):
-        _check_dim(dim)
-        if fibre < 1:
-            raise ChartError("fibre dimension must be positive")
-        clean: Dict[Axes, tuple] = {}
-        for axes, mat in (comps or {}).items():
-            axes = tuple(axes)
-            if len(axes) != degree:
-                raise ChartError("component arity mismatch")
-            _subsets_ok(axes, dim)
-            mat = tuple(tuple(row) for row in mat)
-            if len(mat) != fibre or any(len(row) != fibre for row in mat):
-                raise ChartError("bad fibre matrix")
-            if any(p.dim != dim for row in mat for p in row):
-                raise ChartError("matrix polynomial on wrong chart")
-            if any(not p.is_zero() for row in mat for p in row):
-                clean[axes] = mat
-        if degree > dim and clean:
-            raise DegreeOverflowError(f"degree {degree} exceeds dimension {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "fibre", fibre)
-        object.__setattr__(self, "comps", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixForm is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def _zero_mat(self):
-        return tuple(
-            tuple(Poly(self.dim) for _ in range(self.fibre)) for _ in range(self.fibre)
-        )
-
-    def __add__(self, other: "MatrixForm") -> "MatrixForm":
-        if (self.dim, self.degree, self.fibre) != (other.dim, other.degree, other.fibre):
-            raise ChartError("matrix form shape mismatch")
-        comps = dict(self.comps)
-        for axes, mat in other.comps.items():
-            base = comps.get(axes, self._zero_mat())
-            comps[axes] = tuple(
-                tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(base, mat)
-            )
-        return MatrixForm(self.dim, self.degree, self.fibre, comps)
-
-    def __sub__(self, other: "MatrixForm") -> "MatrixForm":
-        return self + other.scaled(Scalar(-1))
-
-    def scaled(self, factor) -> "MatrixForm":
-        return MatrixForm(
-            self.dim,
-            self.degree,
-            self.fibre,
-            {
-                k: tuple(tuple(p.scaled(factor) for p in row) for row in m)
-                for k, m in self.comps.items()
-            },
-        )
-
-    def d(self) -> "MatrixForm":
-        out: Dict[Axes, tuple] = {}
-        for axes, mat in self.comps.items():
-            for j in range(self.dim):
-                if j in axes:
-                    continue
-                dmat = tuple(tuple(p.diff(j) for p in row) for row in mat)
-                if all(p.is_zero() for row in dmat for p in row):
-                    continue
-                sign, new_axes = _merge_axes((j,), axes)
-                base = out.get(new_axes, self._zero_mat())
-                out[new_axes] = tuple(
-                    tuple(b + p.scaled(Scalar(sign)) for b, p in zip(r1, r2))
-                    for r1, r2 in zip(base, dmat)
-                )
-        return MatrixForm(self.dim, self.degree + 1, self.fibre, out)
-
-    def wedge_matrix(self, other: "MatrixForm") -> "MatrixForm":
-        """Wedge of forms combined with matrix multiplication on the fibre."""
-        if self.dim != other.dim or self.fibre != other.fibre:
-            raise ChartError("matrix wedge shape mismatch")
-        n = self.fibre
-        out: Dict[Axes, tuple] = {}
-        for s1, m1 in self.comps.items():
-            for s2, m2 in other.comps.items():
-                merged = _merge_axes(s1, s2)
-                if merged is None:
-                    continue
-                sign, axes = merged
-                prod = [
-                    [Poly(self.dim) for _ in range(n)] for _ in range(n)
-                ]
-                for i in range(n):
-                    for j in range(n):
-                        acc = Poly(self.dim)
-                        for k in range(n):
-                            acc = acc + m1[i][k] * m2[k][j]
-                        prod[i][j] = acc.scaled(Scalar(sign))
-                base = out.get(axes)
-                if base is None:
-                    out[axes] = tuple(tuple(row) for row in prod)
-                else:
-                    out[axes] = tuple(
-                        tuple(a + b for a, b in zip(r1, r2))
-                        for r1, r2 in zip(base, prod)
-                    )
-        return MatrixForm(self.dim, self.degree + other.degree, self.fibre, out)
-
-    def wedge_vector(self, other: VectorForm) -> VectorForm:
-        """Matrix form acting on a vector-valued form."""
-        if self.dim != other.dim or self.fibre != other.fibre:
-            raise ChartError("matrix/vector wedge shape mismatch")
-        n = self.fibre
-        out: Dict[Axes, tuple] = {}
-        for s1, mat in self.comps.items():
-            for s2, vec in other.comps.items():
-                merged = _merge_axes(s1, s2)
-                if merged is None:
-                    continue
-                sign, axes = merged
-                prod = []
-                for i in range(n):
-                    acc = Poly(self.dim)
-                    for k in range(n):
-                        acc = acc + mat[i][k] * vec[k]
-                    prod.append(acc.scaled(Scalar(sign)))
-                base = out.get(axes, tuple(Poly(self.dim) for _ in range(n)))
-                out[axes] = tuple(b + p for b, p in zip(base, prod))
-        return VectorForm(self.dim, self.degree + other.degree, self.fibre, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixForm):
-            return NotImplemented
-        return (
-            (self.dim, self.degree, self.fibre) == (other.dim, other.degree, other.fibre)
-            and self.comps == other.comps
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, self.fibre, tuple(sorted(self.comps.items(), key=lambda kv: kv[0]))))
-
-    def __str__(self) -> str:
-        body = "; ".join(
-            f"{_axes_label(axes)} : ["
-            + ", ".join(
-                "[" + ", ".join(f'poly "{p}"' for p in row) + "]" for row in mat
-            )
-            + "]"
-            for axes, mat in sorted(self.comps.items())
-        )
-        return f"mform deg={self.degree} dim={self.dim} fibre={self.fibre} {{ {body} }}"
-
-    __repr__ = __str__
-
-
 # -- gauge calculus ------------------------------------------------------------
 
 
-def ext_derivative(omega):
+def ext_derivative(omega: ValuedForm) -> ValuedForm:
     """Exterior differential of a scalar-, vector- or matrix-valued form."""
-    if isinstance(omega, (Form, VectorForm, MatrixForm)):
-        return omega.d()
-    raise ChartError(f"cannot differentiate {type(omega).__name__}")
+    _require(omega, _DIFFERENTIABLE, "d")
+    return omega.d()
 
 
-def lie_derivative(field: TangentForm, omega: Form) -> Form:
+def lie_derivative(field: ValuedForm, omega: ValuedForm) -> ValuedForm:
     """Lie derivative of a scalar form along a vector field (degree-0 tangent form)."""
+    _require(field, ("tangent",), "lie")
+    _require(omega, ("scalar",), "lie")
     return omega.lie(field.field_components())
 
 
-def covariant_differential(a: MatrixForm, phi: VectorForm) -> VectorForm:
-    """d_A phi = d phi + A /\\ phi for a degree-1 connection form A."""
+def covariant_differential(a: ValuedForm, phi: ValuedForm) -> ValuedForm:
+    """d_A phi = d phi + A /\\ phi for a degree-1 matrix-valued connection form A."""
+    _require(a, ("matrix",), "covariant_differential")
+    _require(phi, ("vector",), "covariant_differential")
     if a.degree != 1:
         raise ChartError("connection form must have degree 1")
-    return phi.d() + a.wedge_vector(phi)
+    return phi.d() + a.wedge(phi)
 
 
-def curvature(a: MatrixForm) -> MatrixForm:
+def curvature(a: ValuedForm) -> ValuedForm:
     """F = dA + A /\\ A."""
+    _require(a, ("matrix",), "curvature")
     if a.degree != 1:
         raise ChartError("connection form must have degree 1")
-    return a.d() + a.wedge_matrix(a)
+    return a.d() + a.wedge(a)
 
 
-def bianchi_residual(a: MatrixForm) -> MatrixForm:
+def bianchi_residual(a: ValuedForm) -> ValuedForm:
     """dF + A /\\ F - F /\\ A; identically zero for every connection form."""
     f = curvature(a)
-    return f.d() + a.wedge_matrix(f) - f.wedge_matrix(a)
+    return f.d() + a.wedge(f) - f.wedge(a)

@@ -714,11 +714,6 @@ def normal_order(universe: Universe, gens) -> OperatorElement:
     return OperatorElement(universe, out)
 
 
-def op_word(universe: Universe, gens) -> OperatorElement:
-    """op of a tensor word: the normal-ordered image of the composition."""
-    return normal_order(universe, gens)
-
-
 def op_apply(x: OperatorElement, psi: FockState) -> FockState:
     return x.apply(psi)
 

@@ -27,12 +27,9 @@ S2 = Tuple[int, int]
 Z8_ONE: Z8 = (1, 0, 0, 0)
 Z8_I: Z8 = (0, 0, 1, 0)  # i = z^2
 Z8_ZETA_PLUS_ONE: Z8 = (1, 1, 0, 0)  # 1 + z; relative norm 2 + sqrt2
-S2_ONE: S2 = (1, 0)
 S2_SQRT2: S2 = (0, 1)
 S2_FUND: S2 = (1, 1)  # 1 + sqrt2, the fundamental unit (norm -1)
 S2_FUND_INV: S2 = (-1, 1)  # sqrt2 - 1
-S2_FUND_SQ: S2 = (3, 2)  # 3 + 2*sqrt2, generator of the totally positive units
-S2_FUND_SQ_INV: S2 = (3, -2)
 
 
 # -- Z[zeta8] arithmetic -------------------------------------------------------
@@ -158,12 +155,6 @@ def z8_gcd(a: Z8, b: Z8) -> Z8:
         _, r = z8_divmod(a, b)
         a, b = b, r
     return a
-
-
-def z8_divides_exactly(a: Z8, b: Z8) -> Optional[Z8]:
-    """a / b when exact, else None."""
-    q, r = z8_divmod(a, b)
-    return q if z8_is_zero(r) else None
 
 
 # -- Z[sqrt2] arithmetic -------------------------------------------------------

@@ -73,14 +73,3 @@ def random_scalar(rng: SplitMix64, sparse: bool = True) -> Scalar:
             coords.append(rng.fraction())
     return Scalar(*coords)
 
-
-def random_nonzero_scalar(rng: SplitMix64) -> Scalar:
-    while True:
-        z = random_scalar(rng)
-        if not z.is_zero():
-            return z
-
-
-def random_real(rng: SplitMix64) -> Scalar:
-    """Random element of Q(sqrt2) inside the field."""
-    return Scalar(rng.fraction(), 0, rng.fraction(), 0)

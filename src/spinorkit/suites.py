@@ -1,18 +1,15 @@
 """Seeded property suites: every identity the kernel asserts, re-checked exactly.
 
 Each suite draws its inputs from a per-trial counter-based substream, so a
-(suite, seed, trials) triple always examines the same inputs, trials can run
-in parallel without changing the report, and reports are byte-identical
-across runs.  A failure record carries the offending input and both sides of
-the broken identity; the suites are theorem checks, so any failure is an
-implementation bug, never a property of the inputs.
+(suite, seed, trials) triple always examines the same inputs and reports are
+byte-identical across runs.  A failure record carries the offending input
+and both sides of the broken identity; the suites are theorem checks, so any
+failure is an implementation bug, never a property of the inputs.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
@@ -23,6 +20,7 @@ from .fnforms import (
     MatrixForm,
     Poly,
     TangentForm,
+    ValuedForm,
     VectorForm,
     bianchi_residual,
     covariant_differential,
@@ -73,24 +71,9 @@ class SuiteReport:
         }
 
 
-def thread_budget() -> int:
-    """Worker cap from SPINORKIT_THREADS; at least 1."""
-    raw = os.environ.get("SPINORKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _map_trials(fn: Callable[[int], Optional[dict]], trials: int) -> List[dict]:
-    """Run independent trials, in parallel when allowed; order-stable output."""
-    workers = thread_budget()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, range(trials)))
-    else:
-        results = [fn(t) for t in range(trials)]
-    return [r for r in results if r is not None]
+    """Run trials 0..trials-1 in order; the failure records they return."""
+    return [r for r in map(fn, range(trials)) if r is not None]
 
 
 # -- domain samplers -------------------------------------------------------------
@@ -132,7 +115,7 @@ def random_poly(rng: SplitMix64, dim: int, max_degree: int = 2, terms: int = 2) 
     return out
 
 
-def random_tangent_form(rng: SplitMix64, dim: int, degree: int) -> TangentForm:
+def random_tangent_form(rng: SplitMix64, dim: int, degree: int) -> ValuedForm:
     import itertools
 
     comps = {}
@@ -143,7 +126,7 @@ def random_tangent_form(rng: SplitMix64, dim: int, degree: int) -> TangentForm:
     return TangentForm(dim, degree, comps)
 
 
-def random_connection(rng: SplitMix64, dim: int = 3, fibre: int = 2) -> MatrixForm:
+def random_connection(rng: SplitMix64, dim: int = 3, fibre: int = 2) -> ValuedForm:
     comps = {}
     for axis in range(dim):
         comps[(axis,)] = tuple(
@@ -152,7 +135,7 @@ def random_connection(rng: SplitMix64, dim: int = 3, fibre: int = 2) -> MatrixFo
     return MatrixForm(dim, 1, fibre, comps)
 
 
-def random_vector_form(rng: SplitMix64, dim: int, fibre: int, degree: int) -> VectorForm:
+def random_vector_form(rng: SplitMix64, dim: int, fibre: int, degree: int) -> ValuedForm:
     import itertools
 
     comps = {}
@@ -370,7 +353,7 @@ def _suite_bianchi(seed: int, trials: int) -> List[dict]:
         degree = rng.randint(0, 1)
         phi = random_vector_form(rng, 3, 2, degree)
         lhs = covariant_differential(a, covariant_differential(a, phi))
-        rhs = f.wedge_vector(phi)
+        rhs = f.wedge(phi)
         if lhs != rhs:
             return {
                 "trial": trial,

@@ -3,8 +3,9 @@
 import sympy
 
 from spinorkit.exactfield import Scalar
-from spinorkit.prng import SplitMix64, random_scalar
-from spinorkit.spintensor import EpsilonStructure, ScaledTensor, Variance
+from spinorkit.prng import SplitMix64
+from spinorkit.spintensor import EpsilonStructure
+from spinorkit.suites import random_mink, random_spin_frame  # noqa: F401
 
 SY_R2 = sympy.sqrt(2)
 
@@ -22,30 +23,6 @@ def endw_to_sympy(m):
     return sympy.Matrix(4, 4, lambda i, j: scalar_to_sympy(m.rows[i][j]))
 
 
-def random_mink(rng: SplitMix64) -> ScaledTensor:
-    """Random Hermitian element of U (x) Ubar with the standard unit."""
-    r1 = Scalar(rng.fraction(), 0, rng.fraction(), 0)
-    r2 = Scalar(rng.fraction(), 0, rng.fraction(), 0)
-    z = random_scalar(rng)
-    return ScaledTensor(
-        (Variance.U, Variance.U_BAR),
-        {(1, 1): r1, (2, 2): r2, (1, 2): z, (2, 1): z.conj()},
-    )
-
-
-def random_spinor(rng: SplitMix64) -> ScaledTensor:
-    return ScaledTensor(
-        (Variance.U,), {(1,): random_scalar(rng), (2,): random_scalar(rng)}
-    )
-
-
 def spin_frame(rng: SplitMix64, eps: EpsilonStructure = None):
     """Random basis of U with eps(b1, b2) = 1 exactly."""
-    eps = eps or EpsilonStructure()
-    while True:
-        b1 = random_spinor(rng)
-        c = random_spinor(rng)
-        omega = eps.eps_value(b1, c)
-        if b1.is_zero() or omega.is_zero():
-            continue
-        return b1, c.scaled(omega.inverse())
+    return random_spin_frame(rng, eps or EpsilonStructure())

@@ -45,7 +45,7 @@ def test_check_is_byte_deterministic(capsys):
     assert out1 == out2
 
 
-def test_check_deterministic_under_threads(capsys, monkeypatch):
+def test_check_ignores_threads_variable(capsys, monkeypatch):
     args = ["check", "--suite", "clifford", "--seed", "5", "--trials", "24"]
     _, serial, _ = run_cli(args, capsys)
     monkeypatch.setenv("SPINORKIT_THREADS", "4")

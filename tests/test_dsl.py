@@ -2,6 +2,7 @@
 
 import pytest
 
+from spinorkit.cli import main
 from spinorkit.diracw import DiracVector, gamma
 from spinorkit.dsl import DslError, Environment, eval_program
 from spinorkit.exactfield import Scalar, format_scalar
@@ -155,6 +156,23 @@ def test_parse_errors_carry_position():
         eval_program("frobnicate(1)")
     with pytest.raises(DslError, match="unterminated"):
         eval_program('form deg=0 dim=1 { 1 : poly "x }')
+    # inputs that once escaped as ZeroDivisionError, RecursionError, ChartError
+    # or ValueError (integer string-conversion limit) tracebacks
+    for text, col in [
+        ("tensor [U] unit=-1/0 { (1): 1 }", 20),
+        ('form deg=0 dim=2 { 1 : poly "1/0*x" }', 29),
+        ("(" * 3000 + "1" + ")" * 3000, 65),
+        ("g(" * 400 + "1" + ")" * 400, 129),
+        ('form deg=0 dim=2 { 1 : poly "' + "(" * 600 + "x" + ")" * 600 + '" }', 29),
+        ('form deg=0 dim=5 { 1 : poly "x" }', 18),
+        ("1" * 5000, 1),
+    ]:
+        with pytest.raises(DslError) as exc:
+            eval_program(text)
+        assert (exc.value.line, exc.value.col) == (1, col), text[:40]
+    # the nesting cap leaves room for any hand-written program
+    assert eval_one("(" * 60 + "1" + ")" * 60) == "1"
+    assert eval_one("- " * 3000 + "1") == "1"
 
 
 def test_core_errors_surface_verbatim():
@@ -176,3 +194,96 @@ def test_environment_reuse():
     env = Environment()
     eval_program("universe { sector f: fermion [1,2] }\nlet a = f:1", env)
     assert eval_program("a ^ f:2", env) == ["f:1^f:2 * (1)"]
+
+
+def test_arrow_components_only_in_form_literals(tmp_path, capsys):
+    for keyword in ("mform", "vform"):
+        script = tmp_path / "prog.dsl"
+        script.write_text(f'{keyword} deg=1 dim=2 fibre=2 {{ dx -> axis y : poly "x" }}\n')
+        assert main(["eval", str(script)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: 1:32: ") and "Traceback" not in err
+
+
+FORM_PRELUDE = """\
+let f0 = form deg=0 dim=2 { 1 : poly "x^2" };
+let f1 = form deg=1 dim=2 { dx : poly "x*y"; dy : poly "2" };
+let t0 = form deg=0 dim=2 { 1 -> axis x : poly "y" };
+let t1 = form deg=1 dim=2 { dx -> axis y : poly "x" };
+let v0 = vform deg=0 dim=2 fibre=2 { 1 : [poly "x", poly "y"] };
+let m1 = mform deg=1 dim=2 fibre=2 { dx : [[poly "0", poly "y"], [poly "x", poly "1"]] };
+"""
+
+# (expression, exit code, stdout) of `spinor-kit eval` on FORM_PRELUDE + expression:
+# every operator and form function on each kind of form, then the mixes that
+# must be refused with a usage error.
+FORM_ROWS = [
+    ('f1 + f1', 0, 'form deg=1 dim=2 { dx : poly "(2)*x*y"; dy : poly "4" }\n'),
+    ('t1 + t1', 0, 'form deg=1 dim=2 { dx -> axis y : poly "(2)*x" }\n'),
+    ('v0 + v0', 0, 'vform deg=0 dim=2 fibre=2 { 1 : [poly "(2)*x", poly "(2)*y"] }\n'),
+    ('m1 + m1', 0, 'mform deg=1 dim=2 fibre=2 { dx : [[poly "0", poly "(2)*y"], [poly "(2)*x", poly "2"]] }\n'),
+    ('f1 - 2*f1', 0, 'form deg=1 dim=2 { dx : poly "-x*y"; dy : poly "-2" }\n'),
+    ('t1 - t1', 0, 'form deg=1 dim=2 {  }\n'),
+    ('v0 - v0', 0, 'vform deg=0 dim=2 fibre=2 {  }\n'),
+    ('m1 - m1', 0, 'mform deg=1 dim=2 fibre=2 {  }\n'),
+    ('-f1', 0, 'form deg=1 dim=2 { dx : poly "-x*y"; dy : poly "-2" }\n'),
+    ('-t1', 0, 'form deg=1 dim=2 { dx -> axis y : poly "-x" }\n'),
+    ('-v0', 0, 'vform deg=0 dim=2 fibre=2 { 1 : [poly "-x", poly "-y"] }\n'),
+    ('-m1', 0, 'mform deg=1 dim=2 fibre=2 { dx : [[poly "0", poly "-y"], [poly "-x", poly "-1"]] }\n'),
+    ('f1 * (1+i)', 0, 'form deg=1 dim=2 { dx : poly "(1+i)*x*y"; dy : poly "2+2*i" }\n'),
+    ('2 * t1', 0, 'form deg=1 dim=2 { dx -> axis y : poly "(2)*x" }\n'),
+    ('v0 * r2', 0, 'vform deg=0 dim=2 fibre=2 { 1 : [poly "(r2)*x", poly "(r2)*y"] }\n'),
+    ('i * m1', 0, 'mform deg=1 dim=2 fibre=2 { dx : [[poly "0", poly "(i)*y"], [poly "(i)*x", poly "i"]] }\n'),
+    ('m1 / 2', 0, 'mform deg=1 dim=2 fibre=2 { dx : [[poly "0", poly "(1/2)*y"], [poly "(1/2)*x", poly "1/2"]] }\n'),
+    ('f0 ^ f1', 0, 'form deg=1 dim=2 { dx : poly "x^3*y"; dy : poly "(2)*x^2" }\n'),
+    ('f1 ^ f1', 0, 'form deg=2 dim=2 {  }\n'),
+    ('m1 ^ m1', 0, 'mform deg=2 dim=2 fibre=2 {  }\n'),
+    ('m1 ^ v0', 0, 'vform deg=1 dim=2 fibre=2 { dx : [poly "y^2", poly "y + x^2"] }\n'),
+    ('d(f0)', 0, 'form deg=1 dim=2 { dx : poly "(2)*x" }\n'),
+    ('d(f1)', 0, 'form deg=2 dim=2 { dx^dy : poly "-x" }\n'),
+    ('d(v0)', 0, 'vform deg=1 dim=2 fibre=2 { dx : [poly "1", poly "0"]; dy : [poly "0", poly "1"] }\n'),
+    ('d(m1)', 0, 'mform deg=2 dim=2 fibre=2 { dx^dy : [[poly "0", poly "-1"], [poly "0", poly "0"]] }\n'),
+    ('lie(t0, f0)', 0, 'form deg=0 dim=2 { 1 : poly "(2)*x*y" }\n'),
+    ('lie(t0, f1)', 0, 'form deg=1 dim=2 { dx : poly "y^2"; dy : poly "x*y" }\n'),
+    ('fnb(t1, t0)', 0, 'form deg=1 dim=2 { dx -> axis x : poly "x"; dx -> axis y : poly "-y"; dy -> axis y : poly "-x" }\n'),
+    ('fnb(t0, t0)', 0, 'form deg=0 dim=2 {  }\n'),
+    ('curv(m1)', 0, 'mform deg=2 dim=2 fibre=2 { dx^dy : [[poly "0", poly "-1"], [poly "0", poly "0"]] }\n'),
+    ('covd(m1, v0)', 0, 'vform deg=1 dim=2 fibre=2 { dx : [poly "1 + y^2", poly "y + x^2"]; dy : [poly "0", poly "1"] }\n'),
+    ('bianchi(m1)', 0, 'mform deg=3 dim=2 fibre=2 {  }\n'),
+    ('f1 ^ t1', 2, ''),
+    ('t1 ^ t1', 2, ''),
+    ('v0 ^ m1', 2, ''),
+    ('f1 ^ m1', 2, ''),
+    ('v0 ^ v0', 2, ''),
+    ('m1 ^ f1', 2, ''),
+    ('d(t1)', 2, ''),
+    ('fnb(f1, f1)', 2, ''),
+    ('fnb(m1, t1)', 2, ''),
+    ('curv(f1)', 2, ''),
+    ('curv(v0)', 2, ''),
+    ('curv(t1)', 2, ''),
+    ('covd(m1, f1)', 2, ''),
+    ('covd(v0, v0)', 2, ''),
+    ('covd(f1, v0)', 2, ''),
+    ('lie(t0, m1)', 2, ''),
+    ('lie(t0, v0)', 2, ''),
+    ('lie(f0, f1)', 2, ''),
+    ('lie(t1, f1)', 2, ''),
+    ('bianchi(f1)', 2, ''),
+    ('f1 + t1', 2, ''),
+    ('f1 + m1', 2, ''),
+    ('v0 + m1', 2, ''),
+    ('f1 + f0', 2, ''),
+    ('f1 * f1', 2, ''),
+]
+
+
+@pytest.mark.parametrize("expr, code, stdout", FORM_ROWS, ids=[row[0] for row in FORM_ROWS])
+def test_form_operations_by_kind(expr, code, stdout, tmp_path, capsys):
+    script = tmp_path / "prog.dsl"
+    script.write_text(FORM_PRELUDE + expr + "\n")
+    assert main(["eval", str(script)]) == code
+    out, err = capsys.readouterr()
+    assert out == stdout
+    assert "Traceback" not in err

@@ -7,13 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorkit.exactfield import (
-    Scalar,
-    format_scalar,
-    parse_scalar,
-    unit_combine,
-    unit_dual,
-)
+from spinorkit.exactfield import Scalar, format_scalar, parse_scalar
 
 R2 = sympy.sqrt(2)
 
@@ -88,7 +82,7 @@ def test_field_inverse(x):
 def test_inverse_matches_sympy(x):
     if not x.is_zero():
         product = to_sympy(x.inverse()) * to_sympy(x)
-        assert sympy.simplify(product - 1) == 0
+        assert sympy.expand(product - 1) == 0
 
 
 def test_field_axioms_bulk():
@@ -150,11 +144,3 @@ def test_parse_rejects_garbage():
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
-
-def test_unit_exponents_form_a_group():
-    assert unit_combine(Fraction(1, 2), Fraction(1, 2)) == 1
-    assert unit_combine(Fraction(-3, 2), Fraction(3, 2)) == 0
-    assert unit_combine(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
-    u = Fraction(5, 6)
-    assert unit_combine(u, unit_dual(u)) == 0
-    assert unit_combine(unit_combine(u, 1), -1) == u

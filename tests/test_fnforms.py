@@ -17,6 +17,7 @@ from spinorkit.fnforms import (
     ext_derivative,
     fn_bracket,
     lie_derivative,
+    vector_field,
 )
 from spinorkit.prng import SplitMix64, random_scalar
 
@@ -154,13 +155,13 @@ def test_wedge_graded_commutativity():
 
 
 def test_lie_coordinate_examples():
-    dx_field = TangentForm.vector_field(2, [const(2), Poly(2)])
-    dy_field = TangentForm.vector_field(2, [Poly(2), const(2)])
+    dx_field = vector_field(2, [const(2), Poly(2)])
+    dy_field = vector_field(2, [Poly(2), const(2)])
     omega = Form(2, 1, {(1,): x_(2)})  # x dy
     assert lie_derivative(dx_field, omega) == Form(2, 1, {(1,): const(2)})
     assert lie_derivative(dy_field, omega).is_zero()
     # L[x dx](dx) = dx, by the Cartan oracle d(i_u w) + i_u(dw)
-    euler_x = TangentForm.vector_field(2, [x_(2), Poly(2)])
+    euler_x = vector_field(2, [x_(2), Poly(2)])
     dx_form = Form(2, 1, {(0,): const(2)})
     assert lie_derivative(euler_x, dx_form) == dx_form
 
@@ -207,20 +208,20 @@ def test_fn_bracket_of_vector_fields_is_lie_bracket():
         for _ in range(20):
             u, v = random_field(rng, dim), random_field(rng, dim)
             bracket = fn_bracket(
-                TangentForm.vector_field(dim, u), TangentForm.vector_field(dim, v)
+                vector_field(dim, u), vector_field(dim, v)
             )
             assert bracket.field_components() == lie_bracket_oracle(u, v, dim)
     # fnb(x d/dy, d/dx) = -d/dy
-    xy = TangentForm.vector_field(2, [Poly(2), x_(2)])
-    ddx = TangentForm.vector_field(2, [const(2), Poly(2)])
-    expected = TangentForm.vector_field(2, [Poly(2), const(2, -1)])
+    xy = vector_field(2, [Poly(2), x_(2)])
+    ddx = vector_field(2, [const(2), Poly(2)])
+    expected = vector_field(2, [Poly(2), const(2, -1)])
     assert fn_bracket(xy, ddx) == expected
 
 
 def test_fn_bracket_golden_values():
     # fnb(x dy (x) d/dx, d/dx) = -dy (x) d/dx: only the -(L[v] l) term survives
     zeta = TangentForm(2, 1, {((1,), 0): x_(2)})
-    ddx = TangentForm.vector_field(2, [const(2), Poly(2)])
+    ddx = vector_field(2, [const(2), Poly(2)])
     assert fn_bracket(zeta, ddx) == TangentForm(2, 1, {((1,), 0): const(2, -1)})
 
     # odd self-bracket need not vanish, but this one does: all five terms die
@@ -347,7 +348,7 @@ def test_ricci_identity():
         for degree in (0, 1):
             phi = random_vector_form(rng, 3, 2, degree)
             lhs = covariant_differential(a, covariant_differential(a, phi))
-            rhs = f.wedge_vector(phi)
+            rhs = f.wedge(phi)
             assert lhs == rhs
 
 
@@ -367,3 +368,33 @@ def test_chart_dimension_bounds():
         Poly(5)
     with pytest.raises(ChartError):
         Form(0, 0)
+
+
+def test_kind_mismatches_raise_chart_error():
+    # every operation checks the fibre kinds it is defined for
+    x = x_(2)
+    scalar = Form(2, 1, {(0,): x})
+    tangent = TangentForm(2, 1, {((0,), 1): x})
+    field = vector_field(2, [x, Poly(2)])
+    vector = VectorForm(2, 0, 2, {(): (x, x)})
+    matrix = MatrixForm(2, 1, 2, {(1,): N_matrix(2)})
+    calls = [
+        lambda: scalar.wedge(tangent),
+        lambda: matrix.wedge(scalar),
+        lambda: vector.wedge(matrix),
+        lambda: matrix.wedge(MatrixForm(2, 1, 3, {})),
+        lambda: ext_derivative(tangent),
+        lambda: fn_bracket(scalar, tangent),
+        lambda: fn_bracket(tangent, matrix),
+        lambda: curvature(scalar),
+        lambda: bianchi_residual(vector),
+        lambda: covariant_differential(matrix, scalar),
+        lambda: covariant_differential(vector, vector),
+        lambda: lie_derivative(field, matrix),
+        lambda: lie_derivative(scalar, scalar),
+        lambda: vector.interior([x, x]),
+        lambda: scalar + tangent,
+    ]
+    for call in calls:
+        with pytest.raises(ChartError):
+            call()
