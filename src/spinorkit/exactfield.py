@@ -1,96 +1,165 @@
 """Exact arithmetic in the field Q(i, sqrt2) and rational unit exponents.
 
 Every coefficient in this package is a :class:`Scalar`, an element
-``a + b*i + c*sqrt2 + d*i*sqrt2`` with arbitrary-precision rational
-``a, b, c, d``.  The set is closed under the four field operations, so all
-algebraic identities downstream can be asserted with ``==`` instead of a
-tolerance.  Length-unit exponents are plain ``fractions.Fraction`` values;
-they add under tensor multiplication and negate under dualization.
+``(a + b*i + c*sqrt2 + d*i*sqrt2) / den`` of Q(i, sqrt2) held as four Python
+ints over one positive int denominator.  The stored form is canonical,
+``gcd(a, b, c, d, den) == 1`` with zero as ``(0, 0, 0, 0, 1)``, so ``==`` and
+``hash`` compare five ints.  Each ``+``, ``-`` and ``*`` reduces its result
+with one ``math.gcd`` over five ints, and with none when the denominator is
+1; ``+`` and ``-`` cross-multiply only when the denominators differ.  The set
+is closed under the four field operations, so all algebraic identities
+downstream can be asserted with ``==`` instead of a tolerance.  The rational
+coordinates are read as the reduced ``Fraction`` properties ``a`` to ``d``,
+the five ints as :attr:`Scalar.ints`.
+
+Length-unit exponents are plain ``fractions.Fraction`` values; they add under
+tensor multiplication and negate under dualization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import gcd, lcm
+from typing import Tuple, Union
 
 Rat = Union[int, Fraction]
+Ints = Tuple[int, int, int, int, int]
 
 # exact rational backend and the rational types a Scalar accepts
 _rat = Fraction
 _RAT_TYPES = (int, Fraction)
+_ZERO: Ints = (0, 0, 0, 0, 1)
 
 
 class ExactError(ValueError):
     """Raised on malformed exact-scalar input or an impossible exact operation."""
 
 
-class Scalar:
-    """An element a + b*i + c*sqrt(2) + d*i*sqrt(2) of Q(i, sqrt2)."""
+def _make(v: Ints) -> "Scalar":
+    """The Scalar whose canonical ints are `v`; trusts the caller, validates nothing."""
+    z = object.__new__(Scalar)
+    object.__setattr__(z, "_v", v)
+    return z
 
-    __slots__ = ("a", "b", "c", "d")
+
+def _reduced(a: int, b: int, c: int, d: int, den: int) -> "Scalar":
+    """(a + b*i + c*sqrt2 + d*i*sqrt2) / den for ints with den > 0, in lowest terms."""
+    if den != 1:
+        g = gcd(a, b, c, d, den)
+        if g != 1:
+            return _make((a // g, b // g, c // g, d // g, den // g))
+    return _make((a, b, c, d, den))
+
+
+def _ints(x) -> Ints:
+    """The canonical ints of a Scalar, int or Fraction operand."""
+    if isinstance(x, Scalar):
+        return x._v
+    if isinstance(x, int):
+        return (int(x), 0, 0, 0, 1)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, 0, 0, x.denominator)
+    raise ExactError(f"cannot coerce {x!r} to Scalar")
+
+
+def _coordinate(k: int, doc: str) -> property:
+    return property(lambda self: Fraction(self._v[k], self._v[4]), doc=doc)
+
+
+class Scalar:
+    """An element a + b*i + c*sqrt(2) + d*i*sqrt(2) of Q(i, sqrt2).
+
+    The coordinates must be ``int`` or ``Fraction``; anything else, a float
+    or a string included, raises :class:`ExactError`.
+    """
+
+    __slots__ = ("_v",)
 
     def __init__(self, a: Rat = 0, b: Rat = 0, c: Rat = 0, d: Rat = 0):
-        object.__setattr__(self, "a", _rat(a))
-        object.__setattr__(self, "b", _rat(b))
-        object.__setattr__(self, "c", _rat(c))
-        object.__setattr__(self, "d", _rat(d))
+        coords = (a, b, c, d)
+        den = 1
+        for x in coords:
+            if isinstance(x, Fraction):
+                den = lcm(den, x.denominator)
+            elif not isinstance(x, int):
+                raise ExactError(f"Scalar coordinates must be int or Fraction, got {x!r}")
+        # den is the lcm of reduced denominators, so the ints are already coprime
+        nums = tuple(
+            int(x) * den if isinstance(x, int) else x.numerator * (den // x.denominator) for x in coords
+        )
+        object.__setattr__(self, "_v", nums + (den,))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
+
+    a = _coordinate(0, "Rational coefficient of 1.")
+    b = _coordinate(1, "Rational coefficient of i.")
+    c = _coordinate(2, "Rational coefficient of sqrt2.")
+    d = _coordinate(3, "Rational coefficient of i*sqrt2.")
+
+    @property
+    def ints(self) -> Ints:
+        """(a, b, c, d, den): the canonical ints, self = (a + b*i + c*sqrt2 + d*i*sqrt2) / den."""
+        return self._v
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return cls(0)
+        return _make(_ZERO)
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls(1)
+        return _make((1, 0, 0, 0, 1))
 
     @classmethod
     def i(cls) -> "Scalar":
-        return cls(0, 1)
+        return _make((0, 1, 0, 0, 1))
 
     @classmethod
     def sqrt2(cls) -> "Scalar":
-        return cls(0, 0, 1)
+        return _make((0, 0, 1, 0, 1))
 
     @classmethod
     def coerce(cls, value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, _RAT_TYPES):
-            return cls(value)
-        raise ExactError(f"cannot coerce {value!r} to Scalar")
+        return _make(_ints(value))
 
     # -- ring/field operations --------------------------------------------
 
     def __add__(self, other) -> "Scalar":
-        o = Scalar.coerce(other)
-        return Scalar(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        a1, b1, c1, d1, n1 = self._v
+        a2, b2, c2, d2, n2 = _ints(other)
+        if n1 == n2:
+            return _reduced(a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
+        return _reduced(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1, c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Scalar":
-        o = Scalar.coerce(other)
-        return Scalar(self.a - o.a, self.b - o.b, self.c - o.c, self.d - o.d)
+        a1, b1, c1, d1, n1 = self._v
+        a2, b2, c2, d2, n2 = _ints(other)
+        if n1 == n2:
+            return _reduced(a1 - a2, b1 - b2, c1 - c2, d1 - d2, n1)
+        return _reduced(a1 * n2 - a2 * n1, b1 * n2 - b2 * n1, c1 * n2 - c2 * n1, d1 * n2 - d2 * n1, n1 * n2)
 
     def __rsub__(self, other) -> "Scalar":
         return Scalar.coerce(other) - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.a, -self.b, -self.c, -self.d)
+        a, b, c, d, den = self._v
+        return _make((-a, -b, -c, -d, den))
 
     def __mul__(self, other) -> "Scalar":
-        o = Scalar.coerce(other)
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return Scalar(
+        a1, b1, c1, d1, n1 = self._v
+        a2, b2, c2, d2, n2 = _ints(other)
+        return _reduced(
             a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
             a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
             a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+            n1 * n2,
         )
 
     __rmul__ = __mul__
@@ -102,8 +171,8 @@ class Scalar:
         zc = self.conj()
         n1 = self * zc
         w = n1.conj_sqrt2()
-        norm = (n1 * w).a
-        return zc * w * Scalar(1 / norm)
+        norm, _, _, _, den = (n1 * w)._v  # norm / den > 0, already coprime
+        return zc * w * _make((den, 0, 0, 0, norm))
 
     def __truediv__(self, other) -> "Scalar":
         return self * Scalar.coerce(other).inverse()
@@ -127,11 +196,13 @@ class Scalar:
 
     def conj(self) -> "Scalar":
         """Complex conjugation; fixes sqrt2, negates i."""
-        return Scalar(self.a, -self.b, self.c, -self.d)
+        a, b, c, d, den = self._v
+        return _make((a, -b, c, -d, den))
 
     def conj_sqrt2(self) -> "Scalar":
         """Galois conjugation sqrt2 -> -sqrt2; fixes i."""
-        return Scalar(self.a, self.b, -self.c, -self.d)
+        a, b, c, d, den = self._v
+        return _make((a, b, -c, -d, den))
 
     def abs2(self) -> "Scalar":
         """z * conj(z); a real element of Q(sqrt2), nonnegative."""
@@ -140,22 +211,22 @@ class Scalar:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.a or self.b or self.c or self.d)
+        return self._v == _ZERO
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self._v != _ZERO
 
     def is_real(self) -> bool:
-        return self.b == 0 and self.d == 0
+        return not (self._v[1] or self._v[3])
 
     def is_rational(self) -> bool:
-        return self.is_real() and self.c == 0
+        return not (self._v[1] or self._v[2] or self._v[3])
 
     def real_sign(self) -> int:
-        """Exact sign (-1, 0, 1) of a real element a + c*sqrt2."""
+        """Exact sign (-1, 0, 1) of a real element (a + c*sqrt2) / den."""
         if not self.is_real():
             raise ExactError(f"real_sign of non-real scalar {self}")
-        a, c = self.a, self.c
+        a, _, c, _, _ = self._v  # den > 0 does not change the sign
         if a == 0 and c == 0:
             return 0
         if a >= 0 and c >= 0:
@@ -170,14 +241,14 @@ class Scalar:
     # -- hashing and comparison ----------------------------------------------
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, Scalar):
+            return self._v == other._v
         if isinstance(other, _RAT_TYPES):
-            other = Scalar(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+            return self._v == _ints(other)
+        return NotImplemented
 
     def __hash__(self):
-        return hash(("Scalar", self.a, self.b, self.c, self.d))
+        return hash(self._v)
 
     # -- text form -------------------------------------------------------------
 

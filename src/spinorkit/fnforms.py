@@ -82,7 +82,8 @@ class Poly:
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
             add = -coeff if negate else coeff
-            terms[exps] = terms.get(exps, Scalar.zero()) + add
+            prev = terms.get(exps)
+            terms[exps] = add if prev is None else prev + add
         return Poly(self.dim, terms)
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -107,7 +108,8 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Scalar.zero()) + c1 * c2
+                prev = terms.get(key)
+                terms[key] = c1 * c2 if prev is None else prev + c1 * c2
         return Poly(self.dim, terms)
 
     __rmul__ = __mul__
@@ -120,8 +122,8 @@ class Poly:
                 continue
             new = list(exps)
             new[axis] = k - 1
-            key = tuple(new)
-            terms[key] = terms.get(key, Scalar.zero()) + coeff * Scalar(k)
+            # distinct exponents stay distinct after d/dx_axis, so keys never collide
+            terms[tuple(new)] = coeff * Scalar(k)
         return Poly(self.dim, terms)
 
     def __eq__(self, other) -> bool:

@@ -16,7 +16,6 @@ with z^4 = -1; elements of Z[sqrt2] are integer pairs (p, q) = p + q*sqrt2.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Tuple
 
 from .exactfield import Scalar
@@ -379,11 +378,9 @@ def solve_norm(w: Scalar) -> Optional[Scalar]:
         raise ValueError("norm targets must be real elements of Q(sqrt2)")
     if w.is_zero():
         return Scalar.zero()
-    den = lcm(int(w.a.denominator), int(w.c.denominator))
-    p = w.a * den * den
-    q = w.c * den * den
-    assert p.denominator == 1 and q.denominator == 1
-    x = solve_norm_s2((int(p), int(q)))
+    # w = (A + C*sqrt2) / den, so w * den^2 = A*den + C*den*sqrt2 is integral
+    a, _, c, _, den = w.ints
+    x = solve_norm_s2((a * den, c * den))
     if x is None:
         return None
     return z8_to_scalar(x, den)

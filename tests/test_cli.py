@@ -1,12 +1,19 @@
 """CLI contract: exit codes, deterministic reports, eval subcommand."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spinorkit
 from spinorkit.cli import main
+
+# the child interpreter imports the same spinorkit as this one, PYTHONPATH or not
+SRC = str(Path(spinorkit.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(argv, capsys):
@@ -90,6 +97,7 @@ def test_eval_reads_file_and_stdin(tmp_path, capsys):
         input="(1+i)*(1-i)\n",
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "2\n"

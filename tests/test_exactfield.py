@@ -1,13 +1,15 @@
-"""Field arithmetic in Q(i, sqrt2), checked against a sympy oracle."""
+"""Field arithmetic in Q(i, sqrt2), checked against a sympy oracle and a four-Fraction reference."""
 
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorkit.exactfield import Scalar, format_scalar, parse_scalar
+from spinorkit.exactfield import ExactError, Scalar, format_scalar, parse_scalar
 
 R2 = sympy.sqrt(2)
 
@@ -144,3 +146,162 @@ def test_parse_rejects_garbage():
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
+
+
+def test_constructor_accepts_only_exact_rationals():
+    assert Scalar(3, Fraction(1, 2), True, 0) == Scalar(3, Fraction(1, 2), 1)
+    for bad in (0.1, "1/3", Decimal("0.5"), None, sympy.Rational(1, 3), 1j):
+        with pytest.raises(ExactError):
+            Scalar(bad)
+        with pytest.raises(ExactError):
+            Scalar(1, 0, 0, bad)
+        with pytest.raises(ExactError):
+            Scalar.coerce(bad)
+        with pytest.raises(ExactError):
+            Scalar.one() * bad
+
+
+# -- the integer representation against a reference of four Fractions ----------
+#
+# Ref is (a, b, c, d) with z = a + b*i + c*sqrt2 + d*i*sqrt2, every coordinate a
+# Fraction of its own; its operations are the textbook formulas.
+
+
+def ref(z: Scalar):
+    a, b, c, d, den = z.ints
+    return tuple(Fraction(x, den) for x in (a, b, c, d))
+
+
+def ref_add(x, y):
+    return tuple(p + q for p, q in zip(x, y))
+
+
+def ref_mul(x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        a1 * a2 - b1 * b2 + 2 * c1 * c2 - 2 * d1 * d2,
+        a1 * b2 + b1 * a2 + 2 * c1 * d2 + 2 * d1 * c2,
+        a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+    )
+
+
+def ref_sign(a: Fraction, c: Fraction) -> int:
+    """Sign of a + c*sqrt2: the sign of the term with the larger magnitude."""
+    if a * a > 2 * c * c:
+        return (a > 0) - (a < 0)
+    if a * a < 2 * c * c:
+        return (c > 0) - (c < 0)
+    return 0  # a^2 = 2 c^2 has no rational solution but a = c = 0
+
+
+ONE_REF = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+
+
+def assert_canonical(z: Scalar):
+    a, b, c, d, den = z.ints
+    assert all(type(x) is int for x in z.ints)
+    assert den > 0 and gcd(a, b, c, d, den) == 1
+    if not (a or b or c or d):
+        assert z.ints == (0, 0, 0, 0, 1)
+    assert (z.a, z.b, z.c, z.d) == ref(z)
+
+
+# coordinates from tiny to grown: numerators up to 2^200, denominators up to 2^160
+big_fraction = st.one_of(
+    small_fraction,
+    st.builds(Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**160)),
+    st.just(Fraction(0)),
+)
+big_scalars = st.builds(Scalar, big_fraction, big_fraction, big_fraction, big_fraction)
+# p - q*sqrt2 = (1 - sqrt2)^n has p^2 - 2 q^2 = +-1: near-ties of the sign test
+pell_scalars = st.builds(
+    lambda n, k: Scalar(1, 0, -1) ** n * k, st.integers(1, 120), big_fraction.filter(bool)
+)
+real_scalars = st.one_of(st.builds(lambda a, c: Scalar(a, 0, c, 0), big_fraction, big_fraction), pell_scalars)
+rationals = st.one_of(st.integers(-(2**160), 2**160), big_fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=big_scalars, y=big_scalars)
+def test_ring_operations_match_fraction_reference(x, y):
+    rx, ry = ref(x), ref(y)
+    cases = [
+        (x + y, ref_add(rx, ry)),
+        (x - y, ref_add(rx, tuple(-q for q in ry))),
+        (x * y, ref_mul(rx, ry)),
+        (-x, tuple(-p for p in rx)),
+        (x.conj(), (rx[0], -rx[1], rx[2], -rx[3])),
+        (x.conj_sqrt2(), (rx[0], rx[1], -rx[2], -rx[3])),
+        (x - x, (0, 0, 0, 0)),
+    ]
+    for got, want in cases:
+        assert_canonical(got)
+        assert ref(got) == want
+    assert (x == y) == (rx == ry)
+    assert (x != y) == (rx != ry)
+    # the same value reached two ways is one canonical form: equal and hash-equal
+    again = x + y - y
+    assert again == x and hash(again) == hash(x) and again.ints == x.ints
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=big_scalars, n=st.integers(0, 5))
+def test_inverse_and_powers_match_fraction_reference(x, n):
+    want = ONE_REF
+    for _ in range(n):
+        want = ref_mul(want, ref(x))
+    power = x ** n
+    assert_canonical(power)
+    assert ref(power) == want
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    inv = x.inverse()
+    assert_canonical(inv)
+    assert ref_mul(ref(inv), ref(x)) == ONE_REF
+    assert ref_mul(ref(x ** -n), want) == ONE_REF
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=real_scalars)
+def test_real_sign_matches_fraction_reference(z):
+    a, _, c, _ = ref(z)
+    assert z.real_sign() == ref_sign(a, c)
+    assert (-z).real_sign() == -ref_sign(a, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=big_scalars)
+def test_text_round_trip_grown(z):
+    back = parse_scalar(format_scalar(z))
+    assert_canonical(back)
+    assert back.ints == z.ints and hash(back) == hash(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=big_scalars, k=rationals)
+def test_mixed_rational_operands_on_both_sides(x, k):
+    rx, rk = ref(x), (Fraction(k), Fraction(0), Fraction(0), Fraction(0))
+    cases = [
+        (x + k, ref_add(rx, rk)),
+        (k + x, ref_add(rx, rk)),
+        (x - k, ref_add(rx, tuple(-q for q in rk))),
+        (k - x, ref_add(rk, tuple(-p for p in rx))),
+        (x * k, ref_mul(rx, rk)),
+        (k * x, ref_mul(rx, rk)),
+    ]
+    if k:
+        cases.append((x / k, ref_mul(rx, (1 / Fraction(k), 0, 0, 0))))
+    for got, want in cases:
+        assert isinstance(got, Scalar)
+        assert_canonical(got)
+        assert ref(got) == want
+    if not x.is_zero():
+        quotient = k / x
+        assert_canonical(quotient)
+        assert ref_mul(ref(quotient), rx) == rk
+    assert (x == k) == (rx == rk) and (k == x) == (rx == rk)
+    assert Scalar(k) == k and Scalar.coerce(k).ints == Scalar(k).ints

@@ -30,6 +30,7 @@ from spinorkit.spintensor import (
     null_decompose,
     pauli_tetrad,
 )
+from spinorkit.suites import random_mink, random_spin_frame
 
 I = Scalar.i()
 R2 = Scalar.sqrt2()
@@ -46,14 +47,6 @@ def g_oracle(y: ScaledTensor, yp: ScaledTensor) -> Scalar:
         for (c, d), z in yp.entries.items():
             total = total + x * z * EPS_TABLE[(a, c)] * EPS_TABLE[(b, d)].conj()
     return total
-
-
-def random_mink(rng: SplitMix64) -> ScaledTensor:
-    """Random Hermitian element of U (x) Ubar with the standard unit."""
-    r1, r2 = (Scalar(rng.fraction(), 0, rng.fraction(), 0) for _ in range(2))
-    z = random_scalar(rng)
-    entries = {(1, 1): r1, (2, 2): r2, (1, 2): z, (2, 1): z.conj()}
-    return ScaledTensor((Variance.U, Variance.U_BAR), entries)
 
 
 def test_variance_involutions():
@@ -186,22 +179,6 @@ def test_g_pairing_unit_mismatch():
         g_pairing(y, bad)
 
 
-def spin_frame(rng: SplitMix64):
-    """Random basis of U with eps(b1, b2) = 1 exactly."""
-    eps = EpsilonStructure()
-    while True:
-        b1 = ScaledTensor(
-            (Variance.U,), {(1,): random_scalar(rng), (2,): random_scalar(rng)}
-        )
-        c = ScaledTensor(
-            (Variance.U,), {(1,): random_scalar(rng), (2,): random_scalar(rng)}
-        )
-        omega = eps.eps_value(b1, c)
-        if b1.is_zero() or omega.is_zero():
-            continue
-        return b1, c.scaled(omega.inverse())
-
-
 MINK = [
     [Scalar(1), Scalar(0), Scalar(0), Scalar(0)],
     [Scalar(0), Scalar(-1), Scalar(0), Scalar(0)],
@@ -229,7 +206,7 @@ def test_pauli_tetrad_standard_basis():
 def test_pauli_tetrad_random_spin_frames():
     rng = SplitMix64(2024)
     for _ in range(40):
-        b1, b2 = spin_frame(rng)
+        b1, b2 = random_spin_frame(rng, EpsilonStructure())
         assert gram(pauli_tetrad(b1, b2)) == MINK
 
 
@@ -251,7 +228,7 @@ def test_sylvester_sign_pattern():
     # characteristic polynomial of the tetrad Gram matrix: one positive and
     # three negative eigenvalues, read off exactly from coefficient signs
     rng = SplitMix64(5)
-    b1, b2 = spin_frame(rng)
+    b1, b2 = random_spin_frame(rng, EpsilonStructure())
     matrix = gram(pauli_tetrad(b1, b2))
     m = sympy.Matrix(4, 4, lambda i, j: sympy.Rational(matrix[i][j].a))
     lam = sympy.symbols("lam")
