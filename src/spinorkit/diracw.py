@@ -86,10 +86,10 @@ class DiracVector:
         )
 
     def __sub__(self, other: "DiracVector") -> "DiracVector":
-        return self + other.scaled(Scalar(-1))
+        return self + -other
 
     def __neg__(self) -> "DiracVector":
-        return self.scaled(Scalar(-1))
+        return DiracVector(tuple(-c for c in self.components), self.unit)
 
     def scaled(self, factor) -> "DiracVector":
         factor = Scalar.coerce(factor)
@@ -195,10 +195,10 @@ class EndW:
         )
 
     def __sub__(self, other: "EndW") -> "EndW":
-        return self + other.scaled(Scalar(-1))
+        return self + -other
 
     def __neg__(self) -> "EndW":
-        return self.scaled(Scalar(-1))
+        return EndW([[-x for x in row] for row in self.rows])
 
     def scaled(self, factor) -> "EndW":
         factor = Scalar.coerce(factor)

@@ -41,13 +41,14 @@ MAX_NESTING = 64
 
 
 class Token:
-    __slots__ = ("kind", "value", "line", "col")
+    __slots__ = ("kind", "value", "line", "col", "starts_line")
 
     def __init__(self, kind, value, line, col):
         self.kind = kind  # 'int' | 'name' | 'punct' | 'string' | 'eof'
         self.value = value
         self.line = line
         self.col = col
+        self.starts_line = False  # first on its line and outside every bracket
 
     def __repr__(self):
         return f"Token({self.kind}, {self.value!r})"
@@ -116,6 +117,14 @@ def tokenize(text: str) -> List[Token]:
             continue
         raise DslError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("eof", None, line, col))
+    depth, prev_line = 0, 0
+    for tok in tokens:
+        tok.starts_line = depth == 0 and tok.line != prev_line
+        prev_line = tok.line
+        if tok.kind == "punct" and tok.value in ("(", "[", "{"):
+            depth += 1
+        elif tok.kind == "punct" and tok.value in (")", "]", "}"):
+            depth = max(depth - 1, 0)
     return tokens
 
 
@@ -335,14 +344,16 @@ class Parser:
 
     def _parse_additive(self):
         value = self._parse_multiplicative()
-        while True:
+        # outside brackets, a '+' or '-' that opens a line starts the next statement
+        while not self.peek().starts_line:
             if self.match_punct("+"):
                 value = _binop_add(value, self._parse_multiplicative(), self)
             elif self.match_punct("-"):
                 rhs = self._parse_multiplicative()
                 value = _binop_add(value, _negate(rhs, self), self)
             else:
-                return value
+                break
+        return value
 
     def _parse_multiplicative(self):
         value = self._parse_wedge()

@@ -12,6 +12,12 @@ single-generator words, and every operator element is stored normal-ordered:
 all emissions left of all absorptions, both sides canonical.  Products
 compose and re-normal-order via the super-commutation relation
 a[zeta] a+[z] = (-1)^{|zeta||z|} a+[z] a[zeta] + <zeta, z> id.
+
+The public constructors ``FockState(...)`` and ``OperatorElement(...)``
+validate every monomial and coerce every coefficient.  Results that the
+algebra builds itself are canonical by construction, so they go through the
+trusted constructors ``_state`` and ``_op``, which only drop zero
+coefficients.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ class Sector:
 class Universe:
     """An ordered family of sectors; the ordering fixes the canonical monomial form."""
 
-    __slots__ = ("sectors", "_index")
+    __slots__ = ("sectors", "is_fermion", "_index")
 
     def __init__(self, sectors: Iterable[Sector]):
         sectors = tuple(sectors)
@@ -82,6 +88,8 @@ class Universe:
         if len(set(names)) != len(names):
             raise ValueError("duplicate sector names")
         object.__setattr__(self, "sectors", sectors)
+        # per-sector statistics flags, read by the monomial inner loops
+        object.__setattr__(self, "is_fermion", tuple(s.is_fermion for s in sectors))
         object.__setattr__(self, "_index", {s.name: i for i, s in enumerate(sectors)})
 
     def __setattr__(self, name, value):
@@ -99,6 +107,8 @@ class Universe:
             raise ValueError(f"mode {mode} not in sector {sector.name}")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Universe):
             return NotImplemented
         return self.sectors == other.sectors
@@ -120,37 +130,43 @@ def vacuum_monomial(universe: Universe) -> Monomial:
 
 
 def monomial_rank(m: Monomial) -> int:
-    return sum(len(part) for part in m)
+    return sum(map(len, m))
 
 
 def monomial_grade(universe: Universe, m: Monomial) -> int:
-    return (
-        sum(len(part) for part, s in zip(m, universe.sectors) if s.is_fermion) % 2
-    )
+    return sum(len(part) for part, odd in zip(m, universe.is_fermion) if odd) % 2
 
 
-def _flat_keys(universe: Universe, m: Monomial, fermions_only: bool):
-    """Canonical flat item list as (sector_idx, mode) keys."""
-    out = []
-    for idx, part in enumerate(m):
-        if fermions_only and not universe.sectors[idx].is_fermion:
-            continue
-        out.extend((idx, mode) for mode in part)
-    return out
+def _times(x: Scalar, k: int) -> Scalar:
+    """x * k for an int k, without a multiply when k is 1 or -1."""
+    return x if k == 1 else -x if k == -1 else x * k
+
+
+def _mode_monomial(universe: Universe, sector_idx: int, mode: int) -> Monomial:
+    """The rank-1 monomial of one mode; the mode is not checked."""
+    return tuple((mode,) if i == sector_idx else () for i in range(len(universe.sectors)))
 
 
 def monomial_product(universe: Universe, m1: Monomial, m2: Monomial):
-    """(sign, canonical monomial), or None when a fermion mode repeats."""
+    """(sign, canonical monomial), or None when a fermion mode repeats.
+
+    The sign is the parity of the fermion pairs (a of m1, b of m2) that the
+    merge moves past each other, i.e. with b before a in canonical order.
+    """
     parts: List[Tuple[int, ...]] = []
-    for idx, (p1, p2) in enumerate(zip(m1, m2)):
-        sector = universe.sectors[idx]
-        if sector.is_fermion and set(p1) & set(p2):
-            return None
-        parts.append(tuple(sorted(p1 + p2)))
-    odd1 = _flat_keys(universe, m1, fermions_only=True)
-    odd2 = _flat_keys(universe, m2, fermions_only=True)
-    crossings = sum(1 for a in odd1 for b in odd2 if b < a)
-    return ((-1) ** crossings, tuple(parts))
+    crossings = 0
+    odd2_before = 0  # fermions of m2 in the sectors already merged
+    for p1, p2, odd in zip(m1, m2, universe.is_fermion):
+        if odd:
+            for b in p2:
+                for a in p1:
+                    if a == b:
+                        return None
+                    crossings += a > b
+            crossings += len(p1) * odd2_before
+            odd2_before += len(p2)
+        parts.append(tuple(sorted(p1 + p2)) if p1 and p2 else p1 or p2)
+    return (-1 if crossings & 1 else 1), tuple(parts)
 
 
 def _validate_monomial(universe: Universe, m: Monomial):
@@ -197,8 +213,7 @@ class FockState:
     def mode(cls, universe: Universe, sector: str, mode: int, dual: bool = False) -> "FockState":
         idx = universe.sector_index(sector)
         universe.check_mode(idx, mode)
-        mono = tuple((mode,) if i == idx else () for i in range(len(universe.sectors)))
-        return cls(universe, {mono: Scalar.one()}, dual)
+        return _state(universe, {_mode_monomial(universe, idx, mode): Scalar.one()}, bool(dual))
 
     def _check_mate(self, other: "FockState"):
         if self.universe != other.universe:
@@ -229,18 +244,19 @@ class FockState:
         self._check_mate(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Scalar.zero()) + coeff
-        return FockState(self.universe, terms, self.dual)
+            prev = terms.get(mono)
+            terms[mono] = coeff if prev is None else prev + coeff
+        return _state(self.universe, terms, self.dual)
 
     def __sub__(self, other: "FockState") -> "FockState":
-        return self + other.scaled(Scalar(-1))
+        return self + -other
 
     def __neg__(self) -> "FockState":
-        return self.scaled(Scalar(-1))
+        return _state(self.universe, {m: -c for m, c in self.terms.items()}, self.dual)
 
     def scaled(self, factor) -> "FockState":
         factor = Scalar.coerce(factor)
-        return FockState(
+        return _state(
             self.universe, {m: c * factor for m, c in self.terms.items()}, self.dual
         )
 
@@ -270,6 +286,15 @@ class FockState:
         return format_state(self)
 
     __repr__ = __str__
+
+
+def _state(universe: Universe, terms: Dict[Monomial, Scalar], dual: bool) -> FockState:
+    """The state with these canonical terms; drops zero coefficients, validates nothing."""
+    state = object.__new__(FockState)
+    object.__setattr__(state, "universe", universe)
+    object.__setattr__(state, "dual", dual)
+    object.__setattr__(state, "terms", {m: c for m, c in terms.items() if not c.is_zero()})
+    return state
 
 
 def format_monomial(universe: Universe, m: Monomial) -> str:
@@ -326,9 +351,10 @@ def exterior_product(phi: FockState, psi: FockState) -> FockState:
             if prod is None:
                 continue
             sign, mono = prod
-            add = c1 * c2 * Scalar(sign)
-            terms[mono] = terms.get(mono, Scalar.zero()) + add
-    return FockState(universe, terms, phi.dual)
+            add = _times(c1 * c2, sign)
+            prev = terms.get(mono)
+            terms[mono] = add if prev is None else prev + add
+    return _state(universe, terms, phi.dual)
 
 
 # -- interior product -------------------------------------------------------------
@@ -337,35 +363,24 @@ def exterior_product(phi: FockState, psi: FockState) -> FockState:
 def _contract_rank1(universe: Universe, sector_idx: int, mode: int, m: Monomial):
     """Graded-derivation contraction of a single (dual) mode into a monomial.
 
-    Yields (sign, reduced monomial) per occurrence; fermionic contractions pick
-    up the parity of the fermions standing to the left of the hit.
+    Returns (factor, reduced monomial), or None when the mode does not occur.
+    A fermionic contraction's factor is the sign (-1)^k, k the number of
+    fermions standing to the left of the hit; a bosonic one's is the number
+    of occurrences, since bosons cross everything freely.
     """
     part = m[sector_idx]
     if mode not in part:
-        return
-    is_fermion = universe.sectors[sector_idx].is_fermion
-    if is_fermion:
-        fermions_before = 0
-        for idx in range(sector_idx):
-            if universe.sectors[idx].is_fermion:
-                fermions_before += len(m[idx])
-        position = part.index(mode)
-        sign = (-1) ** (fermions_before + position)
-        new_part = part[:position] + part[position + 1:]
-        reduced = tuple(
-            new_part if i == sector_idx else p for i, p in enumerate(m)
-        )
-        yield sign, reduced
-    else:
-        # bosons cross everything freely; one term per occurrence
-        position = part.index(mode)
-        multiplicity = part.count(mode)
-        new_part = part[:position] + part[position + 1:]
-        reduced = tuple(
-            new_part if i == sector_idx else p for i, p in enumerate(m)
-        )
-        for _ in range(multiplicity):
-            yield 1, reduced
+        return None
+    position = part.index(mode)
+    reduced = tuple(
+        part[:position] + part[position + 1:] if i == sector_idx else p
+        for i, p in enumerate(m)
+    )
+    is_fermion = universe.is_fermion
+    if not is_fermion[sector_idx]:
+        return part.count(mode), reduced
+    left = position + sum(len(m[i]) for i in range(sector_idx) if is_fermion[i])
+    return (-1 if left & 1 else 1), reduced
 
 
 def _monomial_items(m: Monomial):
@@ -377,19 +392,17 @@ def _monomial_items(m: Monomial):
 def _contract_monomial(universe: Universe, contractor: Monomial, target: Monomial):
     """Full contraction of `contractor` into `target`, peeling leftmost first.
 
-    rank(contractor) <= rank(target); returns dict of reduced monomials.
+    Returns (int factor, reduced monomial), or None when a mode of
+    `contractor` is missing from what is left of `target`.
     """
-    acc: Dict[Monomial, Scalar] = {target: Scalar.one()}
+    factor, mono = 1, target
     for sector_idx, mode in _monomial_items(contractor):
-        nxt: Dict[Monomial, Scalar] = {}
-        for mono, coeff in acc.items():
-            for sign, reduced in _contract_rank1(universe, sector_idx, mode, mono):
-                add = coeff * Scalar(sign)
-                nxt[reduced] = nxt.get(reduced, Scalar.zero()) + add
-        acc = {m: c for m, c in nxt.items() if not c.is_zero()}
-        if not acc:
-            break
-    return acc
+        hit = _contract_rank1(universe, sector_idx, mode, mono)
+        if hit is None:
+            return None
+        k, mono = hit
+        factor *= k
+    return factor, mono
 
 
 class MixedRankError(ValueError):
@@ -414,17 +427,22 @@ def interior_product(lam: FockState, psi: FockState):
     dual_side_hit = False
     for d_mono, d_coeff in lam.terms.items():
         for m_mono, m_coeff in psi.terms.items():
-            base = d_coeff * m_coeff
             if monomial_rank(d_mono) <= monomial_rank(m_mono):
                 state_side_hit = True
-                for mono, coeff in _contract_monomial(universe, d_mono, m_mono).items():
-                    state_terms[mono] = state_terms.get(mono, Scalar.zero()) + base * coeff
+                terms = state_terms
+                contracted = _contract_monomial(universe, d_mono, m_mono)
             else:
                 dual_side_hit = True
-                for mono, coeff in _contract_monomial(universe, m_mono, d_mono).items():
-                    dual_terms[mono] = dual_terms.get(mono, Scalar.zero()) + base * coeff
-    state_part = FockState(universe, state_terms, dual=False)
-    dual_part = FockState(universe, dual_terms, dual=True)
+                terms = dual_terms
+                contracted = _contract_monomial(universe, m_mono, d_mono)
+            if contracted is None:
+                continue
+            factor, mono = contracted
+            add = _times(d_coeff * m_coeff, factor)
+            prev = terms.get(mono)
+            terms[mono] = add if prev is None else prev + add
+    state_part = _state(universe, state_terms, False)
+    dual_part = _state(universe, dual_terms, True)
     if not dual_part.is_zero() and not state_part.is_zero():
         raise MixedRankError("contraction produced both a state and a dual state")
     if not dual_part.is_zero():
@@ -500,10 +518,7 @@ class OperatorElement:
         odd: Dict[Word, Scalar] = {}
         for word, coeff in self.terms.items():
             (even if self.word_grade(word) == 0 else odd)[word] = coeff
-        return (
-            OperatorElement(self.universe, even),
-            OperatorElement(self.universe, odd),
-        )
+        return _op(self.universe, even), _op(self.universe, odd)
 
     def _check_mate(self, other: "OperatorElement"):
         if self.universe != other.universe:
@@ -513,34 +528,37 @@ class OperatorElement:
         self._check_mate(other)
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
-            terms[word] = terms.get(word, Scalar.zero()) + coeff
-        return OperatorElement(self.universe, terms)
+            prev = terms.get(word)
+            terms[word] = coeff if prev is None else prev + coeff
+        return _op(self.universe, terms)
 
     def __sub__(self, other: "OperatorElement") -> "OperatorElement":
-        return self + other.scaled(Scalar(-1))
+        return self + -other
 
     def __neg__(self) -> "OperatorElement":
-        return self.scaled(Scalar(-1))
+        return _op(self.universe, {w: -c for w, c in self.terms.items()})
 
     def scaled(self, factor) -> "OperatorElement":
         factor = Scalar.coerce(factor)
-        return OperatorElement(
-            self.universe, {w: c * factor for w, c in self.terms.items()}
-        )
+        return _op(self.universe, {w: c * factor for w, c in self.terms.items()})
 
     def __mul__(self, other):
         """Composition followed by normal reordering; or a scalar multiple."""
         if not isinstance(other, OperatorElement):
             return self.scaled(other)
         self._check_mate(other)
-        out = OperatorElement(self.universe)
+        universe = self.universe
+        terms: Dict[Word, Scalar] = {}
         for w1, c1 in self.terms.items():
-            gens1 = word_generators(self.universe, w1)
+            gens1 = word_generators(universe, w1)
             for w2, c2 in other.terms.items():
-                gens = gens1 + word_generators(self.universe, w2)
-                piece = normal_order(self.universe, gens).scaled(c1 * c2)
-                out = out + piece
-        return out
+                c12 = c1 * c2
+                piece = normal_order(universe, gens1 + word_generators(universe, w2))
+                for word, coeff in piece.terms.items():
+                    add = coeff * c12
+                    prev = terms.get(word)
+                    terms[word] = add if prev is None else prev + add
+        return _op(universe, terms)
 
     def __rmul__(self, factor):
         return self.scaled(factor)
@@ -555,17 +573,18 @@ class OperatorElement:
         out_terms: Dict[Monomial, Scalar] = {}
         for (emit_m, absorb_m), coeff in self.terms.items():
             for m_mono, m_coeff in psi.terms.items():
-                if monomial_rank(absorb_m) > monomial_rank(m_mono):
-                    continue
                 contracted = _contract_monomial(universe, absorb_m, m_mono)
-                for mono, c in contracted.items():
-                    prod = monomial_product(universe, emit_m, mono)
-                    if prod is None:
-                        continue
-                    sign, result = prod
-                    add = coeff * m_coeff * c * Scalar(sign)
-                    out_terms[result] = out_terms.get(result, Scalar.zero()) + add
-        return FockState(universe, out_terms, dual=False)
+                if contracted is None:
+                    continue
+                factor, mono = contracted
+                prod = monomial_product(universe, emit_m, mono)
+                if prod is None:
+                    continue
+                sign, result = prod
+                add = _times(coeff * m_coeff, sign * factor)
+                prev = out_terms.get(result)
+                out_terms[result] = add if prev is None else prev + add
+        return _state(universe, out_terms, False)
 
     __call__ = apply
 
@@ -591,45 +610,38 @@ class OperatorElement:
     __repr__ = __str__
 
 
-def _rank1_items(state: FockState):
-    """(coefficient, sector_idx, mode) for each term of a rank-1 state."""
-    items = []
+def _op(universe: Universe, terms: Dict[Word, Scalar]) -> OperatorElement:
+    """The operator with these normal-ordered canonical words; drops zero coefficients, validates nothing."""
+    op = object.__new__(OperatorElement)
+    object.__setattr__(op, "universe", universe)
+    object.__setattr__(op, "terms", {w: c for w, c in terms.items() if not c.is_zero()})
+    return op
+
+
+def _rank1_operator(state: FockState) -> OperatorElement:
+    """The one-generator words of a rank-1 state: emissions, or absorptions if dual."""
+    vac = vacuum_monomial(state.universe)
+    terms: Dict[Word, Scalar] = {}
     for mono, coeff in state.terms.items():
         if monomial_rank(mono) != 1:
             raise RankError("emission/absorption needs a rank-1 argument")
-        ((sector_idx, mode),) = tuple(_monomial_items(mono))
-        items.append((coeff, sector_idx, mode))
-    return items
+        # distinct rank-1 monomials give distinct words, so keys never collide
+        terms[(vac, mono) if state.dual else (mono, vac)] = coeff
+    return _op(state.universe, terms)
 
 
 def emit(z: FockState) -> OperatorElement:
     """Emission operator a+[z] phi = z <> phi for a rank-1 state z."""
     if z.dual:
         raise SectorMismatchError("emit takes a non-dual rank-1 state")
-    universe = z.universe
-    vac = vacuum_monomial(universe)
-    terms: Dict[Word, Scalar] = {}
-    for coeff, sector_idx, mode in _rank1_items(z):
-        mono = tuple(
-            (mode,) if i == sector_idx else () for i in range(len(universe.sectors))
-        )
-        terms[(mono, vac)] = terms.get((mono, vac), Scalar.zero()) + coeff
-    return OperatorElement(universe, terms)
+    return _rank1_operator(z)
 
 
 def absorb(zeta: FockState) -> OperatorElement:
     """Absorption operator a[zeta] phi = zeta | phi for a rank-1 dual state."""
     if not zeta.dual:
         raise SectorMismatchError("absorb takes a dual rank-1 state")
-    universe = zeta.universe
-    vac = vacuum_monomial(universe)
-    terms: Dict[Word, Scalar] = {}
-    for coeff, sector_idx, mode in _rank1_items(zeta):
-        mono = tuple(
-            (mode,) if i == sector_idx else () for i in range(len(universe.sectors))
-        )
-        terms[(vac, mono)] = terms.get((vac, mono), Scalar.zero()) + coeff
-    return OperatorElement(universe, terms)
+    return _rank1_operator(zeta)
 
 
 def word_generators(universe: Universe, word: Word) -> Tuple[Generator, ...]:
@@ -644,19 +656,12 @@ def word_generators(universe: Universe, word: Word) -> Tuple[Generator, ...]:
     return tuple(gens)
 
 
-def _generator_grade(universe: Universe, gen: Generator) -> int:
-    return 1 if universe.sectors[gen[1]].is_fermion else 0
-
-
 def _fold_monomial(universe: Universe, items):
     """Wedge rank-1 items left to right; (sign, monomial) or None on nilpotency."""
     sign = 1
     mono = vacuum_monomial(universe)
     for sector_idx, mode in items:
-        single = tuple(
-            (mode,) if i == sector_idx else () for i in range(len(universe.sectors))
-        )
-        prod = monomial_product(universe, mono, single)
+        prod = monomial_product(universe, mono, _mode_monomial(universe, sector_idx, mode))
         if prod is None:
             return None
         s, mono = prod
@@ -674,8 +679,6 @@ def normal_order(universe: Universe, gens) -> OperatorElement:
     out: Dict[Word, Scalar] = {}
 
     def emit_word(gens: Tuple[Generator, ...], coeff: Scalar):
-        if coeff.is_zero():
-            return
         split = next(
             (
                 i
@@ -694,24 +697,21 @@ def normal_order(universe: Universe, gens) -> OperatorElement:
             folded_a = _fold_monomial(universe, reversed(absorptions))
             if folded_a is None:
                 return
-            sign = folded_e[0] * folded_a[0]
             word = (folded_e[1], folded_a[1])
-            out[word] = out.get(word, Scalar.zero()) + coeff * Scalar(sign)
+            add = _times(coeff, folded_e[0] * folded_a[0])
+            prev = out.get(word)
+            out[word] = add if prev is None else prev + add
             return
         a_gen, e_gen = gens[split], gens[split + 1]
-        swap_sign = (
-            -1
-            if _generator_grade(universe, a_gen) and _generator_grade(universe, e_gen)
-            else 1
-        )
+        both_odd = universe.is_fermion[a_gen[1]] and universe.is_fermion[e_gen[1]]
         swapped = gens[:split] + (e_gen, a_gen) + gens[split + 2:]
-        emit_word(swapped, coeff * Scalar(swap_sign))
+        emit_word(swapped, -coeff if both_odd else coeff)
         if a_gen[1] == e_gen[1] and a_gen[2] == e_gen[2]:
             contracted = gens[:split] + gens[split + 2:]
             emit_word(contracted, coeff)
 
     emit_word(gens, Scalar.one())
-    return OperatorElement(universe, out)
+    return _op(universe, out)
 
 
 def op_apply(x: OperatorElement, psi: FockState) -> FockState:
@@ -722,36 +722,35 @@ def apply_generators(universe: Universe, gens, psi: FockState) -> FockState:
     """Raw composition: apply generators right to left, one at a time."""
     out = psi
     for kind, sector_idx, mode in reversed(tuple(gens)):
-        single = FockState.mode(
-            universe, universe.sectors[sector_idx].name, mode, dual=(kind == "-")
+        universe.check_mode(sector_idx, mode)
+        single = _state(
+            universe, {_mode_monomial(universe, sector_idx, mode): Scalar.one()}, kind == "-"
         )
         if kind == "+":
             out = exterior_product(single, out)
         else:
             # as an endomorphism of the state space, absorption kills the vacuum
-            kept = FockState(
+            kept = _state(
                 universe,
                 {m: c for m, c in out.terms.items() if monomial_rank(m) >= 1},
+                False,
             )
-            if kept.is_zero():
-                out = FockState(universe, {})
-            else:
-                out = interior_product(single, kept)
+            out = kept if kept.is_zero() else interior_product(single, kept)
     return out
 
 
 def super_bracket(x: OperatorElement, y: OperatorElement) -> OperatorElement:
     """XY - (-1)^{|X||Y|} YX on definite-grade parts, extended bilinearly."""
     x._check_mate(y)
-    out = OperatorElement(x.universe)
+    out = _op(x.universe, {})
     for xe, x_grade in zip(x.graded_parts(), (0, 1)):
         if xe.is_zero():
             continue
         for ye, y_grade in zip(y.graded_parts(), (0, 1)):
             if ye.is_zero():
                 continue
-            sign = Scalar((-1) ** (x_grade * y_grade))
-            out = out + xe * ye - (ye * xe).scaled(sign)
+            yx = ye * xe
+            out = out + xe * ye + (yx if x_grade and y_grade else -yx)
     return out
 
 

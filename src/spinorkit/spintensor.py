@@ -166,14 +166,15 @@ class ScaledTensor:
         self._check_compatible(other)
         entries = dict(self.entries)
         for key, value in other.entries.items():
-            entries[key] = entries.get(key, Scalar.zero()) + value
+            prev = entries.get(key)
+            entries[key] = value if prev is None else prev + value
         return ScaledTensor(self.slots, entries, self.unit)
 
     def __sub__(self, other: "ScaledTensor") -> "ScaledTensor":
         return self + (-other)
 
     def __neg__(self) -> "ScaledTensor":
-        return self.scaled(Scalar(-1))
+        return ScaledTensor(self.slots, {k: -v for k, v in self.entries.items()}, self.unit)
 
     def scaled(self, factor) -> "ScaledTensor":
         factor = Scalar.coerce(factor)
@@ -221,7 +222,8 @@ class ScaledTensor:
             if key[lo] != key[hi]:
                 continue
             new_key = tuple(key[i] for i in keep)
-            entries[new_key] = entries.get(new_key, Scalar.zero()) + value
+            prev = entries.get(new_key)
+            entries[new_key] = value if prev is None else prev + value
         return ScaledTensor(slots, entries, self.unit)
 
     def __eq__(self, other) -> bool:
@@ -360,8 +362,9 @@ class EpsilonStructure:
             for b in (1, 2):
                 j = _J[a - 1][b - 1]
                 if j:
-                    prev = entries.get((b,), Scalar.zero())
-                    entries[(b,)] = prev + x * self.phase * Scalar(j)
+                    add = x * self.phase if j > 0 else -(x * self.phase)
+                    prev = entries.get((b,))
+                    entries[(b,)] = add if prev is None else prev + add
         return ScaledTensor((Variance.U_DUAL,), entries, u.unit - 1)
 
     def eps_sharp(self, lam: ScaledTensor) -> ScaledTensor:
@@ -460,7 +463,7 @@ class EpsilonStructure:
         sign = mink_trace(y).real_sign()
         # Hermitian, rank one, nonzero: the trace cannot vanish.
         assert sign != 0
-        w = y.scaled(Scalar(sign))
+        w = y if sign > 0 else -y
         # pivot column j with W[j][j] != 0 spans the image; v0 = column_j / W[j][j]
         pivot = 1 if not w.get((1, 1)).is_zero() else 2
         w_jj = w.get((pivot, pivot))

@@ -1,5 +1,7 @@
 """DSL parsing, evaluation and canonical round-trips."""
 
+import io
+
 import pytest
 
 from spinorkit.cli import main
@@ -141,6 +143,21 @@ def test_let_bindings_persist():
     g( y, y )
     """
     assert eval_program(program) == ["2"]
+
+
+def test_leading_sign_starts_a_new_statement(monkeypatch, capsys):
+    # outside brackets, a line that opens with '+' or '-' is its own statement
+    monkeypatch.setattr("sys.stdin", io.StringIO("3\n-1\n"))
+    assert main(["eval", "-"]) == 0
+    assert capsys.readouterr().out == "3\n-1\n"
+    assert eval_program("let t = e1\n-t") == ["tensor [U] { (1): -1 }"]
+    with pytest.raises(DslError) as exc:
+        eval_program("3 - 1\n+ 2")  # '+ 2' alone is no statement
+    assert (exc.value.line, exc.value.col) == (2, 1)
+    # inside brackets a continuation line keeps going
+    assert eval_program("(3\n-1)") == ["2"]
+    assert eval_program("g( e1*eb1\n+ e2*eb2, e1*eb1\n- e2*eb2 )") == ["0"]
+    assert eval_program("tensor [U] { (1): 1\n-3; (2): 2 }") == ["tensor [U] { (1): -2; (2): 2 }"]
 
 
 def test_parse_errors_carry_position():

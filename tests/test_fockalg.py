@@ -1,16 +1,20 @@
 """Multi-particle states, interior products, CAR/CCR and normal ordering."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from spinorkit.exactfield import Scalar
+from spinorkit.exactfield import ExactError, Scalar
 from spinorkit.fockalg import (
     FockState,
+    MixedRankError,
     OperatorElement,
     RankError,
     Sector,
     SectorMismatchError,
     Statistics,
     Universe,
+    _validate_monomial,
     absorb,
     apply_generators,
     basis_monomials,
@@ -19,6 +23,7 @@ from spinorkit.fockalg import (
     exterior_product,
     interior_product,
     monomial_grade,
+    monomial_rank,
     normal_order,
     op_apply,
     pairing,
@@ -27,6 +32,7 @@ from spinorkit.fockalg import (
     word_generators,
 )
 from spinorkit.prng import SplitMix64, random_scalar
+from spinorkit.suites import SMALL_UNIVERSE
 
 FERMI = Universe([Sector("f", Statistics.FERMION, (1, 2, 3))])
 BOSE = Universe([Sector("b", Statistics.BOSON, (1, 2, 3))])
@@ -437,3 +443,88 @@ def test_universe_validation():
         FockState(FERMI, {((2, 1),): Scalar.one()})
     with pytest.raises(ValueError):
         FockState(FERMI, {((9,),): Scalar.one()})
+    vac_m = ((),)
+    with pytest.raises(ValueError):  # emit side not strictly increasing
+        OperatorElement(FERMI, {(((2, 1),), vac_m): Scalar.one()})
+    with pytest.raises(ValueError):  # absorb side repeats a fermion mode
+        OperatorElement(FERMI, {(vac_m, ((1, 1),)): Scalar.one()})
+    with pytest.raises(ValueError):  # boson side not sorted
+        OperatorElement(BOSE, {(((2, 1),), vac_m): Scalar.one()})
+    with pytest.raises(SectorMismatchError):  # two sectors for a one-sector universe
+        OperatorElement(FERMI, {(((1,), ()), vac_m): Scalar.one()})
+    with pytest.raises(SectorMismatchError):
+        OperatorElement(MIXED, {(((1,),), ((), ())): Scalar.one()})
+    with pytest.raises(ValueError, match="mode 9 not in sector f"):
+        OperatorElement(FERMI, {(vac_m, ((9,),)): Scalar.one()})
+    with pytest.raises(ExactError):
+        OperatorElement(FERMI, {(((1,),), vac_m): 0.5})
+    with pytest.raises(ExactError):
+        FockState(FERMI, {((1,),): 0.5})
+
+
+# -- trusted construction ----------------------------------------------------------
+#
+# Results that fockalg builds itself skip the public constructors' validation;
+# this test stands in for it: every result is canonical, stores no zero, and
+# survives a round trip through the validating constructor unchanged.
+
+SMALL_BASIS = basis_monomials(SMALL_UNIVERSE, 3)
+SMALL_MODES = [
+    (idx, mode) for idx, sector in enumerate(SMALL_UNIVERSE.sectors) for mode in sector.modes
+]
+small_ints = hst.integers(-3, 3)
+coeffs = hst.builds(Scalar, small_ints, small_ints, small_ints, small_ints)
+
+
+def fock_states(monomials, dual=False):
+    terms = hst.dictionaries(hst.sampled_from(monomials), coeffs, max_size=4)
+    return terms.map(lambda t: FockState(SMALL_UNIVERSE, t, dual))
+
+
+gen_words = hst.lists(
+    hst.tuples(hst.sampled_from("+-"), hst.sampled_from(SMALL_MODES)).map(
+        lambda g: (g[0],) + g[1]
+    ),
+    max_size=4,
+)
+RANK1 = [m for m in SMALL_BASIS if monomial_rank(m) == 1]
+
+
+def assert_canonical(x):
+    universe = x.universe
+    for key, coeff in x.terms.items():
+        monos = key if isinstance(x, OperatorElement) else (key,)
+        for mono in monos:
+            assert _validate_monomial(universe, mono) == mono
+        assert isinstance(coeff, Scalar) and not coeff.is_zero()
+    if isinstance(x, OperatorElement):
+        assert x == OperatorElement(universe, x.terms)
+    else:
+        assert x == FockState(universe, x.terms, x.dual)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    phi=fock_states(SMALL_BASIS),
+    psi=fock_states(SMALL_BASIS),
+    lam=fock_states(SMALL_BASIS, dual=True),
+    z=fock_states(RANK1),
+    zeta=fock_states(RANK1, dual=True),
+    w1=gen_words,
+    w2=gen_words,
+    c=coeffs,
+)
+def test_internal_results_are_canonical(phi, psi, lam, z, zeta, w1, w2, c):
+    universe = SMALL_UNIVERSE
+    x, y = normal_order(universe, w1), normal_order(universe, w2)
+    results = [phi + psi, phi - psi, -phi, phi.scaled(c), exterior_product(phi, psi)]
+    results += [x, y, x + y, x - y, -x, x.scaled(c), x * y, super_bracket(x, y)]
+    results += [*x.graded_parts(), emit(z), absorb(zeta), emit(z) * absorb(zeta)]
+    results += [x.apply(phi), apply_generators(universe, w1, phi)]
+    for contractor in (lam, zeta):
+        try:
+            results.append(interior_product(contractor, psi))
+        except MixedRankError:
+            pass
+    for result in results:
+        assert_canonical(result)
