@@ -179,10 +179,6 @@ class Environment:
         raise KeyError(name)
 
 
-def _call_split(tau, psi):
-    return diracw.observer_split(tau, psi)
-
-
 def _call_apply(op, arg):
     if isinstance(op, diracw.EndW) and isinstance(arg, diracw.DiracVector):
         return op.apply(arg)
@@ -209,7 +205,7 @@ _FUNCTIONS = {
     "adjoint": lambda psi: diracw.dirac_adjoint(psi),
     "k": lambda psi, phi: diracw.k_form(psi, phi),
     "cc": lambda psi: diracw.charge_conjugate(psi),
-    "split": _call_split,
+    "split": lambda tau, psi: diracw.observer_split(tau, psi),
     "apply": _call_apply,
     "emit": lambda z: fockalg.emit(z),
     "absorb": lambda z: fockalg.absorb(z),
@@ -443,6 +439,9 @@ class Parser:
             while self.match_punct(","):
                 args.append(self.parse_expr())
             self.expect_punct(")")
+        arity = fn.__code__.co_argcount
+        if len(args) != arity:
+            self.error(f"{name}() takes {arity} argument{'s' * (arity != 1)}, got {len(args)}", tok)
         try:
             return fn(*args)
         except DslError:

@@ -9,9 +9,12 @@ into the coefficient, and the grade of a monomial is its fermion count mod 2.
 The same monomial machinery realizes the dual space, so the interior product
 is the graded derivation in both directions, emission/absorption operators are
 single-generator words, and every operator element is stored normal-ordered:
-all emissions left of all absorptions, both sides canonical.  Products
-compose and re-normal-order via the super-commutation relation
-a[zeta] a+[z] = (-1)^{|zeta||z|} a+[z] a[zeta] + <zeta, z> id.
+all emissions left of all absorptions, both sides canonical.  One step,
+`_times_generator`, appends a generator on the right of a normal-ordered
+element through the products and the relation
+a[zeta] a+[z] = (-1)^{|zeta||z|} a+[z] a[zeta] + <zeta, z> id.  `normal_order`
+folds a word into the identity, and a product folds the words of its right
+factor into its left factor; equal words merge at every step.
 
 The public constructors ``FockState(...)`` and ``OperatorElement(...)``
 validate every monomial and coerce every coefficient.  Results that the
@@ -23,6 +26,7 @@ coefficients.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from typing import Dict, Iterable, List, Tuple
 
@@ -543,21 +547,20 @@ class OperatorElement:
         return _op(self.universe, {w: c * factor for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        """Composition followed by normal reordering; or a scalar multiple."""
+        """Composition, folding each word of `other` into these terms; or a scalar multiple."""
         if not isinstance(other, OperatorElement):
             return self.scaled(other)
         self._check_mate(other)
         universe = self.universe
         terms: Dict[Word, Scalar] = {}
-        for w1, c1 in self.terms.items():
-            gens1 = word_generators(universe, w1)
-            for w2, c2 in other.terms.items():
-                c12 = c1 * c2
-                piece = normal_order(universe, gens1 + word_generators(universe, w2))
-                for word, coeff in piece.terms.items():
-                    add = coeff * c12
-                    prev = terms.get(word)
-                    terms[word] = add if prev is None else prev + add
+        for w2, c2 in other.terms.items():
+            piece = self.terms
+            for gen in word_generators(universe, w2):
+                piece = _times_generator(universe, piece, gen)
+            for word, coeff in piece.items():
+                add = coeff * c2
+                prev = terms.get(word)
+                terms[word] = add if prev is None else prev + add
         return _op(universe, terms)
 
     def __rmul__(self, factor):
@@ -656,62 +659,63 @@ def word_generators(universe: Universe, word: Word) -> Tuple[Generator, ...]:
     return tuple(gens)
 
 
-def _fold_monomial(universe: Universe, items):
-    """Wedge rank-1 items left to right; (sign, monomial) or None on nilpotency."""
-    sign = 1
-    mono = vacuum_monomial(universe)
-    for sector_idx, mode in items:
-        prod = monomial_product(universe, mono, _mode_monomial(universe, sector_idx, mode))
-        if prod is None:
-            return None
-        s, mono = prod
-        sign *= s
-    return sign, mono
+def _check_generator(universe: Universe, gen) -> Generator:
+    """The generator `gen`, after checking its kind, sector index and mode."""
+    kind, sector_idx, mode = gen
+    if kind not in ("+", "-"):
+        raise ValueError(f"generator kind must be '+' or '-', got {kind!r}")
+    if not 0 <= sector_idx < len(universe.sectors):
+        raise SectorMismatchError(f"no sector with index {sector_idx}")
+    universe.check_mode(sector_idx, mode)
+    return gen
+
+
+def _times_generator(universe: Universe, terms: Dict[Word, Scalar], gen: Generator):
+    """The normal-ordered {word: coeff} of X g, for normal-ordered X = `terms`.
+
+    An absorption acts first, so it joins the absorb monomial A on its left.
+    An emission z passes A with sign (-1)^{|z||A|}, joins the emit monomial
+    on its right, and leaves the contraction of z with A.
+    """
+    kind, sector_idx, mode = gen
+    single = _mode_monomial(universe, sector_idx, mode)
+    out: Dict[Word, Scalar] = {}
+    if kind == "-":
+        for (emit_m, absorb_m), coeff in terms.items():
+            prod = monomial_product(universe, single, absorb_m)
+            if prod is not None:
+                # distinct absorb monomials stay distinct, so keys never collide
+                out[(emit_m, prod[1])] = _times(coeff, prod[0])
+        return out
+    odd = universe.is_fermion[sector_idx]
+    for (emit_m, absorb_m), coeff in terms.items():
+        prod = monomial_product(universe, emit_m, single)
+        if prod is not None:
+            sign, mono = prod
+            if odd and monomial_grade(universe, absorb_m):
+                sign = -sign
+            word, add = (mono, absorb_m), _times(coeff, sign)
+            prev = out.get(word)
+            out[word] = add if prev is None else prev + add
+        hit = _contract_rank1(universe, sector_idx, mode, absorb_m)
+        if hit is not None:
+            word, add = (emit_m, hit[1]), _times(coeff, hit[0])
+            prev = out.get(word)
+            out[word] = add if prev is None else prev + add
+    return out
 
 
 def normal_order(universe: Universe, gens) -> OperatorElement:
     """The unique normal-ordered element equal to the composition of `gens`.
 
-    Rewrites adjacent absorb-emit pairs with the super-commutation relation,
-    then canonicalizes both sides of each fully ordered word.
+    Folds the generators into the identity, one `_times_generator` step each;
+    the cost is the word length times the number of live words.
     """
-    gens = tuple(gens)
-    out: Dict[Word, Scalar] = {}
-
-    def emit_word(gens: Tuple[Generator, ...], coeff: Scalar):
-        split = next(
-            (
-                i
-                for i in range(len(gens) - 1)
-                if gens[i][0] == "-" and gens[i + 1][0] == "+"
-            ),
-            None,
-        )
-        if split is None:
-            emissions = [(g[1], g[2]) for g in gens if g[0] == "+"]
-            absorptions = [(g[1], g[2]) for g in gens if g[0] == "-"]
-            folded_e = _fold_monomial(universe, emissions)
-            if folded_e is None:
-                return
-            # reversed: word order w1..wk realizes zeta_{wk} <> ... <> zeta_{w1}
-            folded_a = _fold_monomial(universe, reversed(absorptions))
-            if folded_a is None:
-                return
-            word = (folded_e[1], folded_a[1])
-            add = _times(coeff, folded_e[0] * folded_a[0])
-            prev = out.get(word)
-            out[word] = add if prev is None else prev + add
-            return
-        a_gen, e_gen = gens[split], gens[split + 1]
-        both_odd = universe.is_fermion[a_gen[1]] and universe.is_fermion[e_gen[1]]
-        swapped = gens[:split] + (e_gen, a_gen) + gens[split + 2:]
-        emit_word(swapped, -coeff if both_odd else coeff)
-        if a_gen[1] == e_gen[1] and a_gen[2] == e_gen[2]:
-            contracted = gens[:split] + gens[split + 2:]
-            emit_word(contracted, coeff)
-
-    emit_word(gens, Scalar.one())
-    return _op(universe, out)
+    vac = vacuum_monomial(universe)
+    terms = {(vac, vac): Scalar.one()}
+    for gen in [_check_generator(universe, gen) for gen in gens]:
+        terms = _times_generator(universe, terms, gen)
+    return _op(universe, terms)
 
 
 def op_apply(x: OperatorElement, psi: FockState) -> FockState:
@@ -721,8 +725,8 @@ def op_apply(x: OperatorElement, psi: FockState) -> FockState:
 def apply_generators(universe: Universe, gens, psi: FockState) -> FockState:
     """Raw composition: apply generators right to left, one at a time."""
     out = psi
-    for kind, sector_idx, mode in reversed(tuple(gens)):
-        universe.check_mode(sector_idx, mode)
+    gens = [_check_generator(universe, gen) for gen in gens]
+    for kind, sector_idx, mode in reversed(gens):
         single = _state(
             universe, {_mode_monomial(universe, sector_idx, mode): Scalar.one()}, kind == "-"
         )
@@ -759,8 +763,6 @@ def super_bracket(x: OperatorElement, y: OperatorElement) -> OperatorElement:
 
 def basis_monomials(universe: Universe, max_rank: int):
     """All canonical monomials of total rank <= max_rank, deterministic order."""
-    import itertools
-
     per_sector: List[List[Tuple[int, ...]]] = []
     for sector in universe.sectors:
         parts: List[Tuple[int, ...]] = []
@@ -772,12 +774,7 @@ def basis_monomials(universe: Universe, max_rank: int):
                     itertools.combinations_with_replacement(sector.modes, r)
                 )
         per_sector.append(parts)
-    out = []
-    for combo in itertools.product(*per_sector):
-        if monomial_rank(combo) <= max_rank:
-            out.append(tuple(combo))
-    out.sort()
-    return out
+    return sorted(m for m in itertools.product(*per_sector) if monomial_rank(m) <= max_rank)
 
 
 def basis_states(universe: Universe, max_rank: int, dual: bool = False):

@@ -103,6 +103,27 @@ def test_eval_reads_file_and_stdin(tmp_path, capsys):
     assert proc.stdout == "2\n"
 
 
+def test_eval_long_boson_word(tmp_path, capsys):
+    # a^8 (a+)^8 on one boson mode: one 16-generator word, normal-ordered to
+    # sum_j (8-j)! C(8,j)^2 (a+)^j a^j
+    script = tmp_path / "a8c8.txt"
+    script.write_text(
+        "universe { sector b: boson [1] }\n"
+        "let a = absorb(b:1')\n"
+        "let c = emit(b:1)\n"
+        "let a4 = a*a*a*a\n"
+        "let c4 = c*c*c*c\n"
+        "let a8 = a4*a4\n"
+        "let c8 = c4*c4\n"
+        "a8*c8\n"
+    )
+    words = ["vac"] + ["^".join(["b:1"] * j) for j in range(1, 9)]
+    coeffs = [40320, 322560, 564480, 376320, 117600, 18816, 1568, 64, 1]
+    line = " + ".join(f"emit[{w}]*absorb[{w}] * ({c})" for w, c in zip(words, coeffs))
+    code, out, _ = run_cli(["eval", str(script)], capsys)
+    assert code == 0 and out == line + "\n"
+
+
 def test_eval_parse_error_exit_code(tmp_path, capsys):
     script = tmp_path / "bad.txt"
     script.write_text("g( e1*eb1\n")

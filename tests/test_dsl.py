@@ -183,10 +183,17 @@ def test_parse_errors_carry_position():
         ('form deg=0 dim=2 { 1 : poly "' + "(" * 600 + "x" + ")" * 600 + '" }', 29),
         ('form deg=0 dim=5 { 1 : poly "x" }', 18),
         ("1" * 5000, 1),
+        ("g(e1)", 1),
+        ("conj(e1*eb1, 1)", 1),
     ]:
         with pytest.raises(DslError) as exc:
             eval_program(text)
         assert (exc.value.line, exc.value.col) == (1, col), text[:40]
+    # a wrong argument count names the function, not a Python lambda
+    with pytest.raises(DslError, match=r"g\(\) takes 2 arguments, got 1$"):
+        eval_program("g(e1)")
+    with pytest.raises(DslError, match=r"conj\(\) takes 1 argument, got 2$"):
+        eval_program("conj(e1*eb1, 1)")
     # the nesting cap leaves room for any hand-written program
     assert eval_one("(" * 60 + "1" + ")" * 60) == "1"
     assert eval_one("- " * 3000 + "1") == "1"

@@ -1,5 +1,7 @@
 """Multi-particle states, interior products, CAR/CCR and normal ordering."""
 
+from math import comb, factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -32,7 +34,7 @@ from spinorkit.fockalg import (
     word_generators,
 )
 from spinorkit.prng import SplitMix64, random_scalar
-from spinorkit.suites import SMALL_UNIVERSE
+from spinorkit.suites import SMALL_UNIVERSE, random_generator_word, random_rank1
 
 FERMI = Universe([Sector("f", Statistics.FERMION, (1, 2, 3))])
 BOSE = Universe([Sector("b", Statistics.BOSON, (1, 2, 3))])
@@ -40,6 +42,15 @@ MIXED = Universe(
     [
         Sector("f", Statistics.FERMION, (1, 2, 3)),
         Sector("b", Statistics.BOSON, (1, 2, 3)),
+    ]
+)
+# a boson sector between two fermion sectors: an emission passing absorptions
+# picks up the fermion count of the sectors on both sides
+SANDWICH = Universe(
+    [
+        Sector("f", Statistics.FERMION, (1, 2)),
+        Sector("b", Statistics.BOSON, (1, 2)),
+        Sector("g", Statistics.FERMION, (1, 2)),
     ]
 )
 
@@ -58,15 +69,6 @@ def random_state(rng, universe, max_rank=3, dual=False, terms=3):
     for _ in range(terms):
         mono = basis[rng.randint(0, len(basis) - 1)]
         acc = acc + FockState(universe, {mono: random_scalar(rng)}, dual)
-    return acc
-
-
-def random_rank1(rng, universe, dual=False):
-    sector_idx = rng.randint(0, len(universe.sectors) - 1)
-    sector = universe.sectors[sector_idx]
-    acc = FockState(universe, {}, dual)
-    for mode in sector.modes:
-        acc = acc + st(universe, sector.name, mode, dual).scaled(random_scalar(rng))
     return acc
 
 
@@ -372,38 +374,37 @@ def test_absorption_reordering_antisymmetry():
     assert normal_order(FERMI, [("-", 0, 1), ("-", 0, 1)]).is_zero()
 
 
-def random_word(rng, universe, max_len=4):
-    length = rng.randint(0, max_len)
-    gens = []
-    for _ in range(length):
-        kind = "+" if rng.randint(0, 1) else "-"
-        sector_idx = rng.randint(0, len(universe.sectors) - 1)
-        mode = universe.sectors[sector_idx].modes[
-            rng.randint(0, len(universe.sectors[sector_idx].modes) - 1)
-        ]
-        gens.append((kind, sector_idx, mode))
-    return gens
-
-
 def test_normal_order_equals_raw_composition():
     rng = SplitMix64(6)
-    universe = MIXED
-    basis = basis_states(universe, 2)
-    for _ in range(40):
-        gens = random_word(rng, universe)
-        element = normal_order(universe, gens)
-        for psi in basis:
-            assert op_apply(element, psi) == apply_generators(universe, gens, psi)
+    for universe, max_len, words in ((MIXED, 4, 40), (SANDWICH, 8, 40)):
+        basis = basis_states(universe, 2)
+        for _ in range(words):
+            gens = random_generator_word(rng, universe, max_len)
+            element = normal_order(universe, gens)
+            for psi in basis:
+                assert op_apply(element, psi) == apply_generators(universe, gens, psi)
+
+
+def test_normal_order_long_boson_word():
+    # a^8 (a+)^8 on one boson mode: sum_j (8-j)! C(8,j)^2 (a+)^j a^j
+    universe = Universe([Sector("b", Statistics.BOSON, (1,))])
+    gens = [("-", 0, 1)] * 8 + [("+", 0, 1)] * 8
+    coeffs = [factorial(8 - j) * comb(8, j) ** 2 for j in range(9)]
+    assert coeffs == [40320, 322560, 564480, 376320, 117600, 18816, 1568, 64, 1]
+    expected = OperatorElement(
+        universe, {(((1,) * j,), ((1,) * j,)): c for j, c in enumerate(coeffs)}
+    )
+    assert normal_order(universe, gens) == expected
 
 
 def test_operator_product_is_associative():
     rng = SplitMix64(7)
     universe = MIXED
     for _ in range(20):
-        x = normal_order(universe, random_word(rng, universe, 3))
-        y = normal_order(universe, random_word(rng, universe, 3))
-        z = normal_order(universe, random_word(rng, universe, 3))
+        g1, g2, g3 = (random_generator_word(rng, universe, 3) for _ in range(3))
+        x, y, z = (normal_order(universe, g) for g in (g1, g2, g3))
         assert (x * y) * z == x * (y * z)
+        assert x * y == normal_order(universe, g1 + g2)
 
 
 def test_op_of_scalar_and_composition():
@@ -460,6 +461,17 @@ def test_universe_validation():
         OperatorElement(FERMI, {(((1,),), vac_m): 0.5})
     with pytest.raises(ExactError):
         FockState(FERMI, {((1,),): 0.5})
+    # generator words: kind, sector index and mode are all checked
+    psi = vac(SMALL_UNIVERSE)
+    for check in (normal_order, lambda u, gens: apply_generators(u, gens, psi)):
+        with pytest.raises(ValueError, match="mode 99 not in sector f"):
+            check(SMALL_UNIVERSE, [("+", 0, 99)])
+        with pytest.raises(ValueError, match="kind"):
+            check(SMALL_UNIVERSE, [("x", 0, 1)])
+        with pytest.raises(SectorMismatchError):
+            check(SMALL_UNIVERSE, [("+", 5, 1)])
+        with pytest.raises(SectorMismatchError):
+            check(SMALL_UNIVERSE, [("-", -1, 1)])
 
 
 # -- trusted construction ----------------------------------------------------------
