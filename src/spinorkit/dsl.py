@@ -475,6 +475,13 @@ class Parser:
             self.error("zero denominator", tok)
         return den
 
+    def _parse_scalar(self, what: str) -> Scalar:
+        tok = self.peek()
+        value = self.parse_expr()
+        if not isinstance(value, Scalar):
+            self.error(f"{what} must be scalars", tok)
+        return value
+
     def _parse_tensor_literal(self) -> ScaledTensor:
         self.expect_punct("[")
         slots = [self._parse_variance()]
@@ -497,10 +504,7 @@ class Parser:
                 index.append(self.expect_int())
             self.expect_punct(")")
             self.expect_punct(":")
-            value = self.parse_expr()
-            if not isinstance(value, Scalar):
-                self.error("tensor entries must be scalars")
-            entries[tuple(index)] = value
+            entries[tuple(index)] = self._parse_scalar("tensor entries")
         try:
             return ScaledTensor(slots, entries, unit)
         except Exception as exc:
@@ -512,18 +516,18 @@ class Parser:
             self.error("expected 'u' component")
         self.expect_punct(":")
         self.expect_punct("[")
-        u1 = self.parse_expr()
+        u1 = self._parse_scalar("dirac components")
         self.expect_punct(",")
-        u2 = self.parse_expr()
+        u2 = self._parse_scalar("dirac components")
         self.expect_punct("]")
         self.expect_punct(",")
         if not self.match_name("lbar"):
             self.error("expected 'lbar' component")
         self.expect_punct(":")
         self.expect_punct("[")
-        l1 = self.parse_expr()
+        l1 = self._parse_scalar("dirac components")
         self.expect_punct(",")
-        l2 = self.parse_expr()
+        l2 = self._parse_scalar("dirac components")
         self.expect_punct("]")
         self.expect_punct(")")
         return diracw.DiracVector((u1, u2, l1, l2))

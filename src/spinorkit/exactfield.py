@@ -204,10 +204,6 @@ class Scalar:
         a, b, c, d, den = self._v
         return _make((a, b, -c, -d, den))
 
-    def abs2(self) -> "Scalar":
-        """z * conj(z); a real element of Q(sqrt2), nonnegative."""
-        return self * self.conj()
-
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:

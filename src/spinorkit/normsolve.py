@@ -9,6 +9,14 @@ quadratic extension (via Euclidean gcds with a square root of -1 in the
 residue field), and fixing the leftover unit.  Returns None when the equation
 has no solution in the field; that verdict is exact, not a search cutoff.
 
+The rational arithmetic underneath is self-contained.  The absolute norm is
+factored by trial division by the primes below 1000, a perfect-power test and
+Brent's variant of Pollard rho; the rho steps for one norm are capped at
+FACTOR_BUDGET, and running out raises FactorBudgetError, never None.
+Primality is deterministic Miller-Rabin on the prime bases 2..41 below
+3.3 * 10^24 and strong BPSW above; square roots modulo a prime come from
+Tonelli-Shanks, normalized to the root at most p // 2.
+
 Elements of Z[zeta8] are 4-tuples of integers in the basis (1, z, z^2, z^3)
 with z^4 = -1; elements of Z[sqrt2] are integer pairs (p, q) = p + q*sqrt2.
 """
@@ -16,6 +24,7 @@ with z^4 = -1; elements of Z[sqrt2] are integer pairs (p, q) = p + q*sqrt2.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Optional, Tuple
 
 from .exactfield import Scalar
@@ -30,20 +39,209 @@ S2_SQRT2: S2 = (0, 1)
 S2_FUND: S2 = (1, 1)  # 1 + sqrt2, the fundamental unit (norm -1)
 S2_FUND_INV: S2 = (-1, 1)  # sqrt2 - 1
 
+# Pollard rho steps allowed for factoring one norm: about 0.6 s on a 2-core
+# x86_64 machine under Python 3.11.  With near certainty that splits off every
+# prime factor below 10^9 but the largest; larger ones may exhaust it.
+FACTOR_BUDGET = 1 << 20
+
+
+class FactorBudgetError(ValueError):
+    """Factoring a norm needs more than FACTOR_BUDGET Pollard rho steps."""
+
+
+# -- rational integers ---------------------------------------------------------
+
+_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, isqrt(p) + 1))]
+# Miller-Rabin on the first 13 prime bases is exact below this bound (OEIS A014233).
+_MR_EXACT_BOUND = 3317044064679887385961981
+
+
+def _odd_part(m: int) -> Tuple[int, int]:
+    """(d, s) with m = d * 2^s and d odd, for m > 0."""
+    s = (m & -m).bit_length() - 1
+    return m >> s, s
+
+
+def _strong_prp(n: int, base: int) -> bool:
+    """Strong probable-prime test of the odd n > 2 to the given base."""
+    d, s = _odd_part(n - 1)
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of the odd n > 2, Selfridge's parameters."""
+    if isqrt(n) ** 2 == n:
+        return False
+    d = 5
+    while True:
+        j = _jacobi(d, n)
+        if j == -1:
+            break
+        if j == 0 and abs(d) != n:
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    k, s = _odd_part(n + 1)
+
+    def half(x: int) -> int:
+        x %= n
+        return (x if not x & 1 else x + n) >> 1
+
+    u, v, qk = 1, 1, q % n  # U_1, V_1, Q^1 with P = 1
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(d * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _is_prime(n: int) -> bool:
+    """Primality: exact below 3.3 * 10^24, strong BPSW above (no known error)."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 1000 * 1000:
+        return True
+    if n < _MR_EXACT_BOUND:
+        return all(_strong_prp(n, p) for p in _SMALL_PRIMES[:13])
+    return _strong_prp(n, 2) and _strong_lucas_prp(n)
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _rho(n: int, c: int, steps: int) -> Tuple[int, int]:
+    """Brent's Pollard rho on the odd composite n with x -> x^2 + c.
+
+    Returns a divisor g > 1 of n (g == n when this c failed) and the steps
+    left of `steps`; raises FactorBudgetError when they run out.
+    """
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        steps -= 2 * r  # this round: r steps to move x, at most r more to find g
+        if steps < 0:
+            raise FactorBudgetError(
+                f"factoring a {n.bit_length()}-bit cofactor needs more than "
+                f"the {FACTOR_BUDGET}-step Pollard rho budget"
+            )
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):  # one gcd per 128 steps
+                y = (y * y + c) % n
+                q = q * (x - y) % n
+            g = gcd(q, n)
+            k += 128
+        r *= 2
+    if g == n:  # the batch overshot: step through it again one gcd at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(x - ys, n)
+    return g, steps
+
+
+def _prime_factors(n: int) -> set:
+    """The set of primes dividing n >= 1.
+
+    Trial division by the primes below 1000, then perfect powers and Brent's
+    Pollard rho under FACTOR_BUDGET steps in all; FactorBudgetError when the
+    budget runs out.
+    """
+    primes = set()
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            primes.add(p)
+            while n % p == 0:
+                n //= p
+    steps = FACTOR_BUDGET
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            primes.add(m)
+            continue
+        for k in _SMALL_PRIMES:
+            root = _iroot(m, k)
+            if root < 1000 or root**k == m:  # every prime factor left exceeds 1000
+                break
+        if root**k == m:
+            stack.append(root)
+            continue
+        c, g = 1, m
+        while g == m:
+            g, steps = _rho(m, c, steps)
+            c += 1
+        stack += [g, m // g]
+    return primes
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """The square root of a modulo the odd prime p that is at most p // 2 (Tonelli-Shanks)."""
+    a %= p
+    q, s = _odd_part(p - 1)
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t > 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+            if i == s:
+                raise ArithmeticError(f"{a} is not a square modulo {p}")
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return min(r, p - r)
+
 
 # -- Z[zeta8] arithmetic -------------------------------------------------------
 
 
-def z8_add(a: Z8, b: Z8) -> Z8:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-
-
 def z8_sub(a: Z8, b: Z8) -> Z8:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
-
-
-def z8_neg(a: Z8) -> Z8:
-    return (-a[0], -a[1], -a[2], -a[3])
 
 
 def z8_mul(a: Z8, b: Z8) -> Z8:
@@ -259,12 +457,10 @@ def _normalize_totally_positive(pi: S2) -> Optional[S2]:
 
 def _sqrt2_primes_above(p: int) -> list:
     """The primes of Z[sqrt2] above a rational prime, as a deterministic list."""
-    from sympy.ntheory import sqrt_mod
-
     if p == 2:
         return [S2_SQRT2]
     if p % 8 in (1, 7):
-        t = int(sqrt_mod(2, p))
+        t = _sqrt_mod(2, p)
         pi = s2_gcd((p, 0), (t, -1))
         return [pi, s2_conj(pi)]
     return [(p, 0)]
@@ -276,14 +472,12 @@ def _lift_prime(pi: S2, p: int) -> Optional[Z8]:
     pi must be a totally positive prime of Z[sqrt2] lying over the odd
     rational prime p, with -1 a square in the residue field.
     """
-    from sympy.ntheory import sqrt_mod
-
     if p % 4 == 1:
-        r: Z8 = z8_from_int(int(sqrt_mod(p - 1, p)))
+        r: Z8 = z8_from_int(_sqrt_mod(p - 1, p))
     else:
         # p = 3 mod 8: the residue field is F_{p^2}; -1/2 is a square mod p
         inv2 = pow(2, -1, p)
-        b = int(sqrt_mod((-inv2) % p, p))
+        b = _sqrt_mod(-inv2, p)
         r = z8_from_s2((0, b))
     sigma = z8_gcd(z8_from_s2(pi), z8_sub(r, Z8_I))
     rel = z8_relative_norm(sigma)
@@ -301,9 +495,10 @@ def _lift_prime(pi: S2, p: int) -> Optional[Z8]:
 
 
 def solve_norm_s2(m: S2) -> Optional[Z8]:
-    """x in Z[zeta8] with x * conj(x) = m, or None when no solution exists."""
-    from sympy import factorint
+    """x in Z[zeta8] with x * conj(x) = m, or None when no solution exists.
 
+    Raises FactorBudgetError when the norm of m is too hard to factor.
+    """
     if m == (0, 0):
         return (0, 0, 0, 0)
     if not s2_totally_positive(m):
@@ -311,7 +506,7 @@ def solve_norm_s2(m: S2) -> Optional[Z8]:
     big_norm = s2_norm(m)
     x = Z8_ONE
     remaining = m
-    for p in sorted(int(prime) for prime in factorint(big_norm)):
+    for p in sorted(_prime_factors(big_norm)):
         for pi in _sqrt2_primes_above(p):
             exponent = 0
             while True:

@@ -127,15 +127,6 @@ class ScaledTensor:
     def basis(cls, variance: Variance, index: int, unit: Fraction | None = None) -> "ScaledTensor":
         return cls((variance,), {(index,): Scalar.one()}, unit)
 
-    @classmethod
-    def from_matrix(cls, slots, matrix, unit: Fraction | None = None) -> "ScaledTensor":
-        """2-slot tensor from a 2x2 nested sequence of scalars."""
-        entries = {}
-        for a in (1, 2):
-            for b in (1, 2):
-                entries[(a, b)] = Scalar.coerce(matrix[a - 1][b - 1])
-        return cls(slots, entries, unit)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -331,14 +322,6 @@ class EpsilonStructure:
             raise ValueError(f"epsilon phase must have unit modulus, got {phase}")
         self.phase = phase
 
-    # eps as a tensor with slots [U*, U*] and unit exponent -1.
-    def eps_tensor(self) -> ScaledTensor:
-        return ScaledTensor(
-            (Variance.U_DUAL, Variance.U_DUAL),
-            {(1, 2): self.phase, (2, 1): -self.phase},
-            Fraction(-1),
-        )
-
     def eps_value(self, u: ScaledTensor, v: ScaledTensor) -> Scalar:
         if u.slots != (Variance.U,) or v.slots != (Variance.U,):
             raise VarianceError("eps_value needs two [U] tensors")
@@ -349,9 +332,6 @@ class EpsilonStructure:
                 if j:
                     total = total + x * y * Scalar(j)
         return total * self.phase
-
-    def epsbar_value(self, ub: ScaledTensor, vb: ScaledTensor) -> Scalar:
-        return self.eps_value(ub.conj(), vb.conj()).conj()
 
     def eps_flat(self, u: ScaledTensor) -> ScaledTensor:
         """U -> U*; <eps_flat(u), v> = eps(u, v)."""
@@ -406,9 +386,6 @@ class EpsilonStructure:
                 if j:
                     total = total + x * z * Scalar(j)
         return total * factor
-
-    def is_mink_vector(self, y: ScaledTensor) -> bool:
-        return is_hermitian(y)
 
     # -- Pauli tetrad -----------------------------------------------------------
 

@@ -124,6 +124,30 @@ def test_eval_long_boson_word(tmp_path, capsys):
     assert code == 0 and out == line + "\n"
 
 
+def test_eval_factor_budget_is_usage_error(tmp_path, capsys):
+    # pivot 30000000000000000041 * 700000000000000000177, two primes = 1 mod 8:
+    # factoring it exceeds the rho budget, which is not "no decomposition"
+    script = tmp_path / "big.txt"
+    script.write_text(f"nulldec(tensor [U,Ubar] {{ (1,1): {30000000000000000041 * 700000000000000000177} }})\n")
+    code, out, err = run_cli(["eval", str(script)], capsys)
+    assert code == 2 and out == ""
+    assert "FactorBudgetError" in err and "budget" in err
+    assert "Traceback" not in err
+
+
+def test_eval_nulldec_does_not_import_sympy(tmp_path):
+    script = tmp_path / "nulldec.txt"
+    script.write_text("nulldec(tensor [U,Ubar] { (1,1): 4; (1,2): 2-2*i; (2,1): 2+2*i; (2,2): 2 })\n")
+    child = (
+        "import sys\n"
+        "from spinorkit.cli import main\n"
+        f"code = main(['eval', {str(script)!r}])\n"
+        "print(code, 'sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.stdout == "(1, tensor [U] { (1): 2*i; (2): -1+i })\n0 False\n", proc.stderr
+
+
 def test_eval_parse_error_exit_code(tmp_path, capsys):
     script = tmp_path / "bad.txt"
     script.write_text("g( e1*eb1\n")

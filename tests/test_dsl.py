@@ -173,8 +173,8 @@ def test_parse_errors_carry_position():
         eval_program("frobnicate(1)")
     with pytest.raises(DslError, match="unterminated"):
         eval_program('form deg=0 dim=1 { 1 : poly "x }')
-    # inputs that once escaped as ZeroDivisionError, RecursionError, ChartError
-    # or ValueError (integer string-conversion limit) tracebacks
+    # inputs that once escaped as ZeroDivisionError, RecursionError, ChartError,
+    # ExactError or ValueError (integer string-conversion limit) tracebacks
     for text, col in [
         ("tensor [U] unit=-1/0 { (1): 1 }", 20),
         ('form deg=0 dim=2 { 1 : poly "1/0*x" }', 29),
@@ -185,6 +185,7 @@ def test_parse_errors_carry_position():
         ("1" * 5000, 1),
         ("g(e1)", 1),
         ("conj(e1*eb1, 1)", 1),
+        ("dirac (u: [0, 1], lbar: [0, e1])", 29),
     ]:
         with pytest.raises(DslError) as exc:
             eval_program(text)
@@ -194,6 +195,8 @@ def test_parse_errors_carry_position():
         eval_program("g(e1)")
     with pytest.raises(DslError, match=r"conj\(\) takes 1 argument, got 2$"):
         eval_program("conj(e1*eb1, 1)")
+    with pytest.raises(DslError, match="dirac components must be scalars"):
+        eval_program("dirac (u: [0, 1], lbar: [0, e1])")
     # the nesting cap leaves room for any hand-written program
     assert eval_one("(" * 60 + "1" + ")" * 60) == "1"
     assert eval_one("- " * 3000 + "1") == "1"

@@ -1,9 +1,25 @@
 """Cyclotomic integer arithmetic and the relative norm equation solver."""
 
+import time
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.ntheory import sqrt_mod
+from sympy.ntheory.primetest import is_strong_lucas_prp
+
 from spinorkit.exactfield import Scalar
 from spinorkit.normsolve import (
+    FactorBudgetError,
+    _is_prime,
+    _prime_factors,
+    _sqrt_mod,
+    _strong_lucas_prp,
+    _strong_prp,
     s2_totally_positive,
     solve_norm,
+    solve_norm_s2,
     z8_abs_norm,
     z8_conj,
     z8_divmod,
@@ -100,3 +116,89 @@ def test_z8_to_scalar_basis():
     assert z8_to_scalar((0, 1, 0, -1)) == Scalar.sqrt2()
     zeta = z8_to_scalar((0, 1, 0, 0))
     assert zeta * zeta == Scalar.i()
+
+
+# Strong pseudoprimes to base 2: the first few, the least ones to all prime
+# bases up to 7, 23, 37 and 41 (OEIS A014233), and three Chernick numbers
+# (6k+1)(12k+1)(18k+1) above 3.3 * 10^24, where the Lucas half of BPSW decides.
+BASE2_PSEUDOPRIMES = [
+    2047,
+    3277,
+    4033,
+    4681,
+    8321,
+    3215031751,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+    3557725523452902604315321,
+    3559006278089817733841401,
+    3560180573160531764146441,
+]
+# primes of 6 to 39 digits, with every odd residue mod 8 among them
+BIG_PRIMES = [sympy.nextprime(7 * 10**k) for k in range(5, 39, 3)]
+# two ~20-digit primes, both 1 mod 8
+P20, Q20 = 30000000000000000041, 700000000000000000177
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10**24))
+def test_prime_factors_match_sympy(n):
+    want = set(sympy.factorint(n))
+    try:
+        assert _prime_factors(n) == want
+    except FactorBudgetError:
+        # the budget splits off every prime below 10^9 but the largest
+        assert sorted(want)[-2] > 10**9
+
+
+def test_prime_factors_of_powers_and_pseudoprimes():
+    assert _prime_factors(1) == set()
+    assert _prime_factors(P20**4 * 1009**2 * 997) == {P20, 1009, 997}
+    # the Chernick numbers, each a product of three primes below 10^9
+    for n in BASE2_PSEUDOPRIMES[-3:]:
+        assert _prime_factors(n) == set(sympy.factorint(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**40))
+def test_is_prime_matches_sympy(n):
+    assert _is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_rejects_base2_pseudoprimes():
+    for n in BASE2_PSEUDOPRIMES:
+        assert _strong_prp(n, 2)
+        assert not _is_prime(n) and not sympy.isprime(n)
+    assert all(_is_prime(p) for p in BIG_PRIMES + [P20, Q20])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**40))
+def test_strong_lucas_matches_sympy(n):
+    n = 2 * n + 1
+    assert _strong_lucas_prp(n) == is_strong_lucas_prp(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(sympy.primerange(3, 3000)) + BIG_PRIMES), st.integers(0, 10**40))
+def test_sqrt_mod_matches_sympy(p, a):
+    square = a * a % p
+    assert _sqrt_mod(square, p) == sqrt_mod(square, p)
+
+
+def test_sqrt_mod_rejects_non_squares():
+    with pytest.raises(ArithmeticError):
+        _sqrt_mod(3, 7)
+
+
+def test_factor_budget_error_is_bounded_and_not_a_verdict():
+    # relative norm P20 * Q20: its absolute norm (P20 * Q20)^2 has two
+    # 20-digit prime factors, far beyond the rho budget
+    start = time.process_time()
+    with pytest.raises(FactorBudgetError, match="budget"):
+        solve_norm_s2((P20 * Q20, 0))
+    assert time.process_time() - start < 1.0
+    # one such prime alone is a perfect square of a prime: solved exactly
+    x = solve_norm_s2((P20 * P20, 0))
+    assert x is not None
