@@ -43,6 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; parse_args leaves the parser unchanged, so calls share it
+_PARSER = _build_parser()
+
+
 def _report_payload(args, reports) -> dict:
     if args.suite == "all":
         return {
@@ -102,8 +106,7 @@ def _run_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "check":
         return _run_check(args)
     return _run_eval(args)

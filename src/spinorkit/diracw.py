@@ -64,19 +64,13 @@ class DiracVector:
 
     @property
     def u_part(self) -> ScaledTensor:
-        return ScaledTensor(
-            (Variance.U,),
-            {(1,): self.components[0], (2,): self.components[1]},
-            Fraction(1, 2) + self.unit,
-        )
+        terms = {(1,): self.components[0], (2,): self.components[1]}
+        return ScaledTensor._trusted(((Variance.U,), Fraction(1, 2) + self.unit), terms)
 
     @property
     def lbar_part(self) -> ScaledTensor:
-        return ScaledTensor(
-            (Variance.U_BAR_DUAL,),
-            {(1,): self.components[2], (2,): self.components[3]},
-            Fraction(-1, 2) + self.unit,
-        )
+        terms = {(1,): self.components[2], (2,): self.components[3]}
+        return ScaledTensor._trusted(((Variance.U_BAR_DUAL,), Fraction(-1, 2) + self.unit), terms)
 
     def __add__(self, other: "DiracVector") -> "DiracVector":
         if self.unit != other.unit:
@@ -286,10 +280,11 @@ def gamma(y: ScaledTensor, eps: EpsilonStructure = STANDARD) -> EndW:
     if y.unit != 1:
         raise UnitMismatchError("gamma needs the standard unit exponent 1")
     rows = [[Scalar.zero() for _ in range(4)] for _ in range(4)]
-    phase_sq = eps.phase * eps.phase.conj()  # = 1; kept for transparency
-    for (a, b), v in y.entries.items():
+    # the phase enters as phase * conj(phase) = 1, so gamma is phase-independent
+    for (a, b), v in y.terms.items():
+        r2v = _R2 * v
         # upper-right block: out_u^a += sqrt2 * y^{ab} * lbar_b
-        rows[a - 1][2 + b - 1] = rows[a - 1][2 + b - 1] + _R2 * v
+        rows[a - 1][2 + b - 1] = rows[a - 1][2 + b - 1] + r2v
         # lower-left block: out_lbar_d += sqrt2 * y^{ab} eps_{ac} epsbar_{bd} u^c
         for c in (1, 2):
             ja = _J[a - 1][c - 1]
@@ -299,8 +294,8 @@ def gamma(y: ScaledTensor, eps: EpsilonStructure = STANDARD) -> EndW:
                 jb = _J[b - 1][d - 1]
                 if not jb:
                     continue
-                contrib = _R2 * v * Scalar(ja * jb) * phase_sq
-                rows[2 + d - 1][c - 1] = rows[2 + d - 1][c - 1] + contrib
+                cell = rows[2 + d - 1][c - 1]
+                rows[2 + d - 1][c - 1] = cell + r2v if ja * jb > 0 else cell - r2v
     return EndW(rows)
 
 
@@ -459,10 +454,10 @@ def observer_vector(
             f"normalized observer needs det h = 1 exactly, got {det}"
         )
     inv_r2 = Scalar.one() / _R2
-    entries = {
+    terms = {
         (1, 1): m[1][1] * inv_r2,
         (1, 2): -m[0][1] * inv_r2,
         (2, 1): -m[1][0] * inv_r2,
         (2, 2): m[0][0] * inv_r2,
     }
-    return ScaledTensor((Variance.U, Variance.U_BAR), entries, Fraction(1))
+    return ScaledTensor._trusted(((Variance.U, Variance.U_BAR), Fraction(1)), terms)

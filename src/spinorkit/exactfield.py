@@ -14,6 +14,15 @@ the five ints as :attr:`Scalar.ints`.
 
 Length-unit exponents are plain ``fractions.Fraction`` values; they add under
 tensor multiplication and negate under dualization.
+
+Every sparse container of the package (two-spinor tensors, polynomials,
+valued forms, Fock states and operators) is one notion, a finite linear
+combination of canonical keys, and subclasses :class:`Combination`.  It holds
+the nonzero coefficients in ``terms`` and the space they live in in
+``shape``, and it implements ``+``, ``-``, negation, ``scaled``, ``==`` and
+``hash`` once.  Results computed from canonical operands go through its
+trusted constructor ``_trusted``, which only drops zero coefficients;
+``_accumulate`` is the one merge step behind every sum of terms.
 """
 
 from __future__ import annotations
@@ -406,3 +415,90 @@ UnitExponent = Fraction
 
 class UnitMismatchError(ValueError):
     """Raised when an operation pairs quantities with incompatible unit exponents."""
+
+
+# -- finite linear combinations ------------------------------------------------
+
+
+def shape_field(index: int, doc: str) -> property:
+    """The read-only attribute of a Combination subclass that is entry `index` of its shape."""
+    return property(lambda self: self.shape[index], doc=doc)
+
+
+def _accumulate(out: dict, key, value, sign: int = 1):
+    """out[key] += sign * value for sign +1 or -1, without a zero placeholder or a multiply by -1."""
+    prev = out.get(key)
+    if prev is None:
+        out[key] = value if sign > 0 else -value
+    else:
+        out[key] = prev + value if sign > 0 else prev - value
+
+
+class Combination:
+    """A finite linear combination of canonical keys in a space fixed by a shape.
+
+    ``terms`` maps keys to nonzero coefficients: :class:`Scalar` values, or
+    Combinations themselves (the polynomial components of a form).  Absent
+    keys are zero, so ``==`` and ``hash`` compare canonical forms.  ``shape``
+    is a tuple that fixes the space, such as a tensor's slots and unit; a
+    subclass names its entries with :func:`shape_field`.  A subclass keeps
+    only what is particular to it: a public constructor that validates every
+    key and coerces every coefficient, ``_check_mate``, which raises the
+    subclass's own error when two operands live in different spaces, and its
+    products.  Results that the package computes from canonical operands are
+    canonical by construction and go through the trusted constructor
+    :meth:`_trusted`, which only drops zero coefficients.  Instances are
+    immutable.
+    """
+
+    __slots__ = ("shape", "terms")
+
+    def _fill(self, shape: tuple, terms: dict):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "terms", {key: c for key, c in terms.items() if not c.is_zero()})
+        return self
+
+    @classmethod
+    def _trusted(cls, shape: tuple, terms: dict):
+        """The element of this shape with these canonical terms; drops zero coefficients, validates nothing."""
+        return object.__new__(cls)._fill(shape, terms)
+
+    def _like(self, terms: dict):
+        return self._trusted(self.shape, terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _combined(self, other, sign: int):
+        self._check_mate(other)
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            _accumulate(out, key, value, sign)
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._combined(other, 1)
+
+    def __sub__(self, other):
+        return self._combined(other, -1)
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def scaled(self, factor):
+        """Every coefficient times the scalar `factor`; a Combination coefficient scales its own."""
+        factor = Scalar.coerce(factor)
+        return self._like(
+            {key: c * factor if type(c) is Scalar else c.scaled(factor) for key, c in self.terms.items()}
+        )
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.shape == other.shape and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.shape, frozenset(self.terms.items())))

@@ -5,8 +5,12 @@ Q(i, sqrt2), so every identity below is decided exactly.  Scalar-, tangent-,
 vector- and matrix-valued forms are one construction, sections of
 Lambda^r T* (x) E for a fibre E, and one class, :class:`ValuedForm`, holds
 them all.  Components are stored sparsely on strictly increasing axis subsets
-and fibre indices; all signs flow from sorting permutation parity.  On top of
-that class sit:
+and fibre indices; all signs flow from sorting permutation parity.
+:class:`Poly` and :class:`ValuedForm` are both ``exactfield.Combination``
+subclasses: a form's coefficients are polynomials, whose coefficients are
+scalars.  Their public constructors validate every key; the results computed
+here are canonical by construction and go through the trusted constructor,
+which only drops zero coefficients.  On top of that class sit:
 
 * exterior differential and the wedge product with its fibre product rule,
 * Lie derivative along a polynomial vector field (direct coordinate formula,
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, NamedTuple, Tuple
 
-from .exactfield import Scalar
+from .exactfield import Combination, Scalar, _accumulate, shape_field
 
 AXIS_NAMES = "xyzw"
 
@@ -42,10 +46,11 @@ def _check_dim(dim: int):
         raise ChartError(f"chart dimension must be 1..4, got {dim}")
 
 
-class Poly:
-    """Sparse multivariate polynomial with Scalar coefficients."""
+class Poly(Combination):
+    """Sparse multivariate polynomial with Scalar coefficients, keyed by exponent tuples."""
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
+    dim = shape_field(0, "The number of variables.")
 
     def __init__(self, dim: int, terms: Dict[Exponents, Scalar] | None = None):
         _check_dim(dim)
@@ -54,14 +59,8 @@ class Poly:
             exps = tuple(exps)
             if len(exps) != dim or any(e < 0 for e in exps):
                 raise ChartError(f"bad exponent tuple {exps} for dim {dim}")
-            coeff = Scalar.coerce(coeff)
-            if not coeff.is_zero():
-                clean[exps] = coeff
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+            clean[exps] = Scalar.coerce(coeff)
+        self._fill((dim,), clean)
 
     @classmethod
     def const(cls, dim: int, value) -> "Poly":
@@ -73,44 +72,23 @@ class Poly:
         exps[axis] = 1
         return cls(dim, {tuple(exps): Scalar.one()})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _binop(self, other: "Poly", negate: bool) -> "Poly":
+    def _check_mate(self, other: "Poly"):
         if self.dim != other.dim:
             raise ChartError("polynomial dimension mismatch")
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            add = -coeff if negate else coeff
-            prev = terms.get(exps)
-            terms[exps] = add if prev is None else prev + add
-        return Poly(self.dim, terms)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        return self._binop(other, False)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self._binop(other, True)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.dim, {k: -v for k, v in self.terms.items()})
-
-    def scaled(self, factor) -> "Poly":
-        factor = Scalar.coerce(factor)
-        return Poly(self.dim, {k: v * factor for k, v in self.terms.items()})
+    # bound in Poly's own namespace, where the benchmark's span tracer looks them up
+    __add__ = Combination.__add__
+    __sub__ = Combination.__sub__
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scaled(other)
-        if self.dim != other.dim:
-            raise ChartError("polynomial dimension mismatch")
+        self._check_mate(other)
         terms: Dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prev = terms.get(key)
-                terms[key] = c1 * c2 if prev is None else prev + c1 * c2
-        return Poly(self.dim, terms)
+                _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return Poly._trusted((self.dim,), terms)
 
     __rmul__ = __mul__
 
@@ -124,15 +102,7 @@ class Poly:
             new[axis] = k - 1
             # distinct exponents stay distinct after d/dx_axis, so keys never collide
             terms[tuple(new)] = coeff * Scalar(k)
-        return Poly(self.dim, terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, tuple(sorted(self.terms.items()))))
+        return Poly._trusted((self.dim,), terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -202,27 +172,6 @@ _DIFFERENTIABLE = ("scalar", "vector", "matrix")
 Key = Tuple[Axes, Tuple[int, ...]]
 
 
-def _accumulate(out: Dict[Key, Poly], key: Key, poly: Poly, sign: int = 1):
-    """out[key] += sign * poly, without adding to a zero placeholder or scaling by -1."""
-    prev = out.get(key)
-    if prev is None:
-        out[key] = poly if sign > 0 else -poly
-    else:
-        out[key] = prev + poly if sign > 0 else prev - poly
-
-
-def _fill(form: "ValuedForm", dim: int, degree: int, fibre: Fibre, comps: Dict[Key, Poly]):
-    clean = {key: poly for key, poly in comps.items() if poly.terms}
-    for name, value in zip(ValuedForm.__slots__, (dim, degree, fibre, clean)):
-        object.__setattr__(form, name, value)
-    return form
-
-
-def _build(dim: int, degree: int, fibre: Fibre, comps: Dict[Key, Poly]) -> "ValuedForm":
-    """A form from components computed in this module: zeros dropped, no re-validation."""
-    return _fill(object.__new__(ValuedForm), dim, degree, fibre, comps)
-
-
 def _require(form, kinds, what: str):
     """ChartError unless `form` is a ValuedForm whose fibre kind is one of `kinds`."""
     if not isinstance(form, ValuedForm) or form.fibre.kind not in kinds:
@@ -242,17 +191,20 @@ def _product_fibre(left: Fibre, right: Fibre) -> Fibre:
     )
 
 
-class ValuedForm:
+class ValuedForm(Combination):
     """Form of degree `degree` on R^dim with values in `fibre`.
 
-    `comps` maps (axes, fibre_index) to a nonzero Poly, with `axes` strictly
+    `terms` maps (axes, fibre_index) to a nonzero Poly, with `axes` strictly
     increasing and of length `degree`; missing components are zero, so ``==``
     compares canonical representations.
     """
 
-    __slots__ = ("dim", "degree", "fibre", "comps")
+    __slots__ = ()
+    dim = shape_field(0, "The chart dimension.")
+    degree = shape_field(1, "The form degree.")
+    fibre = shape_field(2, "The fibre the form takes its values in.")
 
-    def __init__(self, dim: int, degree: int, fibre: Fibre, comps: Dict[Key, Poly] | None = None):
+    def __init__(self, dim: int, degree: int, fibre: Fibre, terms: Dict[Key, Poly] | None = None):
         _check_dim(dim)
         if degree < 0:
             raise DegreeOverflowError("negative degree")
@@ -260,7 +212,7 @@ class ValuedForm:
         if rank is None or fibre.size < 1 or (fibre.kind == "tangent" and fibre.size != dim):
             raise ChartError(f"bad fibre {fibre} on a chart of dimension {dim}")
         clean: Dict[Key, Poly] = {}
-        for (axes, index), poly in (comps or {}).items():
+        for (axes, index), poly in (terms or {}).items():
             axes, index = tuple(axes), tuple(index)
             if len(axes) != degree:
                 raise ChartError(f"component {axes} has wrong arity for degree {degree}")
@@ -272,38 +224,11 @@ class ValuedForm:
             clean[(axes, index)] = poly
         if degree > dim and any(not poly.is_zero() for poly in clean.values()):
             raise DegreeOverflowError(f"degree {degree} exceeds dimension {dim}")
-        _fill(self, dim, degree, fibre, clean)
+        self._fill((dim, degree, fibre), clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ValuedForm is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def _combined(self, other: "ValuedForm", sign: int) -> "ValuedForm":
-        if not isinstance(other, ValuedForm) or (self.dim, self.degree, self.fibre) != (
-            other.dim,
-            other.degree,
-            other.fibre,
-        ):
+    def _check_mate(self, other: "ValuedForm"):
+        if not isinstance(other, ValuedForm) or self.shape != other.shape:
             raise ChartError("form shape mismatch")
-        comps = dict(self.comps)
-        for key, poly in other.comps.items():
-            _accumulate(comps, key, poly, sign)
-        return _build(self.dim, self.degree, self.fibre, comps)
-
-    def __add__(self, other: "ValuedForm") -> "ValuedForm":
-        return self._combined(other, 1)
-
-    def __sub__(self, other: "ValuedForm") -> "ValuedForm":
-        return self._combined(other, -1)
-
-    def __neg__(self) -> "ValuedForm":
-        return _build(self.dim, self.degree, self.fibre, {k: -p for k, p in self.comps.items()})
-
-    def scaled(self, factor) -> "ValuedForm":
-        factor = Scalar.coerce(factor)
-        return _build(self.dim, self.degree, self.fibre, {k: p.scaled(factor) for k, p in self.comps.items()})
 
     def wedge(self, other: "ValuedForm") -> "ValuedForm":
         """Wedge of the forms, contracting the last fibre index of self with the first of other."""
@@ -311,8 +236,8 @@ class ValuedForm:
             raise ChartError("wedge across different charts")
         fibre = _product_fibre(self.fibre, other.fibre)
         out: Dict[Key, Poly] = {}
-        for (s1, i1), p1 in self.comps.items():
-            for (s2, i2), p2 in other.comps.items():
+        for (s1, i1), p1 in self.terms.items():
+            for (s2, i2), p2 in other.terms.items():
                 if i1[1:] != i2[:1]:
                     continue
                 merged = _merge_axes(s1, s2)
@@ -320,12 +245,12 @@ class ValuedForm:
                     continue
                 sign, axes = merged
                 _accumulate(out, (axes, i1[:1] + i2[1:]), p1 * p2, sign)
-        return _build(self.dim, self.degree + other.degree, fibre, out)
+        return ValuedForm._trusted((self.dim, self.degree + other.degree, fibre), out)
 
     def d(self) -> "ValuedForm":
         _require(self, _DIFFERENTIABLE, "d")
         out: Dict[Key, Poly] = {}
-        for (axes, index), poly in self.comps.items():
+        for (axes, index), poly in self.terms.items():
             for j in range(self.dim):
                 if j in axes:
                     continue
@@ -333,24 +258,24 @@ class ValuedForm:
                 if not dp.is_zero():
                     sign, new_axes = _merge_axes((j,), axes)
                     _accumulate(out, (new_axes, index), dp, sign)
-        return _build(self.dim, self.degree + 1, self.fibre, out)
+        return ValuedForm._trusted((self.dim, self.degree + 1, self.fibre), out)
 
     def interior(self, field) -> "ValuedForm":
         """Contraction of a scalar form with a polynomial vector field (list of dim polynomials)."""
         _require(self, ("scalar",), "interior")
         out: Dict[Key, Poly] = {}
-        for (axes, index), poly in self.comps.items():
+        for (axes, index), poly in self.terms.items():
             for t, axis in enumerate(axes):
                 u_comp = field[axis]
                 if not u_comp.is_zero():
                     _accumulate(out, (axes[:t] + axes[t + 1:], index), u_comp * poly, (-1) ** t)
-        return _build(self.dim, max(self.degree - 1, 0), self.fibre, out)
+        return ValuedForm._trusted((self.dim, max(self.degree - 1, 0), self.fibre), out)
 
     def lie(self, field) -> "ValuedForm":
         """Lie derivative of a scalar form along a polynomial vector field, coordinate formula."""
         _require(self, ("scalar",), "lie")
         out: Dict[Key, Poly] = {}
-        for (axes, index), poly in self.comps.items():
+        for (axes, index), poly in self.terms.items():
             for j in range(self.dim):
                 _accumulate(out, (axes, index), field[j] * poly.diff(j))
             # frame terms: replace axis s_t by j with weight d(u^{s_t})/dx^j
@@ -365,27 +290,14 @@ class ValuedForm:
                     sign, new_axes = _merge_axes((j,), rest)
                     # dx^j lands in slot t of the original ordering
                     _accumulate(out, (new_axes, index), du * poly, sign * (-1) ** t)
-        return _build(self.dim, self.degree, self.fibre, out)
+        return self._like(out)
 
     def field_components(self):
         """For a degree-0 tangent form: the dim polynomial components."""
         _require(self, ("tangent",), "field_components")
         if self.degree != 0:
             raise ChartError("not a vector field")
-        return [self.comps.get(((), (j,)), Poly(self.dim)) for j in range(self.dim)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ValuedForm):
-            return NotImplemented
-        return (self.dim, self.degree, self.fibre, self.comps) == (
-            other.dim,
-            other.degree,
-            other.fibre,
-            other.comps,
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.degree, self.fibre, tuple(sorted(self.comps.items()))))
+        return [self.terms.get(((), (j,)), Poly(self.dim)) for j in range(self.dim)]
 
     def __str__(self) -> str:
         kind, size = self.fibre
@@ -395,17 +307,17 @@ class ValuedForm:
                 _axes_label(axes)
                 + "".join(f" -> axis {AXIS_NAMES[j]}" for j in index)
                 + f' : poly "{poly}"'
-                for (axes, index), poly in sorted(self.comps.items())
+                for (axes, index), poly in sorted(self.terms.items())
             )
             return f"form {shape} {{ {body} }}"
         zero = Poly(self.dim)
 
         def row(axes, prefix):
-            cells = (f'poly "{self.comps.get((axes, prefix + (j,)), zero)}"' for j in range(size))
+            cells = (f'poly "{self.terms.get((axes, prefix + (j,)), zero)}"' for j in range(size))
             return "[" + ", ".join(cells) + "]"
 
         entries = []
-        for axes in sorted({axes for axes, _ in self.comps}):
+        for axes in sorted({axes for axes, _ in self.terms}):
             if kind == "vector":
                 value = row(axes, ())
             else:
@@ -467,7 +379,7 @@ def MatrixForm(dim: int, degree: int, fibre: int, comps=None) -> ValuedForm:
 
 
 def _scalar_form(dim: int, degree: int, axes: Axes, poly: Poly) -> ValuedForm:
-    return _build(dim, degree, SCALAR, {(axes, ()): poly})
+    return ValuedForm._trusted((dim, degree, SCALAR), {(axes, ()): poly})
 
 
 def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
@@ -492,14 +404,14 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
     out: Dict[Key, Poly] = {}
 
     def accumulate(form: ValuedForm, out_axis: int, sign: int = 1):
-        for (axes, _), poly in form.comps.items():
+        for (axes, _), poly in form.terms.items():
             _accumulate(out, (axes, (out_axis,)), poly, sign)
 
     sign_r = (-1) ** r
-    for (s_axes, (j,)), lam_poly in zeta.comps.items():
+    for (s_axes, (j,)), lam_poly in zeta.terms.items():
         lam = _scalar_form(dim, r, s_axes, lam_poly)
         d_lam = lam.d()
-        for (t_axes, (k,)), mu_poly in xi.comps.items():
+        for (t_axes, (k,)), mu_poly in xi.terms.items():
             mu = _scalar_form(dim, s, t_axes, mu_poly)
             # term 2: l /\ (d_j m) (x) v
             accumulate(lam.wedge(_scalar_form(dim, s, t_axes, mu_poly.diff(j))), k)
@@ -513,7 +425,7 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
             if j in t_axes:
                 u_mu = mu.interior(_basis_field(dim, j))
                 accumulate(d_lam.wedge(u_mu), k, sign_r)
-    return _build(dim, r + s, Fibre("tangent", dim), out)
+    return ValuedForm._trusted((dim, r + s, Fibre("tangent", dim)), out)
 
 
 def _basis_field(dim: int, axis: int):

@@ -16,11 +16,12 @@ a[zeta] a+[z] = (-1)^{|zeta||z|} a+[z] a[zeta] + <zeta, z> id.  `normal_order`
 folds a word into the identity, and a product folds the words of its right
 factor into its left factor; equal words merge at every step.
 
-The public constructors ``FockState(...)`` and ``OperatorElement(...)``
-validate every monomial and coerce every coefficient.  Results that the
-algebra builds itself are canonical by construction, so they go through the
-trusted constructors ``_state`` and ``_op``, which only drop zero
-coefficients.
+States and operators are ``exactfield.Combination`` subclasses, whose
+shapes are (universe, dual) and (universe).  The public constructors
+``FockState(...)`` and ``OperatorElement(...)`` validate every monomial and
+coerce every coefficient.  Results that the algebra builds itself are
+canonical by construction, so they go through the trusted constructor
+``_trusted``, which only drops zero coefficients.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import itertools
 import json
 from typing import Dict, Iterable, List, Tuple
 
-from .exactfield import Scalar
+from .exactfield import Combination, Scalar, _accumulate, shape_field
 
 
 class Statistics(enum.Enum):
@@ -190,24 +191,16 @@ def _validate_monomial(universe: Universe, m: Monomial):
     return m
 
 
-class FockState:
+class FockState(Combination):
     """Sparse linear combination of canonical monomials; `dual` marks the dual space."""
 
-    __slots__ = ("universe", "dual", "terms")
+    __slots__ = ()
+    universe = shape_field(0, "The universe of sectors the monomials live over.")
+    dual = shape_field(1, "True for an element of the dual space.")
 
     def __init__(self, universe: Universe, terms=None, dual: bool = False):
-        clean: Dict[Monomial, Scalar] = {}
-        for mono, coeff in (terms or {}).items():
-            mono = _validate_monomial(universe, mono)
-            coeff = Scalar.coerce(coeff)
-            if not coeff.is_zero():
-                clean[mono] = coeff
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "dual", bool(dual))
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FockState is immutable")
+        clean = {_validate_monomial(universe, mono): Scalar.coerce(c) for mono, c in (terms or {}).items()}
+        self._fill((universe, bool(dual)), clean)
 
     @classmethod
     def vacuum(cls, universe: Universe, dual: bool = False) -> "FockState":
@@ -217,16 +210,13 @@ class FockState:
     def mode(cls, universe: Universe, sector: str, mode: int, dual: bool = False) -> "FockState":
         idx = universe.sector_index(sector)
         universe.check_mode(idx, mode)
-        return _state(universe, {_mode_monomial(universe, idx, mode): Scalar.one()}, bool(dual))
+        return cls._trusted((universe, bool(dual)), {_mode_monomial(universe, idx, mode): Scalar.one()})
 
     def _check_mate(self, other: "FockState"):
         if self.universe != other.universe:
             raise SectorMismatchError("states live over different universes")
         if self.dual != other.dual:
             raise SectorMismatchError("cannot mix dual and non-dual states")
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def ranks(self):
         return sorted({monomial_rank(m) for m in self.terms})
@@ -244,26 +234,6 @@ class FockState:
     def vacuum_coefficient(self) -> Scalar:
         return self.terms.get(vacuum_monomial(self.universe), Scalar.zero())
 
-    def __add__(self, other: "FockState") -> "FockState":
-        self._check_mate(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            prev = terms.get(mono)
-            terms[mono] = coeff if prev is None else prev + coeff
-        return _state(self.universe, terms, self.dual)
-
-    def __sub__(self, other: "FockState") -> "FockState":
-        return self + -other
-
-    def __neg__(self) -> "FockState":
-        return _state(self.universe, {m: -c for m, c in self.terms.items()}, self.dual)
-
-    def scaled(self, factor) -> "FockState":
-        factor = Scalar.coerce(factor)
-        return _state(
-            self.universe, {m: c * factor for m, c in self.terms.items()}, self.dual
-        )
-
     def __mul__(self, factor):
         return self.scaled(factor)
 
@@ -272,33 +242,10 @@ class FockState:
     def __xor__(self, other: "FockState") -> "FockState":
         return exterior_product(self, other)
 
-    def __eq__(self, other):
-        if not isinstance(other, FockState):
-            return NotImplemented
-        return (
-            self.universe == other.universe
-            and self.dual == other.dual
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.universe, self.dual, tuple(sorted(self.terms.items())))
-        )
-
     def __str__(self) -> str:
         return format_state(self)
 
     __repr__ = __str__
-
-
-def _state(universe: Universe, terms: Dict[Monomial, Scalar], dual: bool) -> FockState:
-    """The state with these canonical terms; drops zero coefficients, validates nothing."""
-    state = object.__new__(FockState)
-    object.__setattr__(state, "universe", universe)
-    object.__setattr__(state, "dual", dual)
-    object.__setattr__(state, "terms", {m: c for m, c in terms.items() if not c.is_zero()})
-    return state
 
 
 def format_monomial(universe: Universe, m: Monomial) -> str:
@@ -355,10 +302,8 @@ def exterior_product(phi: FockState, psi: FockState) -> FockState:
             if prod is None:
                 continue
             sign, mono = prod
-            add = _times(c1 * c2, sign)
-            prev = terms.get(mono)
-            terms[mono] = add if prev is None else prev + add
-    return _state(universe, terms, phi.dual)
+            _accumulate(terms, mono, c1 * c2, sign)
+    return FockState._trusted((universe, phi.dual), terms)
 
 
 # -- interior product -------------------------------------------------------------
@@ -442,11 +387,9 @@ def interior_product(lam: FockState, psi: FockState):
             if contracted is None:
                 continue
             factor, mono = contracted
-            add = _times(d_coeff * m_coeff, factor)
-            prev = terms.get(mono)
-            terms[mono] = add if prev is None else prev + add
-    state_part = _state(universe, state_terms, False)
-    dual_part = _state(universe, dual_terms, True)
+            _accumulate(terms, mono, _times(d_coeff * m_coeff, factor))
+    state_part = FockState._trusted((universe, False), state_terms)
+    dual_part = FockState._trusted((universe, True), dual_terms)
     if not dual_part.is_zero() and not state_part.is_zero():
         raise MixedRankError("contraction produced both a state and a dual state")
     if not dual_part.is_zero():
@@ -475,24 +418,18 @@ Generator = Tuple[str, int, int]
 Word = Tuple[Monomial, Monomial]
 
 
-class OperatorElement:
-    """Normal-ordered element of the graded operator algebra."""
+class OperatorElement(Combination):
+    """Normal-ordered element of the graded operator algebra, keyed by (emit, absorb) words."""
 
-    __slots__ = ("universe", "terms")
+    __slots__ = ()
+    universe = shape_field(0, "The universe of sectors the words live over.")
 
     def __init__(self, universe: Universe, terms=None):
-        clean: Dict[Word, Scalar] = {}
-        for (emit_m, absorb_m), coeff in (terms or {}).items():
-            emit_m = _validate_monomial(universe, emit_m)
-            absorb_m = _validate_monomial(universe, absorb_m)
-            coeff = Scalar.coerce(coeff)
-            if not coeff.is_zero():
-                clean[(emit_m, absorb_m)] = coeff
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OperatorElement is immutable")
+        clean = {
+            (_validate_monomial(universe, emit_m), _validate_monomial(universe, absorb_m)): Scalar.coerce(c)
+            for (emit_m, absorb_m), c in (terms or {}).items()
+        }
+        self._fill((universe,), clean)
 
     @classmethod
     def identity(cls, universe: Universe) -> "OperatorElement":
@@ -502,9 +439,6 @@ class OperatorElement:
     @classmethod
     def of_scalar(cls, universe: Universe, c) -> "OperatorElement":
         return cls.identity(universe).scaled(c)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def word_grade(self, word: Word) -> int:
         emit_m, absorb_m = word
@@ -522,29 +456,11 @@ class OperatorElement:
         odd: Dict[Word, Scalar] = {}
         for word, coeff in self.terms.items():
             (even if self.word_grade(word) == 0 else odd)[word] = coeff
-        return _op(self.universe, even), _op(self.universe, odd)
+        return self._like(even), self._like(odd)
 
     def _check_mate(self, other: "OperatorElement"):
         if self.universe != other.universe:
             raise SectorMismatchError("operators live over different universes")
-
-    def __add__(self, other: "OperatorElement") -> "OperatorElement":
-        self._check_mate(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            prev = terms.get(word)
-            terms[word] = coeff if prev is None else prev + coeff
-        return _op(self.universe, terms)
-
-    def __sub__(self, other: "OperatorElement") -> "OperatorElement":
-        return self + -other
-
-    def __neg__(self) -> "OperatorElement":
-        return _op(self.universe, {w: -c for w, c in self.terms.items()})
-
-    def scaled(self, factor) -> "OperatorElement":
-        factor = Scalar.coerce(factor)
-        return _op(self.universe, {w: c * factor for w, c in self.terms.items()})
 
     def __mul__(self, other):
         """Composition, folding each word of `other` into these terms; or a scalar multiple."""
@@ -558,10 +474,8 @@ class OperatorElement:
             for gen in word_generators(universe, w2):
                 piece = _times_generator(universe, piece, gen)
             for word, coeff in piece.items():
-                add = coeff * c2
-                prev = terms.get(word)
-                terms[word] = add if prev is None else prev + add
-        return _op(universe, terms)
+                _accumulate(terms, word, coeff * c2)
+        return self._like(terms)
 
     def __rmul__(self, factor):
         return self.scaled(factor)
@@ -584,20 +498,10 @@ class OperatorElement:
                 if prod is None:
                     continue
                 sign, result = prod
-                add = _times(coeff * m_coeff, sign * factor)
-                prev = out_terms.get(result)
-                out_terms[result] = add if prev is None else prev + add
-        return _state(universe, out_terms, False)
+                _accumulate(out_terms, result, _times(coeff * m_coeff, sign * factor))
+        return FockState._trusted((universe, False), out_terms)
 
     __call__ = apply
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorElement):
-            return NotImplemented
-        return self.universe == other.universe and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.universe, tuple(sorted(self.terms.items()))))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -613,14 +517,6 @@ class OperatorElement:
     __repr__ = __str__
 
 
-def _op(universe: Universe, terms: Dict[Word, Scalar]) -> OperatorElement:
-    """The operator with these normal-ordered canonical words; drops zero coefficients, validates nothing."""
-    op = object.__new__(OperatorElement)
-    object.__setattr__(op, "universe", universe)
-    object.__setattr__(op, "terms", {w: c for w, c in terms.items() if not c.is_zero()})
-    return op
-
-
 def _rank1_operator(state: FockState) -> OperatorElement:
     """The one-generator words of a rank-1 state: emissions, or absorptions if dual."""
     vac = vacuum_monomial(state.universe)
@@ -630,7 +526,7 @@ def _rank1_operator(state: FockState) -> OperatorElement:
             raise RankError("emission/absorption needs a rank-1 argument")
         # distinct rank-1 monomials give distinct words, so keys never collide
         terms[(vac, mono) if state.dual else (mono, vac)] = coeff
-    return _op(state.universe, terms)
+    return OperatorElement._trusted((state.universe,), terms)
 
 
 def emit(z: FockState) -> OperatorElement:
@@ -694,14 +590,10 @@ def _times_generator(universe: Universe, terms: Dict[Word, Scalar], gen: Generat
             sign, mono = prod
             if odd and monomial_grade(universe, absorb_m):
                 sign = -sign
-            word, add = (mono, absorb_m), _times(coeff, sign)
-            prev = out.get(word)
-            out[word] = add if prev is None else prev + add
+            _accumulate(out, (mono, absorb_m), coeff, sign)
         hit = _contract_rank1(universe, sector_idx, mode, absorb_m)
         if hit is not None:
-            word, add = (emit_m, hit[1]), _times(coeff, hit[0])
-            prev = out.get(word)
-            out[word] = add if prev is None else prev + add
+            _accumulate(out, (emit_m, hit[1]), _times(coeff, hit[0]))
     return out
 
 
@@ -715,7 +607,7 @@ def normal_order(universe: Universe, gens) -> OperatorElement:
     terms = {(vac, vac): Scalar.one()}
     for gen in [_check_generator(universe, gen) for gen in gens]:
         terms = _times_generator(universe, terms, gen)
-    return _op(universe, terms)
+    return OperatorElement._trusted((universe,), terms)
 
 
 def op_apply(x: OperatorElement, psi: FockState) -> FockState:
@@ -727,18 +619,15 @@ def apply_generators(universe: Universe, gens, psi: FockState) -> FockState:
     out = psi
     gens = [_check_generator(universe, gen) for gen in gens]
     for kind, sector_idx, mode in reversed(gens):
-        single = _state(
-            universe, {_mode_monomial(universe, sector_idx, mode): Scalar.one()}, kind == "-"
+        single = FockState._trusted(
+            (universe, kind == "-"), {_mode_monomial(universe, sector_idx, mode): Scalar.one()}
         )
         if kind == "+":
             out = exterior_product(single, out)
         else:
             # as an endomorphism of the state space, absorption kills the vacuum
-            kept = _state(
-                universe,
-                {m: c for m, c in out.terms.items() if monomial_rank(m) >= 1},
-                False,
-            )
+            kept = {m: c for m, c in out.terms.items() if monomial_rank(m) >= 1}
+            kept = FockState._trusted((universe, False), kept)
             out = kept if kept.is_zero() else interior_product(single, kept)
     return out
 
@@ -746,7 +635,7 @@ def apply_generators(universe: Universe, gens, psi: FockState) -> FockState:
 def super_bracket(x: OperatorElement, y: OperatorElement) -> OperatorElement:
     """XY - (-1)^{|X||Y|} YX on definite-grade parts, extended bilinearly."""
     x._check_mate(y)
-    out = _op(x.universe, {})
+    out = x._like({})
     for xe, x_grade in zip(x.graded_parts(), (0, 1)):
         if xe.is_zero():
             continue

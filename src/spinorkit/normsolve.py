@@ -313,10 +313,6 @@ def z8_from_int(n: int) -> Z8:
     return (n, 0, 0, 0)
 
 
-def _round_half_up(x: Fraction) -> int:
-    return (x + Fraction(1, 2)).__floor__()
-
-
 def z8_divmod(a: Z8, b: Z8) -> Tuple[Z8, Z8]:
     """Euclidean division: remainder has strictly smaller absolute norm.
 
@@ -327,8 +323,8 @@ def z8_divmod(a: Z8, b: Z8) -> Tuple[Z8, Z8]:
     if nb == 0:
         raise ZeroDivisionError("division by zero in Z[zeta8]")
     num = z8_mul(a, z8_mul(z8_conj(b), z8_mul(z8_galois(b), z8_galois(z8_conj(b)))))
-    coords = [Fraction(x, nb) for x in num]
-    base = [_round_half_up(x) for x in coords]
+    # floor(x / nb + 1/2) exactly, for either sign of nb
+    base = [(2 * x + nb) // (2 * nb) for x in num]
     best = None
     for off0 in (0, -1, 1):
         for off1 in (0, -1, 1):
@@ -400,7 +396,7 @@ def s2_divides_exactly(a: S2, b: S2) -> Optional[S2]:
 def s2_divmod(a: S2, b: S2) -> Tuple[S2, S2]:
     nb = s2_norm(b)
     num = s2_mul(a, s2_conj(b))
-    q = (_round_half_up(Fraction(num[0], nb)), _round_half_up(Fraction(num[1], nb)))
+    q = ((2 * num[0] + nb) // (2 * nb), (2 * num[1] + nb) // (2 * nb))
     best = None
     for off0 in (0, -1, 1):
         for off1 in (0, -1, 1):

@@ -2,7 +2,10 @@
 
 The primitive space is a two-dimensional complex vector space U carrying a
 half unit of length.  Tensors over U and its dual/conjugate variants are kept
-sparse, with a variance tag per slot and a single rational unit exponent.  A
+sparse, with a variance tag per slot and a single rational unit exponent:
+a :class:`ScaledTensor` is an ``exactfield.Combination`` of multi-indices
+whose shape is its slots and unit.  Its public constructor validates every
+index; the tensors computed here go through the trusted constructor.  A
 normalized symplectic 2-form (fixed up to phase by eps(e1, e2) = 1 in the
 standard basis) generates the bilinear pairing g on U (x) Ubar whose restriction
 to the Hermitian subspace is a Lorentz metric, the Pauli tetrads, and the null
@@ -15,7 +18,7 @@ import enum
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
-from .exactfield import Scalar, UnitMismatchError
+from .exactfield import Combination, Scalar, UnitMismatchError, _accumulate, shape_field
 
 
 class VarianceError(TypeError):
@@ -89,33 +92,28 @@ def default_unit(slots: Tuple[Variance, ...]) -> Fraction:
     return sum((s.unit_weight for s in slots), Fraction(0))
 
 
-class ScaledTensor:
+class ScaledTensor(Combination):
     """Sparse tensor over the two-spinor space with variance tags and a unit exponent.
 
-    Entries map multi-indices (components 1 or 2) to nonzero scalars; absent
+    `terms` maps multi-indices (components 1 or 2) to nonzero scalars; absent
     keys are zero.  Instances are immutable.
     """
 
-    __slots__ = ("slots", "unit", "entries")
+    __slots__ = ()
+    slots = shape_field(0, "The variance tag of each slot, in order.")
+    unit = shape_field(1, "The length-unit exponent, a Fraction.")
 
-    def __init__(self, slots: Iterable[Variance], entries: Dict[Index, Scalar], unit: Fraction | None = None):
+    def __init__(self, slots: Iterable[Variance], terms: Dict[Index, Scalar], unit: Fraction | None = None):
         slots = tuple(slots)
         if unit is None:
             unit = default_unit(slots)
         clean: Dict[Index, Scalar] = {}
-        for key, value in entries.items():
+        for key, value in terms.items():
             key = tuple(key)
             if len(key) != len(slots) or any(k not in (1, 2) for k in key):
                 raise VarianceError(f"bad index {key} for slots {slots}")
-            value = Scalar.coerce(value)
-            if not value.is_zero():
-                clean[key] = value
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "unit", Fraction(unit))
-        object.__setattr__(self, "entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScaledTensor is immutable")
+            clean[key] = Scalar.coerce(value)
+        self._fill((slots, Fraction(unit)), clean)
 
     # -- constructors --------------------------------------------------------
 
@@ -133,11 +131,8 @@ class ScaledTensor:
     def rank(self) -> int:
         return len(self.slots)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
     def get(self, key: Index) -> Scalar:
-        return self.entries.get(tuple(key), Scalar.zero())
+        return self.terms.get(tuple(key), Scalar.zero())
 
     def component_matrix(self):
         """2x2 component list for a 2-slot tensor."""
@@ -147,31 +142,11 @@ class ScaledTensor:
 
     # -- linear operations -----------------------------------------------------
 
-    def _check_compatible(self, other: "ScaledTensor"):
+    def _check_mate(self, other: "ScaledTensor"):
         if self.slots != other.slots:
             raise VarianceError(f"slot mismatch: {self.slots} vs {other.slots}")
         if self.unit != other.unit:
             raise UnitMismatchError(f"unit mismatch: {self.unit} vs {other.unit}")
-
-    def __add__(self, other: "ScaledTensor") -> "ScaledTensor":
-        self._check_compatible(other)
-        entries = dict(self.entries)
-        for key, value in other.entries.items():
-            prev = entries.get(key)
-            entries[key] = value if prev is None else prev + value
-        return ScaledTensor(self.slots, entries, self.unit)
-
-    def __sub__(self, other: "ScaledTensor") -> "ScaledTensor":
-        return self + (-other)
-
-    def __neg__(self) -> "ScaledTensor":
-        return ScaledTensor(self.slots, {k: -v for k, v in self.entries.items()}, self.unit)
-
-    def scaled(self, factor) -> "ScaledTensor":
-        factor = Scalar.coerce(factor)
-        return ScaledTensor(
-            self.slots, {k: v * factor for k, v in self.entries.items()}, self.unit
-        )
 
     def __mul__(self, other):
         """Scalar multiple, or tensor product when `other` is a tensor."""
@@ -183,19 +158,13 @@ class ScaledTensor:
         return self.scaled(other)
 
     def tensor(self, other: "ScaledTensor") -> "ScaledTensor":
-        entries = {}
-        for k1, v1 in self.entries.items():
-            for k2, v2 in other.entries.items():
-                entries[k1 + k2] = v1 * v2
-        return ScaledTensor(self.slots + other.slots, entries, self.unit + other.unit)
+        terms = {k1 + k2: v1 * v2 for k1, v1 in self.terms.items() for k2, v2 in other.terms.items()}
+        return ScaledTensor._trusted((self.slots + other.slots, self.unit + other.unit), terms)
 
     def conj(self) -> "ScaledTensor":
         """Componentwise conjugate; every slot moves to its conjugate space."""
-        return ScaledTensor(
-            tuple(s.conjugate for s in self.slots),
-            {k: v.conj() for k, v in self.entries.items()},
-            self.unit,
-        )
+        slots = tuple(s.conjugate for s in self.slots)
+        return ScaledTensor._trusted((slots, self.unit), {k: v.conj() for k, v in self.terms.items()})
 
     def contract(self, pos1: int, pos2: int) -> "ScaledTensor":
         """Natural pairing of a slot with its dual slot; unit weights cancel."""
@@ -208,26 +177,11 @@ class ScaledTensor:
             )
         keep = [i for i in range(self.rank) if i not in (lo, hi)]
         slots = tuple(self.slots[i] for i in keep)
-        entries: Dict[Index, Scalar] = {}
-        for key, value in self.entries.items():
-            if key[lo] != key[hi]:
-                continue
-            new_key = tuple(key[i] for i in keep)
-            prev = entries.get(new_key)
-            entries[new_key] = value if prev is None else prev + value
-        return ScaledTensor(slots, entries, self.unit)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScaledTensor):
-            return NotImplemented
-        return (
-            self.slots == other.slots
-            and self.unit == other.unit
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.slots, self.unit, tuple(sorted(self.entries.items(), key=lambda kv: kv[0]))))
+        terms: Dict[Index, Scalar] = {}
+        for key, value in self.terms.items():
+            if key[lo] == key[hi]:
+                _accumulate(terms, tuple(key[i] for i in keep), value)
+        return ScaledTensor._trusted((slots, self.unit), terms)
 
     def __str__(self) -> str:
         return format_tensor(self)
@@ -241,7 +195,7 @@ def format_tensor(t: ScaledTensor) -> str:
     slots = ",".join(str(s) for s in t.slots)
     body = "; ".join(
         f"({','.join(map(str, key))}): {value}"
-        for key, value in sorted(t.entries.items())
+        for key, value in sorted(t.terms.items())
     )
     unit = "" if t.unit == default_unit(t.slots) else f" unit={t.unit}"
     return f"tensor [{slots}]{unit} {{ {body} }}" if body else f"tensor [{slots}]{unit} {{ }}"
@@ -280,8 +234,7 @@ def _require_uu(t: ScaledTensor, what: str):
 def hermitian_transpose(t: ScaledTensor) -> ScaledTensor:
     """(u (x) vbar)-dagger = v (x) ubar, extended real-linearly."""
     _require_uu(t, "hermitian_transpose")
-    entries = {(b, a): v.conj() for (a, b), v in t.entries.items()}
-    return ScaledTensor(_UU, entries, t.unit)
+    return ScaledTensor._trusted((_UU, t.unit), {(b, a): v.conj() for (a, b), v in t.terms.items()})
 
 
 def is_hermitian(t: ScaledTensor) -> bool:
@@ -326,26 +279,24 @@ class EpsilonStructure:
         if u.slots != (Variance.U,) or v.slots != (Variance.U,):
             raise VarianceError("eps_value needs two [U] tensors")
         total = Scalar.zero()
-        for (a,), x in u.entries.items():
-            for (b,), y in v.entries.items():
+        for (a,), x in u.terms.items():
+            for (b,), y in v.terms.items():
                 j = _J[a - 1][b - 1]
                 if j:
-                    total = total + x * y * Scalar(j)
+                    total = total + x * y if j > 0 else total - x * y
         return total * self.phase
 
     def eps_flat(self, u: ScaledTensor) -> ScaledTensor:
         """U -> U*; <eps_flat(u), v> = eps(u, v)."""
         if u.slots != (Variance.U,):
             raise VarianceError("eps_flat needs a [U] tensor")
-        entries: Dict[Index, Scalar] = {}
-        for (a,), x in u.entries.items():
+        terms: Dict[Index, Scalar] = {}
+        for (a,), x in u.terms.items():
             for b in (1, 2):
                 j = _J[a - 1][b - 1]
                 if j:
-                    add = x * self.phase if j > 0 else -(x * self.phase)
-                    prev = entries.get((b,))
-                    entries[(b,)] = add if prev is None else prev + add
-        return ScaledTensor((Variance.U_DUAL,), entries, u.unit - 1)
+                    _accumulate(terms, (b,), x * self.phase, j)
+        return ScaledTensor._trusted(((Variance.U_DUAL,), u.unit - 1), terms)
 
     def eps_sharp(self, lam: ScaledTensor) -> ScaledTensor:
         """U* -> U; the inverse of eps_flat with a sign: eps_sharp(eps_flat(u)) = -u."""
@@ -353,8 +304,8 @@ class EpsilonStructure:
             raise VarianceError("eps_sharp needs a [U*] tensor")
         inv_phase = self.phase.conj()  # unit modulus
         l1, l2 = lam.get((1,)), lam.get((2,))
-        entries = {(1,): -inv_phase * l2, (2,): inv_phase * l1}
-        return ScaledTensor((Variance.U,), entries, lam.unit + 1)
+        terms = {(1,): -inv_phase * l2, (2,): inv_phase * l1}
+        return ScaledTensor._trusted(((Variance.U,), lam.unit + 1), terms)
 
     def epsbar_flat(self, ub: ScaledTensor) -> ScaledTensor:
         """Ubar -> Ubar*, the conjugate of eps_flat."""
@@ -377,15 +328,14 @@ class EpsilonStructure:
             raise UnitMismatchError(
                 f"g needs total unit exponent 2, got {y.unit} + {yp.unit}"
             )
+        # the phase enters as |phase|^2 = 1, so g is phase-independent
         total = Scalar.zero()
-        # |phase|^2 = 1 makes g phase-independent; keep the factor anyway.
-        factor = self.phase * self.phase.conj()
-        for (a, b), x in y.entries.items():
-            for (c, d), z in yp.entries.items():
+        for (a, b), x in y.terms.items():
+            for (c, d), z in yp.terms.items():
                 j = _J[a - 1][c - 1] * _J[b - 1][d - 1]
                 if j:
-                    total = total + x * z * Scalar(j)
-        return total * factor
+                    total = total + x * z if j > 0 else total - x * z
+        return total
 
     # -- Pauli tetrad -----------------------------------------------------------
 
@@ -454,13 +404,9 @@ class EpsilonStructure:
                 f"null element with pivot norm {w_jj} has no spinor square root over Q(i,sqrt2)"
             )
         half_unit = y.unit / 2
-        u = ScaledTensor(
-            (Variance.U,),
-            {(1,): sigma * v0[0], (2,): sigma * v0[1]},
-            half_unit,
-        )
+        u = ScaledTensor._trusted(((Variance.U,), half_unit), {(1,): sigma * v0[0], (2,): sigma * v0[1]})
         check = u.tensor(u.conj())
-        if ScaledTensor(_UU, check.entries, y.unit) != w:
+        if ScaledTensor._trusted((_UU, y.unit), check.terms) != w:
             raise NotFactorableError("norm solver returned an inconsistent factor")
         return sign, u
 

@@ -176,3 +176,21 @@ def test_property_failure_exit_code(monkeypatch, capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["failures"] and payload["failures"][0]["got"] == "1"
+
+
+def test_usage_error_leaves_later_calls_unchanged(tmp_path, capsys):
+    # the parser is built once per process; a failed parse must not leak into the next call
+    script = tmp_path / "prog.txt"
+    script.write_text("g( e1*eb1, e2*eb2 )\n(1+i)*(1-i)\n")
+    check = ["check", "--suite", "clifford", "--seed", "4", "--trials", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "clifford", "--trials", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    in_process = [run_cli(argv, capsys)[:2] for argv in (check, ["eval", str(script)])]
+    fresh = [
+        subprocess.run([sys.executable, "-m", "spinorkit.cli", *argv], capture_output=True, text=True, env=CHILD_ENV)
+        for argv in (check, ["eval", str(script)])
+    ]
+    assert in_process == [(proc.returncode, proc.stdout) for proc in fresh]
+    assert in_process[0][0] == 0 and in_process[1] == (0, "1\n2\n")

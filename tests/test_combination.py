@@ -1,0 +1,102 @@
+"""The shared linear-combination core: canonical internal results and traced method names."""
+
+import importlib.util
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinorkit.exactfield import Scalar
+from spinorkit.fnforms import Form, MatrixForm, Poly, TangentForm, ValuedForm, curvature, fn_bracket
+from spinorkit.spintensor import ScaledTensor, Variance
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+DIM = 2
+AXES = {0: [()], 1: [(0,), (1,)]}
+
+# few distinct values, so that sums and products cancel often
+coeffs = st.sampled_from(
+    [Scalar(0), Scalar(1), Scalar(-1), Scalar(2), Scalar(0, 1), Scalar(0, -1), Scalar(1, 1), Scalar(0, 0, 1)]
+)
+polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=4).map(
+    lambda terms: Poly(DIM, terms)
+)
+
+
+def tensors(slots):
+    keys = st.tuples(*[st.sampled_from((1, 2))] * len(slots))
+    return st.dictionaries(keys, coeffs, max_size=4).map(lambda terms: ScaledTensor(slots, terms))
+
+
+def scalar_forms(degree):
+    return st.dictionaries(st.sampled_from(AXES[degree]), polys, max_size=2).map(
+        lambda terms: Form(DIM, degree, terms)
+    )
+
+
+def tangent_forms(degree):
+    keys = st.tuples(st.sampled_from(AXES[degree]), st.integers(0, DIM - 1))
+    return st.dictionaries(keys, polys, max_size=3).map(lambda terms: TangentForm(DIM, degree, terms))
+
+
+matrix_rows = st.tuples(st.tuples(polys, polys), st.tuples(polys, polys))
+connections = st.dictionaries(st.sampled_from(AXES[1]), matrix_rows, max_size=2).map(
+    lambda terms: MatrixForm(DIM, 1, 2, terms)
+)
+
+
+def rebuilt(x):
+    """`x` through its validating public constructor."""
+    if isinstance(x, ScaledTensor):
+        return ScaledTensor(x.slots, x.terms, x.unit)
+    if isinstance(x, Poly):
+        return Poly(x.dim, x.terms)
+    return ValuedForm(x.dim, x.degree, x.fibre, x.terms)
+
+
+def assert_canonical(x):
+    coeff_type = Poly if isinstance(x, ValuedForm) else Scalar
+    for coeff in x.terms.values():
+        assert type(coeff) is coeff_type and not coeff.is_zero()
+        if coeff_type is Poly:
+            assert_canonical(coeff)
+    assert rebuilt(x) == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variances=st.tuples(st.sampled_from(list(Variance)), st.sampled_from(list(Variance))),
+    data=st.data(),
+    p=polys,
+    q=polys,
+    c=coeffs,
+)
+def test_internal_results_are_canonical(variances, data, p, q, c):
+    s, t = data.draw(tensors(variances)), data.draw(tensors(variances))
+    w = data.draw(tensors((variances[0].dual,)))
+    results = [s + t, s - t, -s, s.scaled(c), s.tensor(t), s.tensor(w).contract(0, 2), s.conj()]
+    results += [p + q, p - q, -p, p.scaled(c), p * q, p.diff(0), p - p]
+
+    f, g = data.draw(scalar_forms(1)), data.draw(scalar_forms(1))
+    x, y = data.draw(tangent_forms(0)), data.draw(tangent_forms(1))
+    a, b = data.draw(connections), data.draw(connections)
+    results += [f + g, f - g, -f, f.scaled(c), f.wedge(g), f.d(), g.wedge(f.d())]
+    results += [a + b, a - b, a.scaled(c), a.wedge(b), a.d(), curvature(a)]
+    results += [x + x.scaled(c), fn_bracket(x, y), fn_bracket(y, y), fn_bracket(x, x)]
+    for result in results:
+        assert_canonical(result)
+
+
+def test_tracer_finds_every_traced_method():
+    # the benchmark tracer patches each traced method in its class's own namespace;
+    # a method inherited from the shared base would be missing there
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert spans.leftover_wrappers() == []

@@ -81,7 +81,7 @@ def test_gamma_is_linear():
     y, yp = random_mink(rng), random_mink(rng)
     c = random_scalar(rng)
     lhs = gamma(ScaledTensor(y.slots, {
-        k: (y.get(k) * c + yp.get(k)) for k in set(y.entries) | set(yp.entries)
+        k: (y.get(k) * c + yp.get(k)) for k in set(y.terms) | set(yp.terms)
     }, y.unit))
     assert lhs == gamma(y).scaled(c) + gamma(yp)
 

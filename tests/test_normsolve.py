@@ -1,6 +1,8 @@
 """Cyclotomic integer arithmetic and the relative norm equation solver."""
 
+import itertools
 import time
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -17,12 +19,16 @@ from spinorkit.normsolve import (
     _sqrt_mod,
     _strong_lucas_prp,
     _strong_prp,
+    s2_divmod,
+    s2_mul,
+    s2_norm,
     s2_totally_positive,
     solve_norm,
     solve_norm_s2,
     z8_abs_norm,
     z8_conj,
     z8_divmod,
+    z8_galois,
     z8_gcd,
     z8_is_zero,
     z8_mul,
@@ -76,6 +82,56 @@ def test_z8_gcd_divides_both():
         # g0 divides the gcd
         _, r = z8_divmod(g, g0) if not z8_is_zero(g0) else (None, (0, 0, 0, 0))
         assert z8_is_zero(r)
+
+
+def _reference_round(x: Fraction) -> int:
+    return (x + Fraction(1, 2)).__floor__()
+
+
+def _reference_z8_divmod(a, b):
+    """Euclidean division as it stood with Fraction rounding, the reference for z8_divmod."""
+    nb = z8_abs_norm(b)
+    num = z8_mul(a, z8_mul(z8_conj(b), z8_mul(z8_galois(b), z8_galois(z8_conj(b)))))
+    base = [_reference_round(Fraction(x, nb)) for x in num]
+    best = None
+    for off in itertools.product((0, -1, 1), repeat=4):
+        q = tuple(x + o for x, o in zip(base, off))
+        r = z8_sub(a, z8_mul(q, b))
+        nr = abs(z8_abs_norm(r))
+        if best is None or nr < best[0]:
+            best = (nr, q, r)
+        if nr == 0:
+            break
+    return best[1], best[2]
+
+
+def _reference_s2_divmod(a, b):
+    nb = s2_norm(b)
+    num = s2_mul(a, (b[0], -b[1]))
+    q = (_reference_round(Fraction(num[0], nb)), _reference_round(Fraction(num[1], nb)))
+    best = None
+    for off in itertools.product((0, -1, 1), repeat=2):
+        qq = (q[0] + off[0], q[1] + off[1])
+        r = (a[0] - s2_mul(qq, b)[0], a[1] - s2_mul(qq, b)[1])
+        nr = abs(s2_norm(r))
+        if best is None or nr < best[0]:
+            best = (nr, qq, r)
+    return best[1], best[2]
+
+
+def test_divmod_matches_fraction_rounding():
+    rng = SplitMix64(12)
+    signs = set()
+    for bound in (3, 40, 2**40):
+        for _ in range(150):
+            a, b = random_z8(rng, bound), random_z8(rng, bound)
+            if not z8_is_zero(b):
+                assert z8_divmod(a, b) == _reference_z8_divmod(a, b)
+            a2, b2 = random_z8(rng, bound)[:2], random_z8(rng, bound)[2:]
+            if s2_norm(b2) != 0:
+                signs.add(s2_norm(b2) > 0)
+                assert s2_divmod(a2, b2) == _reference_s2_divmod(a2, b2)
+    assert signs == {True, False}
 
 
 def test_relative_norm_is_totally_positive():

@@ -43,8 +43,8 @@ EPS_TABLE = {(1, 1): Scalar(0), (1, 2): Scalar(1), (2, 1): Scalar(-1), (2, 2): S
 def g_oracle(y: ScaledTensor, yp: ScaledTensor) -> Scalar:
     """Term-by-term expansion of g = eps (x) epsbar on decomposables."""
     total = Scalar.zero()
-    for (a, b), x in y.entries.items():
-        for (c, d), z in yp.entries.items():
+    for (a, b), x in y.terms.items():
+        for (c, d), z in yp.terms.items():
             total = total + x * z * EPS_TABLE[(a, c)] * EPS_TABLE[(b, d)].conj()
     return total
 
@@ -62,7 +62,7 @@ def test_tensor_units_add_and_mismatch_raises():
     assert e(1).unit == Fraction(1, 2)
     assert estar(1).unit == Fraction(-1, 2)
     with pytest.raises(UnitMismatchError):
-        t + ScaledTensor(t.slots, t.entries, Fraction(0))
+        t + ScaledTensor(t.slots, t.terms, Fraction(0))
     with pytest.raises(VarianceError):
         e(1) + estar(1)
 
@@ -174,7 +174,7 @@ def test_g_pairing_matches_oracle_and_is_symmetric():
 
 def test_g_pairing_unit_mismatch():
     y = e(1).tensor(ebar(1))
-    bad = ScaledTensor(y.slots, y.entries, Fraction(0))
+    bad = ScaledTensor(y.slots, y.terms, Fraction(0))
     with pytest.raises(UnitMismatchError):
         g_pairing(y, bad)
 
