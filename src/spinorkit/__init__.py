@@ -10,13 +10,12 @@ The package is organized in layers:
 * :mod:`spinorkit.suites` -- seeded property suites behind the ``spinor-kit`` CLI
 """
 
-from .exactfield import Scalar, UnitExponent, UnitMismatchError, parse_scalar, format_scalar
+from .exactfield import Scalar, UnitExponent, UnitMismatchError, format_scalar
 
 __all__ = [
     "Scalar",
     "UnitExponent",
     "UnitMismatchError",
-    "parse_scalar",
     "format_scalar",
 ]
 

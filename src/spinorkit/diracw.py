@@ -1,11 +1,18 @@
 """Dirac 4-spinors W = U + Ubar*, the Clifford map, adjoints and observer splits.
 
-Components live in the induced basis (e1, e2, ebar*1, ebar*2), in this order;
-endomorphisms are 4x4 matrices of exact scalars in the same order.  The gamma
-map restricted to Hermitian elements satisfies the Clifford relation
+W, its dual W* and End W = W (x) W* are sparse ``exactfield.Combination``s,
+built from U like every other tensor space of the package.  A Dirac vector
+keys its nonzero components by position 0..3 in the induced basis
+(e1, e2, ebar*1, ebar*2), a dual vector by position in the dual basis
+(e*1, e*2, ebar1, ebar2), and both carry their unit offset as shape; an
+endomorphism keys its nonzero matrix entries by (row, col) in the same order.
+``components`` and ``rows`` are their dense views.  The gamma map restricted
+to Hermitian elements satisfies the Clifford relation
 gamma[y] gamma[y'] + gamma[y'] gamma[y] = 2 g(y,y') id, with the normalization
 fixed by the sqrt2 factor of the defining formula and frozen into the tests by
-a matrix oracle.
+a matrix oracle.  The symplectic form enters gamma only as |phase|^2 = 1, so
+the Dirac map and the observer splits take no phase; charge conjugation,
+which rephasing does rescale, takes the symplectic form.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Tuple
 
-from .exactfield import Scalar, UnitMismatchError
+from .exactfield import Combination, Scalar, UnitMismatchError, _accumulate, shape_field
 from .spintensor import (
     EpsilonStructure,
     STANDARD,
@@ -25,27 +32,43 @@ from .spintensor import (
 )
 
 _R2 = Scalar.sqrt2()
-_J = ((0, 1), (-1, 0))
+_ZERO = Scalar.zero()
 
 
 class ObserverError(ValueError):
     """The tensor does not define a valid observer."""
 
 
-class DiracVector:
-    """Element of W = U + Ubar* as four components plus an overall unit offset."""
+class _Spinor(Combination):
+    """Four components keyed by basis position 0..3, with the unit offset as shape."""
 
-    __slots__ = ("components", "unit")
+    __slots__ = ()
+    unit = shape_field(0, "The overall unit offset, a Fraction.")
 
     def __init__(self, components, unit: Fraction = Fraction(0)):
-        comps = tuple(Scalar.coerce(c) for c in components)
+        comps = [Scalar.coerce(c) for c in components]
         if len(comps) != 4:
-            raise VarianceError("DiracVector needs 4 components")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "unit", Fraction(unit))
+            raise VarianceError(f"{type(self).__name__} needs 4 components")
+        self._fill((Fraction(unit),), dict(enumerate(comps)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("DiracVector is immutable")
+    @property
+    def components(self) -> Tuple[Scalar, ...]:
+        """The four components in basis order, zeros included."""
+        return tuple(self.terms.get(k, _ZERO) for k in range(4))
+
+    def _check_mate(self, other):
+        if type(other) is not type(self):
+            raise VarianceError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.unit != other.unit:
+            raise UnitMismatchError(f"cannot combine {type(self).__name__}s with different units")
+
+    __rmul__ = Combination.scaled
+
+
+class DiracVector(_Spinor):
+    """Element of W = U + Ubar*: components (u^1, u^2, lbar_1, lbar_2) and a unit offset."""
+
+    __slots__ = ()
 
     @classmethod
     def from_parts(cls, u_part: ScaledTensor, lbar_part: ScaledTensor) -> "DiracVector":
@@ -57,51 +80,19 @@ class DiracVector:
         extra_l = lbar_part.unit + Fraction(1, 2)
         if extra_u != extra_l:
             raise UnitMismatchError("parts carry inconsistent unit offsets")
-        return cls(
-            (u_part.get((1,)), u_part.get((2,)), lbar_part.get((1,)), lbar_part.get((2,))),
-            extra_u,
-        )
+        terms = {k - 1: c for (k,), c in u_part.terms.items()}
+        terms.update((k + 1, c) for (k,), c in lbar_part.terms.items())
+        return cls._trusted((extra_u,), terms)
 
     @property
     def u_part(self) -> ScaledTensor:
-        terms = {(1,): self.components[0], (2,): self.components[1]}
+        terms = {(k + 1,): c for k, c in self.terms.items() if k < 2}
         return ScaledTensor._trusted(((Variance.U,), Fraction(1, 2) + self.unit), terms)
 
     @property
     def lbar_part(self) -> ScaledTensor:
-        terms = {(1,): self.components[2], (2,): self.components[3]}
+        terms = {(k - 1,): c for k, c in self.terms.items() if k >= 2}
         return ScaledTensor._trusted(((Variance.U_BAR_DUAL,), Fraction(-1, 2) + self.unit), terms)
-
-    def __add__(self, other: "DiracVector") -> "DiracVector":
-        if self.unit != other.unit:
-            raise UnitMismatchError("cannot add Dirac vectors with different units")
-        return DiracVector(
-            tuple(a + b for a, b in zip(self.components, other.components)), self.unit
-        )
-
-    def __sub__(self, other: "DiracVector") -> "DiracVector":
-        return self + -other
-
-    def __neg__(self) -> "DiracVector":
-        return DiracVector(tuple(-c for c in self.components), self.unit)
-
-    def scaled(self, factor) -> "DiracVector":
-        factor = Scalar.coerce(factor)
-        return DiracVector(tuple(c * factor for c in self.components), self.unit)
-
-    def __rmul__(self, factor):
-        return self.scaled(factor)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiracVector):
-            return NotImplemented
-        return self.components == other.components and self.unit == other.unit
-
-    def __hash__(self):
-        return hash(("DiracVector", self.components, self.unit))
 
     def __str__(self) -> str:
         u1, u2, l1, l2 = self.components
@@ -110,46 +101,28 @@ class DiracVector:
     __repr__ = __str__
 
 
-class DualDiracVector:
+class DualDiracVector(_Spinor):
     """Element of W* = U* + Ubar in components (lambda_1, lambda_2, ubar^1, ubar^2)."""
 
-    __slots__ = ("components", "unit")
-
-    def __init__(self, components, unit: Fraction = Fraction(0)):
-        comps = tuple(Scalar.coerce(c) for c in components)
-        if len(comps) != 4:
-            raise VarianceError("DualDiracVector needs 4 components")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "unit", Fraction(unit))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DualDiracVector is immutable")
+    __slots__ = ()
 
     def pair(self, psi: DiracVector) -> Scalar:
         """Natural duality pairing with W."""
-        return sum(
-            (a * b for a, b in zip(self.components, psi.components)), Scalar.zero()
-        )
+        total = Scalar.zero()
+        for k, a in self.terms.items():
+            b = psi.terms.get(k)
+            if b is not None:
+                total = total + a * b
+        return total
 
     def compose(self, m: "EndW") -> "DualDiracVector":
         """The functional phi -> self(m phi); row-vector times matrix."""
-        comps = tuple(
-            sum((self.components[i] * m.rows[i][j] for i in range(4)), Scalar.zero())
-            for j in range(4)
-        )
-        return DualDiracVector(comps, self.unit)
-
-    def scaled(self, factor) -> "DualDiracVector":
-        factor = Scalar.coerce(factor)
-        return DualDiracVector(tuple(c * factor for c in self.components), self.unit)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DualDiracVector):
-            return NotImplemented
-        return self.components == other.components and self.unit == other.unit
-
-    def __hash__(self):
-        return hash(("DualDiracVector", self.components, self.unit))
+        terms = {}
+        for (i, j), x in m.terms.items():
+            a = self.terms.get(i)
+            if a is not None:
+                _accumulate(terms, j, a * x)
+        return DualDiracVector._trusted(self.shape, terms)
 
     def __str__(self) -> str:
         l1, l2, u1, u2 = self.components
@@ -158,72 +131,56 @@ class DualDiracVector:
     __repr__ = __str__
 
 
-class EndW:
-    """Endomorphism of W as an exact 4x4 matrix in the induced basis."""
+class EndW(Combination):
+    """Endomorphism of W: its nonzero matrix entries keyed by (row, col) in the induced basis."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
     def __init__(self, rows):
-        rows = tuple(tuple(Scalar.coerce(x) for x in row) for row in rows)
+        rows = [[Scalar.coerce(x) for x in row] for row in rows]
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise VarianceError("EndW needs a 4x4 matrix")
-        object.__setattr__(self, "rows", rows)
+        self._fill((), {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)})
 
-    def __setattr__(self, name, value):
-        raise AttributeError("EndW is immutable")
+    @property
+    def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        """The 4x4 matrix, zeros included."""
+        return tuple(tuple(self.terms.get((i, j), _ZERO) for j in range(4)) for i in range(4))
 
     @classmethod
     def identity(cls) -> "EndW":
-        return cls([[Scalar(int(i == j)) for j in range(4)] for i in range(4)])
+        return cls._trusted((), {(i, i): Scalar.one() for i in range(4)})
 
     @classmethod
     def zero(cls) -> "EndW":
-        return cls([[Scalar.zero()] * 4 for _ in range(4)])
+        return cls._trusted((), {})
 
-    def __add__(self, other: "EndW") -> "EndW":
-        return EndW(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other: "EndW") -> "EndW":
-        return self + -other
-
-    def __neg__(self) -> "EndW":
-        return EndW([[-x for x in row] for row in self.rows])
-
-    def scaled(self, factor) -> "EndW":
-        factor = Scalar.coerce(factor)
-        return EndW([[x * factor for x in row] for row in self.rows])
+    def _check_mate(self, other):
+        if type(other) is not EndW:
+            raise VarianceError(f"cannot combine EndW with {type(other).__name__}")
 
     def __mul__(self, other):
         """Composition with another endomorphism, or a scalar multiple."""
-        if isinstance(other, EndW):
-            return EndW(
-                [
-                    [
-                        sum(
-                            (self.rows[i][k] * other.rows[k][j] for k in range(4)),
-                            Scalar.zero(),
-                        )
-                        for j in range(4)
-                    ]
-                    for i in range(4)
-                ]
-            )
-        return self.scaled(other)
+        if not isinstance(other, EndW):
+            return self.scaled(other)
+        other_rows = {}
+        for (k, j), y in other.terms.items():
+            other_rows.setdefault(k, []).append((j, y))
+        terms = {}
+        for (i, k), x in self.terms.items():
+            for j, y in other_rows.get(k, ()):
+                _accumulate(terms, (i, j), x * y)
+        return EndW._trusted((), terms)
 
-    def __rmul__(self, factor):
-        return self.scaled(factor)
+    __rmul__ = Combination.scaled
 
     def apply(self, psi: DiracVector) -> DiracVector:
-        comps = tuple(
-            sum((self.rows[i][j] * psi.components[j] for j in range(4)), Scalar.zero())
-            for i in range(4)
-        )
-        return DiracVector(comps, psi.unit)
+        terms = {}
+        for (i, j), x in self.terms.items():
+            c = psi.terms.get(j)
+            if c is not None:
+                _accumulate(terms, i, x * c)
+        return DiracVector._trusted(psi.shape, terms)
 
     __call__ = apply
 
@@ -247,14 +204,6 @@ class EndW:
             rank += 1
         return rank
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EndW):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(("EndW", self.rows))
-
     def __str__(self) -> str:
         return format_endw(self)
 
@@ -270,7 +219,7 @@ def format_endw(m: EndW) -> str:
 # -- the Dirac map ---------------------------------------------------------------
 
 
-def gamma(y: ScaledTensor, eps: EpsilonStructure = STANDARD) -> EndW:
+def gamma(y: ScaledTensor) -> EndW:
     """gamma[p (x) qbar](u, lbar) = sqrt2 (<lbar, qbar> p, eps(p, u) epsbar_flat(qbar)).
 
     Linear in y; on Hermitian y it is the Dirac map, a Clifford map for g.
@@ -279,24 +228,16 @@ def gamma(y: ScaledTensor, eps: EpsilonStructure = STANDARD) -> EndW:
         raise VarianceError(f"gamma needs slots [U,Ubar], got {y.slots}")
     if y.unit != 1:
         raise UnitMismatchError("gamma needs the standard unit exponent 1")
-    rows = [[Scalar.zero() for _ in range(4)] for _ in range(4)]
-    # the phase enters as phase * conj(phase) = 1, so gamma is phase-independent
+    terms = {}
     for (a, b), v in y.terms.items():
         r2v = _R2 * v
         # upper-right block: out_u^a += sqrt2 * y^{ab} * lbar_b
-        rows[a - 1][2 + b - 1] = rows[a - 1][2 + b - 1] + r2v
-        # lower-left block: out_lbar_d += sqrt2 * y^{ab} eps_{ac} epsbar_{bd} u^c
-        for c in (1, 2):
-            ja = _J[a - 1][c - 1]
-            if not ja:
-                continue
-            for d in (1, 2):
-                jb = _J[b - 1][d - 1]
-                if not jb:
-                    continue
-                cell = rows[2 + d - 1][c - 1]
-                rows[2 + d - 1][c - 1] = cell + r2v if ja * jb > 0 else cell - r2v
-    return EndW(rows)
+        _accumulate(terms, (a - 1, b + 1), r2v)
+        # lower-left block: out_lbar_d += sqrt2 * y^{ab} eps_{ac} epsbar_{bd} u^c; only
+        # c = 3 - a and d = 3 - b contribute, with eps_{12} = 1 and eps_{21} = -1
+        # (the phase enters as phase * conj(phase) = 1)
+        _accumulate(terms, (4 - b, 2 - a), r2v, 1 if a == b else -1)
+    return EndW._trusted((), terms)
 
 
 # -- Dirac adjunction and the Hermitian form k -----------------------------------
@@ -304,8 +245,7 @@ def gamma(y: ScaledTensor, eps: EpsilonStructure = STANDARD) -> EndW:
 
 def dirac_adjoint(psi: DiracVector) -> DualDiracVector:
     """The conjugate-swap map (u, lbar) -> (lambda, ubar), landing in W*."""
-    u1, u2, l1, l2 = psi.components
-    return DualDiracVector((l1.conj(), l2.conj(), u1.conj(), u2.conj()), -psi.unit)
+    return DualDiracVector._trusted((-psi.unit,), {(k + 2) % 4: c.conj() for k, c in psi.terms.items()})
 
 
 def k_form(psi: DiracVector, phi: DiracVector) -> Scalar:
@@ -314,24 +254,19 @@ def k_form(psi: DiracVector, phi: DiracVector) -> Scalar:
 
 
 def w_basis() -> Tuple[DiracVector, ...]:
-    return tuple(
-        DiracVector(tuple(Scalar(int(i == j)) for j in range(4))) for i in range(4)
-    )
+    return tuple(DiracVector._trusted((Fraction(0),), {i: Scalar.one()}) for i in range(4))
 
 
-def k_hermiticity_check(y: ScaledTensor, eps: EpsilonStructure = STANDARD) -> bool:
+def k_hermiticity_check(y: ScaledTensor) -> bool:
     """True iff k(gamma[y] psi, phi) = k(psi, gamma[y] phi) on the whole basis.
 
     On basis vectors the two sides are conj(M[s(j)][i]) and M[s(i)][j], where
-    M = gamma[y] and s swaps the two chiral blocks (the Gram matrix of k).
+    M = gamma[y] and s swaps the two chiral blocks (the Gram matrix of k); so
+    the check is that conjugating M's entries and moving (r, c) to (s(c), s(r))
+    gives M back.
     """
-    m = gamma(y, eps).rows
-    swap = (2, 3, 0, 1)
-    for i in range(4):
-        for j in range(4):
-            if m[swap[i]][j] != m[swap[j]][i].conj():
-                return False
-    return True
+    terms = gamma(y).terms
+    return terms == {((c + 2) % 4, (r + 2) % 4): v.conj() for (r, c), v in terms.items()}
 
 
 # -- charge conjugation -----------------------------------------------------------
@@ -353,7 +288,7 @@ def charge_conjugate(psi: DiracVector, eps: EpsilonStructure = STANDARD) -> Dira
 # -- observers ------------------------------------------------------------------
 
 
-def is_observer(tau: ScaledTensor, eps: EpsilonStructure = STANDARD) -> bool:
+def is_observer(tau: ScaledTensor) -> bool:
     """g-normalized, future-oriented, timelike Hermitian element with unit 1."""
     if tau.slots != (Variance.U, Variance.U_BAR) or tau.unit != 1:
         return False
@@ -365,25 +300,21 @@ def is_observer(tau: ScaledTensor, eps: EpsilonStructure = STANDARD) -> bool:
     return mink_trace(tau).real_sign() > 0
 
 
-def observer_projectors(
-    tau: ScaledTensor, eps: EpsilonStructure = STANDARD
-) -> Tuple[EndW, EndW]:
+def observer_projectors(tau: ScaledTensor) -> Tuple[EndW, EndW]:
     """The eigenprojectors (1 +/- gamma[tau]) / 2 of a valid observer."""
-    if not is_observer(tau, eps):
+    if not is_observer(tau):
         raise ObserverError(
             "observer must be Hermitian with g(tau,tau) = 1 and positive trace"
         )
-    g_tau = gamma(tau, eps)
+    g_tau = gamma(tau)
     half = Scalar(Fraction(1, 2))
     ident = EndW.identity()
     return (ident + g_tau).scaled(half), (ident - g_tau).scaled(half)
 
 
-def observer_split(
-    tau: ScaledTensor, psi: DiracVector, eps: EpsilonStructure = STANDARD
-) -> Tuple[DiracVector, DiracVector]:
+def observer_split(tau: ScaledTensor, psi: DiracVector) -> Tuple[DiracVector, DiracVector]:
     """psi = psi_plus + psi_minus with gamma[tau] psi_pm = +/- psi_pm."""
-    p_plus, p_minus = observer_projectors(tau, eps)
+    p_plus, p_minus = observer_projectors(tau)
     return p_plus(psi), p_minus(psi)
 
 
@@ -441,12 +372,10 @@ def observer_dagger(h: ScaledTensor, psi: DiracVector) -> DualDiracVector:
     out_u = tuple(
         lam[0] * k[0][a] + lam[1] * k[1][a] for a in range(2)
     )
-    return DualDiracVector(out_l + out_u, -psi.unit)
+    return DualDiracVector._trusted((-psi.unit,), dict(enumerate(out_l + out_u)))
 
 
-def observer_vector(
-    h: ScaledTensor, eps: EpsilonStructure = STANDARD
-) -> ScaledTensor:
+def observer_vector(h: ScaledTensor) -> ScaledTensor:
     """The normalized observer identified with a positive metric of determinant 1."""
     m, det = check_positive_metric(h)
     if det != Scalar.one():

@@ -147,34 +147,35 @@ def _poly_from_string(text: str, dim: int, line: int, col: int, depth: int) -> P
     return poly
 
 
+# Predefined constants, built once; immutable, so every environment shares them.
+_PREDEFINED = {
+    "i": Scalar.i(),
+    "r2": Scalar.sqrt2(),
+    "e1": spintensor.e(1),
+    "e2": spintensor.e(2),
+    "eb1": spintensor.ebar(1),
+    "eb2": spintensor.ebar(2),
+    "es1": spintensor.estar(1),
+    "es2": spintensor.estar(2),
+    "ebs1": spintensor.ebarstar(1),
+    "ebs2": spintensor.ebarstar(2),
+    "id4": diracw.EndW.identity(),
+}
+_PREDEFINED.update(
+    (f"theta{k}", theta) for k, theta in enumerate(spintensor.pauli_tetrad(spintensor.e(1), spintensor.e(2)))
+)
+
+
 class Environment:
     def __init__(self):
         self.bindings: Dict[str, object] = {}
         self.universe: Optional[Universe] = None
 
     def predefined(self, name: str):
-        eps = spintensor.STANDARD
-        table = {
-            "i": Scalar.i(),
-            "r2": Scalar.sqrt2(),
-            "e1": spintensor.e(1),
-            "e2": spintensor.e(2),
-            "eb1": spintensor.ebar(1),
-            "eb2": spintensor.ebar(2),
-            "es1": spintensor.estar(1),
-            "es2": spintensor.estar(2),
-            "ebs1": spintensor.ebarstar(1),
-            "ebs2": spintensor.ebarstar(2),
-            "id4": diracw.EndW.identity(),
-        }
-        if name in table:
-            return table[name]
-        if name in ("theta0", "theta1", "theta2", "theta3"):
-            tetrad = eps.pauli_tetrad(spintensor.e(1), spintensor.e(2))
-            return tetrad[int(name[-1])]
-        if name == "vac":
-            if self.universe is None:
-                raise KeyError(name)
+        value = _PREDEFINED.get(name)
+        if value is not None:
+            return value
+        if name == "vac" and self.universe is not None:
             return FockState.vacuum(self.universe)
         raise KeyError(name)
 

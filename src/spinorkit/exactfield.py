@@ -15,9 +15,10 @@ the five ints as :attr:`Scalar.ints`.
 Length-unit exponents are plain ``fractions.Fraction`` values; they add under
 tensor multiplication and negate under dualization.
 
-Every sparse container of the package (two-spinor tensors, polynomials,
-valued forms, Fock states and operators) is one notion, a finite linear
-combination of canonical keys, and subclasses :class:`Combination`.  It holds
+Every sparse container of the package (two-spinor tensors, Dirac spinors,
+their duals and endomorphisms, polynomials, valued forms, Fock states and
+operators) is one notion, a finite linear combination of canonical keys, and
+subclasses :class:`Combination`.  It holds
 the nonzero coefficients in ``terms`` and the space they live in in
 ``shape``, and it implements ``+``, ``-``, negation, ``scaled``, ``==`` and
 ``hash`` once.  Results computed from canonical operands go through its
@@ -69,6 +70,20 @@ def _ints(x) -> Ints:
     if isinstance(x, Fraction):
         return (x.numerator, 0, 0, 0, x.denominator)
     raise ExactError(f"cannot coerce {x!r} to Scalar")
+
+
+def sqrt2_sign(a: int, c: int) -> int:
+    """Exact sign (-1, 0, 1) of a + c*sqrt2 for ints a and c."""
+    if a == 0 and c == 0:
+        return 0
+    if a >= 0 and c >= 0:
+        return 1
+    if a <= 0 and c <= 0:
+        return -1
+    # opposite signs: compare a^2 against 2 c^2
+    if a > 0:
+        return 1 if a * a > 2 * c * c else -1
+    return 1 if a * a < 2 * c * c else -1
 
 
 def _coordinate(k: int, doc: str) -> property:
@@ -232,16 +247,7 @@ class Scalar:
         if not self.is_real():
             raise ExactError(f"real_sign of non-real scalar {self}")
         a, _, c, _, _ = self._v  # den > 0 does not change the sign
-        if a == 0 and c == 0:
-            return 0
-        if a >= 0 and c >= 0:
-            return 1
-        if a <= 0 and c <= 0:
-            return -1
-        # opposite signs: compare a^2 against 2 c^2
-        if a > 0:
-            return 1 if a * a > 2 * c * c else -1
-        return 1 if a * a < 2 * c * c else -1
+        return sqrt2_sign(a, c)
 
     # -- hashing and comparison ----------------------------------------------
 
@@ -269,7 +275,7 @@ def _frac_str(x: Fraction) -> str:
 
 
 def format_scalar(z: Scalar) -> str:
-    """Canonical text encoding ``a+b*i+c*r2+d*i*r2`` with rationals as p/q."""
+    """Canonical text encoding ``a+b*i+c*r2+d*i*r2`` with rationals as p/q; the DSL reads it back exactly."""
     parts = []
     for coeff, tail in ((z.a, ""), (z.b, "i"), (z.c, "r2"), (z.d, "i*r2")):
         if coeff == 0:
@@ -290,118 +296,6 @@ def format_scalar(z: Scalar) -> str:
     for sign, body in parts[1:]:
         out += sign + body
     return out
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/()":
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-            continue
-        if text.startswith("r2", i):
-            tokens.append("r2")
-            i += 2
-            continue
-        if ch == "i":
-            tokens.append("i")
-            i += 1
-            continue
-        raise ExactError(f"bad character {ch!r} in scalar text {text!r}")
-    return tokens
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Parse the canonical text encoding; exact inverse of :func:`format_scalar`."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ExactError("empty scalar text")
-    pos = 0
-    total = Scalar.zero()
-    sign = 1
-    first = True
-
-    def parse_term():
-        # term: factors joined by '*'; each factor a rational, 'i' or 'r2'
-        nonlocal pos
-        coeff = Fraction(1)
-        has_i = False
-        has_r2 = False
-        saw_factor = False
-        while True:
-            if pos >= len(tokens):
-                break
-            tok = tokens[pos]
-            if tok == "i":
-                if has_i:
-                    raise ExactError("repeated i factor in term")
-                has_i = True
-                pos += 1
-            elif tok == "r2":
-                if has_r2:
-                    raise ExactError("repeated r2 factor in term")
-                has_r2 = True
-                pos += 1
-            elif isinstance(tok, int):
-                num = tok
-                pos += 1
-                if pos < len(tokens) and tokens[pos] == "/":
-                    pos += 1
-                    if pos >= len(tokens) or not isinstance(tokens[pos], int):
-                        raise ExactError("missing denominator")
-                    den = tokens[pos]
-                    pos += 1
-                    if den == 0:
-                        raise ExactError("zero denominator")
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
-            else:
-                break
-            saw_factor = True
-            if pos < len(tokens) and tokens[pos] == "*":
-                pos += 1
-                continue
-            break
-        if not saw_factor:
-            raise ExactError("empty term in scalar text")
-        if has_i and has_r2:
-            return Scalar(0, 0, 0, coeff)
-        if has_i:
-            return Scalar(0, coeff)
-        if has_r2:
-            return Scalar(0, 0, coeff)
-        return Scalar(coeff)
-
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if tok == "+":
-            sign = 1
-            pos += 1
-        elif tok == "-":
-            sign = -1
-            pos += 1
-        elif first:
-            sign = 1
-        else:
-            raise ExactError(f"expected +/- before term at token {tok!r}")
-        term = parse_term()
-        total = total + (term if sign == 1 else -term)
-        first = False
-    return total
 
 
 # -- unit exponents ----------------------------------------------------------

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Tuple
 
-from .exactfield import Scalar
+from .exactfield import Scalar, sqrt2_sign
 
 Z8 = Tuple[int, int, int, int]
 S2 = Tuple[int, int]
@@ -361,26 +361,12 @@ def s2_norm(a: S2) -> int:
     return a[0] * a[0] - 2 * a[1] * a[1]
 
 
-def s2_sign(a: S2) -> int:
-    """Exact sign of p + q*sqrt2 in the real embedding sqrt2 > 0."""
-    p, q = a
-    if p == 0 and q == 0:
-        return 0
-    if p >= 0 and q >= 0:
-        return 1
-    if p <= 0 and q <= 0:
-        return -1
-    if p > 0:
-        return 1 if p * p > 2 * q * q else -1
-    return 1 if p * p < 2 * q * q else -1
-
-
 def s2_conj(a: S2) -> S2:
     return (a[0], -a[1])
 
 
 def s2_totally_positive(a: S2) -> bool:
-    return s2_sign(a) > 0 and s2_sign(s2_conj(a)) > 0
+    return sqrt2_sign(*a) > 0 and sqrt2_sign(*s2_conj(a)) > 0
 
 
 def s2_divides_exactly(a: S2, b: S2) -> Optional[S2]:
@@ -427,7 +413,7 @@ def _s2_unit_log(u: S2) -> Optional[Tuple[int, int]]:
     while cur not in ((1, 0), (-1, 0)):
         # |cur| > 1 in the real embedding: peel a fundamental unit off
         p, q = cur
-        big = s2_sign((p - 1, q)) > 0 or s2_sign((p + 1, q)) < 0  # |p + q sqrt2| > 1
+        big = sqrt2_sign(p - 1, q) > 0 or sqrt2_sign(p + 1, q) < 0  # |p + q sqrt2| > 1
         if big:
             cur = s2_mul(cur, S2_FUND_INV)
             k += 1
@@ -446,7 +432,7 @@ def _normalize_totally_positive(pi: S2) -> Optional[S2]:
         pi = s2_mul(pi, S2_FUND)  # fundamental unit has norm -1
     if s2_norm(pi) < 0:
         return None
-    if s2_sign(pi) < 0:
+    if sqrt2_sign(*pi) < 0:
         pi = (-pi[0], -pi[1])
     return pi if s2_totally_positive(pi) else None
 

@@ -266,14 +266,20 @@ class EpsilonStructure:
 
     The phase must be unit-modulus; all phase-invariant derived objects (the
     pairing g, the Dirac map) are unchanged under rephasing, which the test
-    suite asserts by rebuilding with phase i.
+    suite asserts by rebuilding with phase i.  Instances are immutable, so the
+    unit-modulus check binds.
     """
+
+    __slots__ = ("phase",)
 
     def __init__(self, phase: Scalar | int = 1):
         phase = Scalar.coerce(phase)
         if phase * phase.conj() != Scalar.one():
             raise ValueError(f"epsilon phase must have unit modulus, got {phase}")
-        self.phase = phase
+        object.__setattr__(self, "phase", phase)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("EpsilonStructure is immutable")
 
     def eps_value(self, u: ScaledTensor, v: ScaledTensor) -> Scalar:
         if u.slots != (Variance.U,) or v.slots != (Variance.U,):

@@ -6,9 +6,18 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinorkit.diracw import (
+    DiracVector,
+    DualDiracVector,
+    EndW,
+    charge_conjugate,
+    dirac_adjoint,
+    gamma,
+    observer_dagger,
+)
 from spinorkit.exactfield import Scalar
 from spinorkit.fnforms import Form, MatrixForm, Poly, TangentForm, ValuedForm, curvature, fn_bracket
-from spinorkit.spintensor import ScaledTensor, Variance
+from spinorkit.spintensor import EpsilonStructure, ScaledTensor, Variance
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 DIM = 2
@@ -44,6 +53,17 @@ connections = st.dictionaries(st.sampled_from(AXES[1]), matrix_rows, max_size=2)
     lambda terms: MatrixForm(DIM, 1, 2, terms)
 )
 
+spinors = st.lists(coeffs, min_size=4, max_size=4)
+endomorphisms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs, max_size=6).map(
+    lambda terms: EndW([[terms.get((i, j), 0) for j in range(4)] for i in range(4)])
+)
+# a positive Hermitian observer metric: trace 3, det 1
+H = ScaledTensor(
+    (Variance.U_BAR_DUAL, Variance.U_DUAL),
+    {(1, 1): Scalar(2), (1, 2): Scalar(0, 1), (2, 1): Scalar(0, -1), (2, 2): Scalar(1)},
+    -1,
+)
+
 
 def rebuilt(x):
     """`x` through its validating public constructor."""
@@ -51,6 +71,10 @@ def rebuilt(x):
         return ScaledTensor(x.slots, x.terms, x.unit)
     if isinstance(x, Poly):
         return Poly(x.dim, x.terms)
+    if isinstance(x, (DiracVector, DualDiracVector)):
+        return type(x)(x.components, x.unit)
+    if isinstance(x, EndW):
+        return EndW(x.rows)
     return ValuedForm(x.dim, x.degree, x.fibre, x.terms)
 
 
@@ -83,6 +107,15 @@ def test_internal_results_are_canonical(variances, data, p, q, c):
     results += [f + g, f - g, -f, f.scaled(c), f.wedge(g), f.d(), g.wedge(f.d())]
     results += [a + b, a - b, a.scaled(c), a.wedge(b), a.d(), curvature(a)]
     results += [x + x.scaled(c), fn_bracket(x, y), fn_bracket(y, y), fn_bracket(x, x)]
+
+    psi, phi = DiracVector(data.draw(spinors)), DiracVector(data.draw(spinors))
+    lam = DualDiracVector(data.draw(spinors))
+    m, n = data.draw(endomorphisms), data.draw(endomorphisms)
+    gy = gamma(data.draw(tensors((Variance.U, Variance.U_BAR))))
+    results += [gy, gy * gy, gy * m, m * n, m + n, m - n, -m, m.scaled(c), m - m, m.apply(psi), gy.apply(psi)]
+    results += [psi + phi, psi - phi, -psi, psi.scaled(c), lam.compose(m), lam.compose(gy), lam.scaled(c)]
+    results += [dirac_adjoint(psi), charge_conjugate(psi), observer_dagger(H, psi)]
+    results += [charge_conjugate(psi, EpsilonStructure(Scalar.i()))]
     for result in results:
         assert_canonical(result)
 

@@ -97,11 +97,20 @@ def test_clifford_relation_random():
 
 
 def test_gamma_invariant_under_phase():
+    # gamma takes no phase: it must equal the defining formula
+    # sqrt2 (<lbar, qbar> p, eps(p, u) epsbar_flat(qbar)) built with eps of phase i
     rot = EpsilonStructure(I)
-    rng = SplitMix64(11)
-    for _ in range(25):
-        y = random_mink(rng)
-        assert gamma(y) == gamma(y, rot)
+    for a in (1, 2):
+        for b in (1, 2):
+            p, qbar = e(a), ebar(b)
+            g_y = gamma(p.tensor(qbar))
+            for psi in w_basis():
+                pairing = psi.lbar_part.tensor(qbar).contract(0, 1).get(())
+                expected = DiracVector.from_parts(
+                    p.scaled(R2 * pairing),
+                    rot.epsbar_flat(qbar).scaled(R2 * rot.eps_value(p, psi.u_part)),
+                )
+                assert g_y(psi) == expected
 
 
 def test_k_values_witness_signature():

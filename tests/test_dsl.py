@@ -306,11 +306,45 @@ FORM_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("expr, code, stdout", FORM_ROWS, ids=[row[0] for row in FORM_ROWS])
-def test_form_operations_by_kind(expr, code, stdout, tmp_path, capsys):
+def assert_eval(text, code, stdout, tmp_path, capsys):
     script = tmp_path / "prog.dsl"
-    script.write_text(FORM_PRELUDE + expr + "\n")
+    script.write_text(text)
     assert main(["eval", str(script)]) == code
     out, err = capsys.readouterr()
     assert out == stdout
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr, code, stdout", FORM_ROWS, ids=[row[0] for row in FORM_ROWS])
+def test_form_operations_by_kind(expr, code, stdout, tmp_path, capsys):
+    assert_eval(FORM_PRELUDE + expr + "\n", code, stdout, tmp_path, capsys)
+
+
+DIRAC_PRELUDE = """\
+let a = dirac (u: [1, i], lbar: [0, r2]);
+let b = dirac (u: [-1, 1], lbar: [1/2, 0]);
+let g = gamma(e1*eb1);
+"""
+
+# (expression, exit code, stdout) of `spinor-kit eval` on DIRAC_PRELUDE + expression:
+# W, W* and End W are vector spaces, so each has +, - and scalar multiples;
+# mixing two of them is a usage error.
+DIRAC_ROWS = [
+    ('-adjoint(a)', 0, 'dualdirac (lambda: [0, -r2], ubar: [-1, i])\n'),
+    ('adjoint(a) + adjoint(b)', 0, 'dualdirac (lambda: [1/2, r2], ubar: [0, 1-i])\n'),
+    ('adjoint(a) - adjoint(a)', 0, 'dualdirac (lambda: [0, 0], ubar: [0, 0])\n'),
+    ('2 * adjoint(b)', 0, 'dualdirac (lambda: [1, 0], ubar: [-2, 2])\n'),
+    ('a - b', 0, 'dirac (u: [2, -1+i], lbar: [-1/2, r2])\n'),
+    ('i * a', 0, 'dirac (u: [i, -1], lbar: [0, i*r2])\n'),
+    ('g * g', 0, '[[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]\n'),
+    ('g + id4', 0, '[[1, 0, r2, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, r2, 0, 1]]\n'),
+    ('apply(g, b)', 0, 'dirac (u: [1/2*r2, 0], lbar: [0, r2])\n'),
+    ('a + adjoint(a)', 2, ''),
+    ('g + a', 2, ''),
+    ('adjoint(a) * adjoint(b)', 2, ''),
+]
+
+
+@pytest.mark.parametrize("expr, code, stdout", DIRAC_ROWS, ids=[row[0] for row in DIRAC_ROWS])
+def test_dirac_operations_by_kind(expr, code, stdout, tmp_path, capsys):
+    assert_eval(DIRAC_PRELUDE + expr + "\n", code, stdout, tmp_path, capsys)

@@ -311,6 +311,15 @@ def test_phase_rebuild_leaves_g_unchanged():
     assert rot.eps_value(e(1), e(2)) == I
 
 
+def test_epsilon_structure_is_immutable():
+    # a phase set after construction would skip the unit-modulus check
+    s = EpsilonStructure()
+    with pytest.raises(AttributeError):
+        s.phase = Scalar(2)
+    assert s.phase == Scalar.one()
+    assert s.eps_value(e(1), e(2)) == Scalar.one()
+
+
 def test_format_tensor_is_stable():
     t = e(1).tensor(ebar(2)).scaled(I) + e(1).tensor(ebar(1))
     assert format_tensor(t) == "tensor [U,Ubar] { (1,1): 1; (1,2): i }"
