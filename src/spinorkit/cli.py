@@ -3,9 +3,13 @@
     spinor-kit check --suite <name> --seed <n> --trials <n> [--json <path>]
     spinor-kit eval <file|->
 
-Exit codes: 0 all checks pass, 1 a property failed, 2 usage or parse error.
-The JSON report on stdout is byte-identical for identical (suite, seed,
-trials); timing goes to stderr only.
+Exit codes: 0 all checks pass, 1 a property failed, 2 usage or parse error
+(an unreadable or non-UTF-8 eval input and an unwritable --json path count as
+usage errors, and the latter writes no report to stdout), 3 internal error:
+the kernel broke one of its own invariants (a bug, whatever the input),
+reported on stderr as "internal error: <Type>: <message>" with no
+traceback and no report on stdout.  The JSON report on stdout is
+byte-identical for identical (suite, seed, trials); timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import sys
 from .dsl import DslError, eval_program
 from .suites import SUITE_NAMES, UnknownSuiteError, run_all, run_suite
 
-USAGE_ERROR = 2
 PROPERTY_FAILURE = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,10 +77,14 @@ def _run_check(args) -> int:
 
     payload = _report_payload(args, reports)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf8") as fh:
-            fh.write(text)
+        try:
+            with open(args.json_path, "w", encoding="utf8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
+    sys.stdout.write(text)
     for report in reports:
         status = "ok" if report.passed else f"{len(report.failures)} failure(s)"
         print(
@@ -87,15 +96,15 @@ def _run_check(args) -> int:
 
 
 def _run_eval(args) -> int:
-    if args.path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.path == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.path, "r", encoding="utf8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         for line in eval_program(text):
             print(line)
@@ -107,9 +116,13 @@ def _run_eval(args) -> int:
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
-    if args.command == "check":
-        return _run_check(args)
-    return _run_eval(args)
+    try:
+        if args.command == "check":
+            return _run_check(args)
+        return _run_eval(args)
+    except Exception as exc:  # every user error is handled above; this is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

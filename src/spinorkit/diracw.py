@@ -39,6 +39,11 @@ class ObserverError(ValueError):
     """The tensor does not define a valid observer."""
 
 
+def _require(operand, kind: type, what: str):
+    if not isinstance(operand, kind):
+        raise VarianceError(f"{what} takes a {kind.__name__}, not a {type(operand).__name__}")
+
+
 class _Spinor(Combination):
     """Four components keyed by basis position 0..3, with the unit offset as shape."""
 
@@ -108,6 +113,7 @@ class DualDiracVector(_Spinor):
 
     def pair(self, psi: DiracVector) -> Scalar:
         """Natural duality pairing with W."""
+        _require(psi, DiracVector, "pair")
         total = Scalar.zero()
         for k, a in self.terms.items():
             b = psi.terms.get(k)
@@ -117,6 +123,7 @@ class DualDiracVector(_Spinor):
 
     def compose(self, m: "EndW") -> "DualDiracVector":
         """The functional phi -> self(m phi); row-vector times matrix."""
+        _require(m, EndW, "compose")
         terms = {}
         for (i, j), x in m.terms.items():
             a = self.terms.get(i)
@@ -175,6 +182,7 @@ class EndW(Combination):
     __rmul__ = Combination.scaled
 
     def apply(self, psi: DiracVector) -> DiracVector:
+        _require(psi, DiracVector, "apply")
         terms = {}
         for (i, j), x in self.terms.items():
             c = psi.terms.get(j)

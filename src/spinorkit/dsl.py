@@ -11,18 +11,29 @@ Scalar literals are ordinary arithmetic over the constants `i` and `r2`
 (so `1-3/2*i` is exact), `^` is the exterior/wedge product, `|` the interior
 product, a trailing `'` dualizes a fock state.  Every value prints in its
 canonical form, and literals round-trip bit-exactly through their printers.
+
+Errors: every failure the DSL reports is a DslError carrying the line and
+column of the offending token.  Each function call, operator, mode reference,
+literal and `universe` statement reaches the kernel through
+`Parser.call_kernel`, the one place that turns a kernel exception into a
+DslError; it converts ValueError, VarianceError and ZeroDivisionError, which
+cover every error the package declares for bad input.  Any other exception,
+a plain TypeError included, is an internal failure of the kernel and
+propagates unchanged.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import diracw, fnforms, fockalg, spintensor
-from .exactfield import Scalar
+from .diracw import DiracVector, EndW
+from .exactfield import Combination, Scalar
 from .fnforms import AXIS_NAMES, SCALAR, Fibre, Poly, ValuedForm
 from .fockalg import FockState, OperatorElement, Sector, Statistics, Universe
-from .spintensor import ScaledTensor, Variance
+from .spintensor import ScaledTensor, Variance, VarianceError
 
 
 class DslError(ValueError):
@@ -33,7 +44,6 @@ class DslError(ValueError):
 
 
 _PUNCT = set("()[]{},;:*^|'=+-/\"->")
-_TWO_CHAR = ("->",)
 # Deepest nesting of parentheses, call arguments and literals the parser
 # accepts; each level costs several Python frames, so this keeps deep input
 # from overflowing the interpreter stack.
@@ -95,15 +105,14 @@ def tokenize(text: str) -> List[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # isdigit() also accepts characters such as '²' that int() refuses
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            try:
-                value = int(text[i:j])
-            except ValueError:  # beyond the interpreter's int string-conversion limit
-                raise DslError(f"integer literal of {j - i} digits is too long", line, col) from None
-            tokens.append(Token("int", value, line, col))
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (or before 3.10.7)
+            if limit and j - i > limit:
+                raise DslError(f"integer literal of {j - i} digits is too long", line, col)
+            tokens.append(Token("int", int(text[i:j]), line, col))
             col += j - i
             i = j
             continue
@@ -171,50 +180,57 @@ class Environment:
         self.bindings: Dict[str, object] = {}
         self.universe: Optional[Universe] = None
 
-    def predefined(self, name: str):
-        value = _PREDEFINED.get(name)
-        if value is not None:
-            return value
-        if name == "vac" and self.universe is not None:
+    def lookup(self, name: str):
+        """The value `name` stands for, or None; bindings shadow the predefined constants."""
+        value = self.bindings.get(name, _PREDEFINED.get(name))
+        if value is None and name == "vac" and self.universe is not None:
             return FockState.vacuum(self.universe)
-        raise KeyError(name)
+        return value
 
 
-def _call_apply(op, arg):
-    if isinstance(op, diracw.EndW) and isinstance(arg, diracw.DiracVector):
-        return op.apply(arg)
-    if isinstance(op, OperatorElement) and isinstance(arg, FockState):
-        return op.apply(arg)
-    raise TypeError(f"apply() cannot act with {type(op).__name__} on {type(arg).__name__}")
+def _apply(op, psi):
+    """op(psi): an End W on a Dirac vector, or a Fock operator on a Fock state."""
+    if isinstance(op, OperatorElement) is not isinstance(psi, FockState):
+        raise VarianceError(f"apply() cannot act with {type(op).__name__} on {type(psi).__name__}")
+    return op.apply(psi)
 
 
+def _conj(x):
+    return x.conj()
+
+
+# name -> (kernel callable, the kind of each argument); a kind is a type or a tuple of types
 _FUNCTIONS = {
-    "g": lambda y, yp: spintensor.g_pairing(y, yp),
-    "gamma": lambda y: diracw.gamma(y),
-    "fnb": lambda z, x: fnforms.fn_bracket(z, x),
-    "d": lambda w: fnforms.ext_derivative(w),
-    "lie": lambda u, w: fnforms.lie_derivative(u, w),
-    "curv": lambda a: fnforms.curvature(a),
-    "bianchi": lambda a: fnforms.bianchi_residual(a),
-    "covd": lambda a, phi: fnforms.covariant_differential(a, phi),
-    "eps_flat": lambda u: spintensor.eps_flat(u),
-    "eps_sharp": lambda lam: spintensor.eps_sharp(lam),
-    "dagger": lambda t: spintensor.hermitian_transpose(t),
-    "hsplit": lambda t: spintensor.hermitian_split(t),
-    "tetrad": lambda b1, b2: spintensor.pauli_tetrad(b1, b2),
-    "nulldec": lambda y: spintensor.null_decompose(y),
-    "adjoint": lambda psi: diracw.dirac_adjoint(psi),
-    "k": lambda psi, phi: diracw.k_form(psi, phi),
-    "cc": lambda psi: diracw.charge_conjugate(psi),
-    "split": lambda tau, psi: diracw.observer_split(tau, psi),
-    "apply": _call_apply,
-    "emit": lambda z: fockalg.emit(z),
-    "absorb": lambda z: fockalg.absorb(z),
-    "sbracket": lambda x, y: fockalg.super_bracket(x, y),
-    "pair": lambda lam, psi: fockalg.pairing(lam, psi),
-    "json": lambda state: fockalg.state_to_json(state),
-    "conj": lambda x: x.conj(),
+    "g": (spintensor.g_pairing, ScaledTensor, ScaledTensor),
+    "gamma": (diracw.gamma, ScaledTensor),
+    "fnb": (fnforms.fn_bracket, ValuedForm, ValuedForm),
+    "d": (fnforms.ext_derivative, ValuedForm),
+    "lie": (fnforms.lie_derivative, ValuedForm, ValuedForm),
+    "curv": (fnforms.curvature, ValuedForm),
+    "bianchi": (fnforms.bianchi_residual, ValuedForm),
+    "covd": (fnforms.covariant_differential, ValuedForm, ValuedForm),
+    "eps_flat": (spintensor.eps_flat, ScaledTensor),
+    "eps_sharp": (spintensor.eps_sharp, ScaledTensor),
+    "dagger": (spintensor.hermitian_transpose, ScaledTensor),
+    "hsplit": (spintensor.hermitian_split, ScaledTensor),
+    "tetrad": (spintensor.pauli_tetrad, ScaledTensor, ScaledTensor),
+    "nulldec": (spintensor.null_decompose, ScaledTensor),
+    "adjoint": (diracw.dirac_adjoint, DiracVector),
+    "k": (diracw.k_form, DiracVector, DiracVector),
+    "cc": (diracw.charge_conjugate, DiracVector),
+    "split": (diracw.observer_split, ScaledTensor, DiracVector),
+    "apply": (_apply, (EndW, OperatorElement), (DiracVector, FockState)),
+    "emit": (fockalg.emit, FockState),
+    "absorb": (fockalg.absorb, FockState),
+    "sbracket": (fockalg.super_bracket, OperatorElement, OperatorElement),
+    "pair": (fockalg.pairing, FockState, FockState),
+    "json": (fockalg.state_to_json, FockState),
+    "conj": (_conj, (Scalar, ScaledTensor)),
 }
+
+
+def _kind_name(kind) -> str:
+    return " or ".join(t.__name__ for t in (kind if isinstance(kind, tuple) else (kind,)))
 
 
 class Parser:
@@ -274,6 +290,13 @@ class Parser:
         if self.peek().kind != "eof":
             self.error("unexpected trailing input")
 
+    def call_kernel(self, tok: Token, fn, *args):
+        """fn(*args), with a kernel's ValueError, VarianceError or ZeroDivisionError as a DslError at `tok`."""
+        try:
+            return fn(*args)
+        except (ValueError, VarianceError, ZeroDivisionError) as exc:
+            raise DslError(f"{type(exc).__name__}: {exc}", tok.line, tok.col) from None
+
     def nested(self, parse, *args):
         """parse(*args) one nesting level deeper, refused beyond MAX_NESTING."""
         if self.depth >= MAX_NESTING:
@@ -292,8 +315,7 @@ class Parser:
             if self.match_punct(";"):
                 continue
             if self.peek().kind == "name" and self.peek().value == "universe":
-                self.advance()
-                self._parse_universe_stmt()
+                self._parse_universe_stmt(self.advance())
                 continue
             if self.peek().kind == "name" and self.peek().value == "let":
                 self.advance()
@@ -306,7 +328,7 @@ class Parser:
             outputs.append(format_value(value))
         return outputs
 
-    def _parse_universe_stmt(self):
+    def _parse_universe_stmt(self, keyword: Token):
         name = None
         if self.peek().kind == "name" and self.peek().value != "sector":
             name = self.expect_name()
@@ -317,6 +339,7 @@ class Parser:
                 continue
             if not self.match_name("sector"):
                 self.error("expected 'sector'")
+            s_tok = self.peek()
             s_name = self.expect_name()
             self.expect_punct(":")
             kind = self.expect_name()
@@ -328,8 +351,8 @@ class Parser:
                 modes.append(self.expect_int())
             self.expect_punct("]")
             stats = Statistics.FERMION if kind == "fermion" else Statistics.BOSON
-            sectors.append(Sector(s_name, stats, modes))
-        universe = Universe(sectors)
+            sectors.append(self.call_kernel(s_tok, Sector, s_name, stats, modes))
+        universe = self.call_kernel(keyword, Universe, sectors)
         self.env.universe = universe
         if name:
             self.env.bindings[name] = universe
@@ -339,50 +362,54 @@ class Parser:
     def parse_expr(self):
         return self.nested(self._parse_additive)
 
+    def _at_operator(self, *ops: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "punct" and tok.value in ops
+
     def _parse_additive(self):
         value = self._parse_multiplicative()
         # outside brackets, a '+' or '-' that opens a line starts the next statement
-        while not self.peek().starts_line:
-            if self.match_punct("+"):
-                value = _binop_add(value, self._parse_multiplicative(), self)
-            elif self.match_punct("-"):
-                rhs = self._parse_multiplicative()
-                value = _binop_add(value, _negate(rhs, self), self)
-            else:
-                break
+        while self._at_operator("+", "-") and not self.peek().starts_line:
+            tok = self.advance()
+            value = self._binary(tok, value, self._parse_multiplicative())
         return value
 
     def _parse_multiplicative(self):
         value = self._parse_wedge()
-        while True:
-            if self.match_punct("*"):
-                value = _binop_mul(value, self._parse_wedge(), self)
-            elif self.match_punct("/"):
-                value = _binop_div(value, self._parse_wedge(), self)
-            elif self.match_punct("|"):
-                value = _binop_interior(value, self._parse_wedge(), self)
-            else:
-                return value
+        while self._at_operator("*", "/", "|"):
+            tok = self.advance()
+            value = self._binary(tok, value, self._parse_wedge())
+        return value
 
     def _parse_wedge(self):
         value = self._parse_unary()
-        while self.match_punct("^"):
-            value = _binop_wedge(value, self._parse_unary(), self)
+        while self._at_operator("^"):
+            tok = self.advance()
+            value = self._binary(tok, value, self._parse_unary())
         return value
 
+    def _binary(self, tok: Token, a, b):
+        result = self.call_kernel(tok, _BINARY[tok.value], a, b)
+        if result is None:
+            self.error(f"cannot apply {tok.value!r} to {type(a).__name__} and {type(b).__name__}", tok)
+        return result
+
     def _parse_unary(self):
-        negations = 0
+        tok, negations = self.peek(), 0
         while self.match_punct("-"):
             negations += 1
         value = self._parse_postfix()
-        for _ in range(negations):
-            value = _negate(value, self)
-        return value
+        if negations and not isinstance(value, (Scalar, Combination)):
+            self.error(f"cannot negate {type(value).__name__}", tok)
+        return -value if negations % 2 else value
 
     def _parse_postfix(self):
         value = self._parse_atom()
-        while self.match_punct("'"):
-            value = _dualize(value, self)
+        while self._at_operator("'"):
+            if not isinstance(value, FockState):
+                self.error(f"cannot dualize {type(value).__name__}")
+            self.advance()
+            value = FockState(value.universe, value.terms, not value.dual)
         return value
 
     def _parse_atom(self):
@@ -396,16 +423,13 @@ class Parser:
             self.expect_punct(")")
             return value
         if tok.kind == "name":
-            if tok.value == "tensor":
-                self.advance()
-                return self._parse_tensor_literal()
-            if tok.value == "dirac":
-                self.advance()
-                return self._parse_dirac_literal()
-            if tok.value in ("form", "mform", "vform"):
-                self.advance()
-                return self._parse_form_literal(tok.value)
             self.advance()
+            if tok.value == "tensor":
+                return self._parse_tensor_literal(tok)
+            if tok.value == "dirac":
+                return self._parse_dirac_literal(tok)
+            if tok.value in ("form", "mform", "vform"):
+                return self._parse_form_literal(tok)
             name = tok.value
             # mode reference  sector:mode
             if self.peek().kind == "punct" and self.peek().value == ":":
@@ -415,24 +439,20 @@ class Parser:
                     mode = self.expect_int()
                     if self.env.universe is None:
                         self.error("no universe declared for mode reference", tok)
-                    try:
-                        return FockState.mode(self.env.universe, name, mode)
-                    except Exception as exc:
-                        self.error(str(exc), tok)
+                    return self.call_kernel(tok, FockState.mode, self.env.universe, name, mode)
             if self.peek().kind == "punct" and self.peek().value == "(":
                 return self._parse_call(name, tok)
-            if name in self.env.bindings:
-                return self.env.bindings[name]
-            try:
-                return self.env.predefined(name)
-            except KeyError:
+            value = self.env.lookup(name)
+            if value is None:
                 self.error(f"unknown name {name!r}", tok)
+            return value
         self.error("expected an expression")
 
     def _parse_call(self, name: str, tok: Token):
-        fn = _FUNCTIONS.get(name)
-        if fn is None:
+        entry = _FUNCTIONS.get(name)
+        if entry is None:
             self.error(f"unknown function {name!r}", tok)
+        fn, *kinds = entry
         self.expect_punct("(")
         args = []
         if not self.match_punct(")"):
@@ -440,15 +460,15 @@ class Parser:
             while self.match_punct(","):
                 args.append(self.parse_expr())
             self.expect_punct(")")
-        arity = fn.__code__.co_argcount
+        arity = len(kinds)
         if len(args) != arity:
             self.error(f"{name}() takes {arity} argument{'s' * (arity != 1)}, got {len(args)}", tok)
-        try:
-            return fn(*args)
-        except DslError:
-            raise
-        except Exception as exc:
-            self.error(f"{type(exc).__name__}: {exc}", tok)
+        for position, (arg, kind) in enumerate(zip(args, kinds), 1):
+            if not isinstance(arg, kind):
+                self.error(f"{name}() argument {position} must be {_kind_name(kind)}, got {type(arg).__name__}", tok)
+        # call the kernel through its module's binding, so that a rebound name (a tracer's wrapper) runs
+        fn = getattr(sys.modules.get(fn.__module__), fn.__name__, fn)
+        return self.call_kernel(tok, fn, *args)
 
     # -- literals -----------------------------------------------------------------
 
@@ -483,7 +503,7 @@ class Parser:
             self.error(f"{what} must be scalars", tok)
         return value
 
-    def _parse_tensor_literal(self) -> ScaledTensor:
+    def _parse_tensor_literal(self, keyword: Token) -> ScaledTensor:
         self.expect_punct("[")
         slots = [self._parse_variance()]
         while self.match_punct(","):
@@ -506,12 +526,9 @@ class Parser:
             self.expect_punct(")")
             self.expect_punct(":")
             entries[tuple(index)] = self._parse_scalar("tensor entries")
-        try:
-            return ScaledTensor(slots, entries, unit)
-        except Exception as exc:
-            self.error(str(exc))
+        return self.call_kernel(keyword, ScaledTensor, slots, entries, unit)
 
-    def _parse_dirac_literal(self) -> diracw.DiracVector:
+    def _parse_dirac_literal(self, keyword: Token) -> DiracVector:
         self.expect_punct("(")
         if not self.match_name("u"):
             self.error("expected 'u' component")
@@ -531,7 +548,7 @@ class Parser:
         l2 = self._parse_scalar("dirac components")
         self.expect_punct("]")
         self.expect_punct(")")
-        return diracw.DiracVector((u1, u2, l1, l2))
+        return self.call_kernel(keyword, DiracVector, (u1, u2, l1, l2))
 
     def _parse_axes_label(self, dim: int) -> Tuple[int, ...]:
         tok = self.peek()
@@ -557,7 +574,8 @@ class Parser:
         self.advance()
         return _poly_from_string(tok.value, dim, tok.line, tok.col, self.depth)
 
-    def _parse_form_literal(self, keyword: str) -> ValuedForm:
+    def _parse_form_literal(self, keyword_tok: Token) -> ValuedForm:
+        keyword = keyword_tok.value
         header = {}
         for key in ("deg", "dim") + (("fibre",) if keyword in ("mform", "vform") else ()):
             if not self.match_name(key):
@@ -604,10 +622,7 @@ class Parser:
             "vform": Fibre("vector", size),
             "form": Fibre("tangent", dim) if tangent else SCALAR,
         }[keyword]
-        try:
-            return ValuedForm(dim, degree, fibre, comps)
-        except ValueError as exc:
-            self.error(str(exc))
+        return self.call_kernel(keyword_tok, ValuedForm, dim, degree, fibre, comps)
 
     def _parse_poly_vector(self, dim: int, fibre: int):
         self.expect_punct("[")
@@ -683,99 +698,59 @@ class Parser:
         return Poly(dim, {tuple(exps): coeff})
 
 
-# -- operator dispatch -------------------------------------------------------------
+# -- binary operators: each returns its result, or None for kinds it does not combine ----
 
 
-def _negate(value, parser):
-    if hasattr(value, "__neg__"):
-        return -value
-    parser.error(f"cannot negate {type(value).__name__}")
-
-
-def _binop_add(a, b, parser):
-    if isinstance(a, Scalar) and isinstance(b, Scalar):
+def _add(a, b):
+    if type(a) is type(b) and isinstance(a, (Scalar, Combination)):
         return a + b
-    if type(a) is type(b) and hasattr(a, "__add__"):
-        try:
-            return a + b
-        except Exception as exc:
-            parser.error(f"{type(exc).__name__}: {exc}")
-    parser.error(
-        f"cannot add {type(a).__name__} and {type(b).__name__}"
-    )
 
 
-def _binop_mul(a, b, parser):
-    try:
-        if isinstance(a, Scalar) and not isinstance(b, Scalar):
-            a, b = b, a
-        if isinstance(a, ScaledTensor) and isinstance(b, ScaledTensor):
-            return a.tensor(b)
-        if isinstance(b, Scalar):
-            if isinstance(a, Scalar):
-                return a * b
-            if hasattr(a, "scaled"):
-                return a.scaled(b)
-        if type(a) is type(b) and isinstance(a, (diracw.EndW, OperatorElement, Poly)):
-            return a * b
-    except DslError:
-        raise
-    except Exception as exc:
-        parser.error(f"{type(exc).__name__}: {exc}")
-    parser.error(f"cannot multiply {type(a).__name__} and {type(b).__name__}")
+def _sub(a, b):
+    if type(a) is type(b) and isinstance(a, (Scalar, Combination)):
+        return a - b
 
 
-def _binop_div(a, b, parser):
+def _mul(a, b):
+    if isinstance(a, Scalar) and not isinstance(b, Scalar):
+        a, b = b, a
+    if isinstance(a, ScaledTensor) and isinstance(b, ScaledTensor):
+        return a.tensor(b)
     if isinstance(b, Scalar):
-        try:
-            if isinstance(a, Scalar):
-                return a / b
-            if hasattr(a, "scaled"):
-                return a.scaled(b.inverse())
-        except ZeroDivisionError:
-            parser.error("division by zero")
-    parser.error(f"cannot divide {type(a).__name__} by {type(b).__name__}")
+        if isinstance(a, Scalar):
+            return a * b
+        if isinstance(a, Combination):
+            return a.scaled(b)
+    if type(a) is type(b) and isinstance(a, (EndW, OperatorElement)):
+        return a * b
 
 
-def _binop_wedge(a, b, parser):
-    try:
-        if isinstance(a, FockState) and isinstance(b, FockState):
-            return fockalg.exterior_product(a, b)
-        if isinstance(a, ValuedForm) and isinstance(b, ValuedForm):
-            return a.wedge(b)
-    except DslError:
-        raise
-    except Exception as exc:
-        parser.error(f"{type(exc).__name__}: {exc}")
-    parser.error(f"cannot wedge {type(a).__name__} with {type(b).__name__}")
+def _div(a, b):
+    if isinstance(b, Scalar):
+        if isinstance(a, Scalar):
+            return a / b
+        if isinstance(a, Combination):
+            return a.scaled(b.inverse())
 
 
-def _binop_interior(a, b, parser):
-    try:
-        if isinstance(a, FockState) and isinstance(b, FockState):
-            return fockalg.interior_product(a, b)
-    except DslError:
-        raise
-    except Exception as exc:
-        parser.error(f"{type(exc).__name__}: {exc}")
-    parser.error(
-        f"cannot contract {type(a).__name__} with {type(b).__name__}"
-    )
+def _wedge(a, b):
+    if isinstance(a, FockState) and isinstance(b, FockState):
+        return fockalg.exterior_product(a, b)
+    if isinstance(a, ValuedForm) and isinstance(b, ValuedForm):
+        return a.wedge(b)
 
 
-def _dualize(value, parser):
-    if isinstance(value, FockState):
-        return FockState(value.universe, value.terms, not value.dual)
-    parser.error(f"cannot dualize {type(value).__name__}")
+def _interior(a, b):
+    if isinstance(a, FockState) and isinstance(b, FockState):
+        return fockalg.interior_product(a, b)
+
+
+_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _wedge, "|": _interior}
 
 
 def format_value(value) -> str:
-    if isinstance(value, Scalar):
-        return str(value)
     if isinstance(value, tuple):
         return "(" + ", ".join(format_value(v) for v in value) + ")"
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

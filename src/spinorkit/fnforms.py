@@ -148,8 +148,6 @@ def _subsets_ok(axes: Axes, dim: int):
         raise ChartError(f"axes must be strictly increasing, got {axes}")
 
 
-
-
 # -- valued forms -----------------------------------------------------------------
 
 

@@ -6,8 +6,11 @@ element of Q(sqrt2).  Q(i, sqrt2) is the 8th cyclotomic field; its ring of
 integers Z[zeta8] is a norm-Euclidean PID, so the equation is solved by
 factoring the target over Z[sqrt2], lifting each prime through the relative
 quadratic extension (via Euclidean gcds with a square root of -1 in the
-residue field), and fixing the leftover unit.  Returns None when the equation
-has no solution in the field; that verdict is exact, not a search cutoff.
+residue field), and folding the leftover unit in once at the end.  Returns
+None when the equation has no solution in the field, which happens exactly
+when the target is not totally positive or some rational prime p = 7 mod 8
+divides its norm to an odd power; that verdict is exact, not a search cutoff.
+A broken internal invariant raises ArithmeticError.
 
 The rational arithmetic underneath is self-contained.  The absolute norm is
 factored by trial division by the primes below 1000, a perfect-power test and
@@ -426,15 +429,15 @@ def _s2_unit_log(u: S2) -> Optional[Tuple[int, int]]:
     return sign, k
 
 
-def _normalize_totally_positive(pi: S2) -> Optional[S2]:
-    """Totally positive associate of pi, when one exists (norm(pi) > 0)."""
+def _normalize_totally_positive(pi: S2) -> S2:
+    """Totally positive associate of the nonzero pi."""
     if s2_norm(pi) < 0:
         pi = s2_mul(pi, S2_FUND)  # fundamental unit has norm -1
-    if s2_norm(pi) < 0:
-        return None
     if sqrt2_sign(*pi) < 0:
         pi = (-pi[0], -pi[1])
-    return pi if s2_totally_positive(pi) else None
+    if not s2_totally_positive(pi):
+        raise ArithmeticError(f"no totally positive associate found for {pi}")
+    return pi
 
 
 def _sqrt2_primes_above(p: int) -> list:
@@ -448,11 +451,12 @@ def _sqrt2_primes_above(p: int) -> list:
     return [(p, 0)]
 
 
-def _lift_prime(pi: S2, p: int) -> Optional[Z8]:
-    """An element sigma of Z[zeta8] with sigma * conj(sigma) = pi exactly.
+def _lift_prime(pi: S2, p: int) -> Z8:
+    """An element sigma of Z[zeta8] with sigma * conj(sigma) = pi times a unit.
 
     pi must be a totally positive prime of Z[sqrt2] lying over the odd
-    rational prime p, with -1 a square in the residue field.
+    rational prime p, with -1 a square in the residue field.  The unit is
+    totally positive, so a square; solve_norm_s2 folds it in at the end.
     """
     if p % 4 == 1:
         r: Z8 = z8_from_int(_sqrt_mod(p - 1, p))
@@ -462,17 +466,9 @@ def _lift_prime(pi: S2, p: int) -> Optional[Z8]:
         b = _sqrt_mod(-inv2, p)
         r = z8_from_s2((0, b))
     sigma = z8_gcd(z8_from_s2(pi), z8_sub(r, Z8_I))
-    rel = z8_relative_norm(sigma)
-    ratio = s2_divides_exactly(rel, pi)
-    if ratio is None:
-        return None
-    log = _s2_unit_log(ratio)
-    if log is None or log[0] != 1 or log[1] % 2 != 0:
-        return None
-    t = log[1] // 2
-    unit = S2_FUND_INV if t > 0 else S2_FUND
-    for _ in range(abs(t)):
-        sigma = z8_mul(sigma, z8_from_s2(unit))
+    ratio = s2_divides_exactly(z8_relative_norm(sigma), pi)
+    if ratio is None or abs(s2_norm(ratio)) != 1:
+        raise ArithmeticError(f"lift of the prime {pi} has relative norm {z8_relative_norm(sigma)}")
     return sigma
 
 
@@ -503,26 +499,18 @@ def solve_norm_s2(m: S2) -> Optional[Z8]:
                 x = z8_mul(x, z8_pow(Z8_ZETA_PLUS_ONE, exponent))
                 continue
             pi_pos = _normalize_totally_positive(pi)
-            if pi_pos is None:
-                return None
             if p % 8 == 7:
                 # relatively inert: -1 is not a square mod p
                 if exponent % 2:
                     return None
                 x = z8_mul(x, z8_pow(z8_from_s2(pi_pos), exponent // 2))
             else:
-                sigma = _lift_prime(pi_pos, p)
-                if sigma is None:
-                    return None
-                x = z8_mul(x, z8_pow(sigma, exponent))
-    # remaining is now a unit; fold it together with the unit debt of the lifts
-    rel = z8_relative_norm(x)
-    residual = s2_divides_exactly(m, rel)
-    if residual is None:
-        return None
-    log = _s2_unit_log(residual)
+                x = z8_mul(x, z8_pow(_lift_prime(pi_pos, p), exponent))
+    # m / (x * conj(x)) is now a totally positive unit, the square of a unit: fold it in
+    residual = s2_divides_exactly(m, z8_relative_norm(x))
+    log = None if residual is None else _s2_unit_log(residual)
     if log is None or log[0] != 1 or log[1] % 2 != 0:
-        return None
+        raise ArithmeticError(f"norm equation residual {residual} is not the square of a unit")
     k = log[1] // 2
     unit = S2_FUND if k > 0 else S2_FUND_INV
     for _ in range(abs(k)):

@@ -53,21 +53,17 @@ class SplitMix64:
         """Rational with numerator in [-9, 9] and denominator in [1, 9]."""
         return Fraction(self.randint(-9, 9), self.randint(1, 9))
 
-    def split(self, label: str) -> "SplitMix64":
-        """Independent substream tagged by a label; stable across runs."""
-        return SplitMix64(_mix(self._state ^ _fnv1a(label)))
-
 
 def stream_for(seed: int, label: str) -> SplitMix64:
     """The canonical substream a suite named `label` draws from."""
     return SplitMix64(_mix((seed & _MASK) ^ _fnv1a(label)))
 
 
-def random_scalar(rng: SplitMix64, sparse: bool = True) -> Scalar:
-    """Random field element; with `sparse` most coordinates are zero half the time."""
+def random_scalar(rng: SplitMix64) -> Scalar:
+    """Random field element; each coordinate is zero half the time."""
     coords = []
     for _ in range(4):
-        if sparse and rng.randint(0, 1):
+        if rng.randint(0, 1):
             coords.append(Fraction(0))
         else:
             coords.append(rng.fraction())

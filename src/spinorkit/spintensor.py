@@ -134,12 +134,6 @@ class ScaledTensor(Combination):
     def get(self, key: Index) -> Scalar:
         return self.terms.get(tuple(key), Scalar.zero())
 
-    def component_matrix(self):
-        """2x2 component list for a 2-slot tensor."""
-        if self.rank != 2:
-            raise VarianceError("component_matrix needs a 2-slot tensor")
-        return [[self.get((a, b)) for b in (1, 2)] for a in (1, 2)]
-
     # -- linear operations -----------------------------------------------------
 
     def _check_mate(self, other: "ScaledTensor"):
@@ -413,7 +407,7 @@ class EpsilonStructure:
         u = ScaledTensor._trusted(((Variance.U,), half_unit), {(1,): sigma * v0[0], (2,): sigma * v0[1]})
         check = u.tensor(u.conj())
         if ScaledTensor._trusted((_UU, y.unit), check.terms) != w:
-            raise NotFactorableError("norm solver returned an inconsistent factor")
+            raise ArithmeticError("norm solver returned an inconsistent factor")
         return sign, u
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from .diracw import EndW, gamma, k_hermiticity_check
@@ -45,7 +44,7 @@ from .fockalg import (
     super_bracket,
 )
 from .prng import SplitMix64, random_scalar, stream_for
-from .spintensor import EpsilonStructure, ScaledTensor, Variance, e, g_pairing, pauli_tetrad
+from .spintensor import EpsilonStructure, ScaledTensor, Variance, g_pairing
 
 
 @dataclass
@@ -69,6 +68,11 @@ class SuiteReport:
             "suite": self.suite,
             "trials": self.trials,
         }
+
+
+def _failure(trial: int, input: str, expected: str, got: str) -> dict:
+    """The record of one broken identity: the trial, its input and both sides."""
+    return {"trial": trial, "input": input, "expected": expected, "got": got}
 
 
 def _map_trials(fn: Callable[[int], Optional[dict]], trials: int) -> List[dict]:
@@ -193,12 +197,7 @@ def _suite_clifford(seed: int, trials: int) -> List[dict]:
         got = gy * gyp + gyp * gy
         expected = EndW.identity().scaled(Scalar(2) * g_pairing(y, yp))
         if got != expected:
-            return {
-                "trial": trial,
-                "input": f"y = {y}; y' = {yp}",
-                "expected": str(expected),
-                "got": str(got),
-            }
+            return _failure(trial, f"y = {y}; y' = {yp}", str(expected), str(got))
         return None
 
     return _map_trials(one, trials)
@@ -219,12 +218,7 @@ def _suite_pauli(seed: int, trials: int) -> List[dict]:
                 want = Scalar(_MINK_DIAG[i]) if i == j else Scalar.zero()
                 got = eps.g_pairing(ti, tj)
                 if got != want:
-                    return {
-                        "trial": trial,
-                        "input": f"b1 = {b1}; b2 = {b2}; entry = ({i},{j})",
-                        "expected": str(want),
-                        "got": str(got),
-                    }
+                    return _failure(trial, f"b1 = {b1}; b2 = {b2}; entry = ({i},{j})", str(want), str(got))
         return None
 
     return _map_trials(one, trials)
@@ -255,31 +249,21 @@ def _suite_signature(seed: int, trials: int) -> List[dict]:
     values, expected, ortho = _signature_witnesses()
     if values != expected or not ortho:
         failures.append(
-            {
-                "trial": -1,
-                "input": "k-diagonalization witnesses",
-                "expected": str([str(v) for v in expected]),
-                "got": str([str(v) for v in values]),
-            }
+            _failure(-1, "k-diagonalization witnesses", str([str(v) for v in expected]),
+                     str([str(v) for v in values]))
         )
 
     def one(trial: int):
         rng = stream_for(seed, f"signature#{trial}")
         y = random_mink(rng)
         if not k_hermiticity_check(y):
-            return {
-                "trial": trial,
-                "input": f"y = {y}",
-                "expected": "k(gamma[y] psi, phi) = k(psi, gamma[y] phi)",
-                "got": "k-hermiticity failed on H",
-            }
+            return _failure(
+                trial, f"y = {y}", "k(gamma[y] psi, phi) = k(psi, gamma[y] phi)", "k-hermiticity failed on H"
+            )
         if not y.is_zero() and k_hermiticity_check(y.scaled(Scalar.i())):
-            return {
-                "trial": trial,
-                "input": f"i*y with y = {y}",
-                "expected": "k-hermiticity must fail off H",
-                "got": "anti-Hermitian element passed",
-            }
+            return _failure(
+                trial, f"i*y with y = {y}", "k-hermiticity must fail off H", "anti-Hermitian element passed"
+            )
         return None
 
     failures.extend(_map_trials(one, trials))
@@ -297,12 +281,10 @@ def _suite_fn_bracket(seed: int, trials: int) -> List[dict]:
         lhs = fn_bracket(zeta, xi)
         rhs = fn_bracket(xi, zeta).scaled(Scalar(-((-1) ** (r * s))))
         if lhs != rhs:
-            return {
-                "trial": trial,
-                "input": f"dim={dim} r={r} s={s}; zeta = {zeta}; xi = {xi}",
-                "expected": "graded antisymmetry",
-                "got": f"lhs = {lhs}; rhs = {rhs}",
-            }
+            return _failure(
+                trial, f"dim={dim} r={r} s={s}; zeta = {zeta}; xi = {xi}", "graded antisymmetry",
+                f"lhs = {lhs}; rhs = {rhs}",
+            )
         return None
 
     failures = _map_trials(one, trials)
@@ -323,17 +305,14 @@ def _suite_fn_bracket(seed: int, trials: int) -> List[dict]:
             xi, fn_bracket(zeta, eta)
         ).scaled(Scalar((-1) ** (r * s)))
         if lhs != rhs:
-            return {
-                "trial": trial,
-                "input": f"dim={dim} degrees=({r},{s},{t})",
-                "expected": "graded Jacobi identity",
-                "got": f"lhs = {lhs}; rhs = {rhs}",
-            }
+            # numbered after the antisymmetry trials
+            return _failure(
+                trial + trials, f"dim={dim} degrees=({r},{s},{t})", "graded Jacobi identity",
+                f"lhs = {lhs}; rhs = {rhs}",
+            )
         return None
 
-    failures.extend(
-        {**f, "trial": f["trial"] + trials} for f in _map_trials(jacobi, jacobi_rounds)
-    )
+    failures.extend(_map_trials(jacobi, jacobi_rounds))
     return failures
 
 
@@ -344,23 +323,13 @@ def _suite_bianchi(seed: int, trials: int) -> List[dict]:
         f = curvature(a)
         residual = bianchi_residual(a)
         if not residual.is_zero():
-            return {
-                "trial": trial,
-                "input": f"A = {a}",
-                "expected": "dF + [A, F] = 0",
-                "got": str(residual),
-            }
+            return _failure(trial, f"A = {a}", "dF + [A, F] = 0", str(residual))
         degree = rng.randint(0, 1)
         phi = random_vector_form(rng, 3, 2, degree)
         lhs = covariant_differential(a, covariant_differential(a, phi))
         rhs = f.wedge(phi)
         if lhs != rhs:
-            return {
-                "trial": trial,
-                "input": f"A = {a}; phi = {phi}",
-                "expected": "d_A d_A phi = F /\\ phi",
-                "got": f"lhs = {lhs}; rhs = {rhs}",
-            }
+            return _failure(trial, f"A = {a}; phi = {phi}", "d_A d_A phi = F /\\ phi", f"lhs = {lhs}; rhs = {rhs}")
         return None
 
     return _map_trials(one, trials)
@@ -383,56 +352,28 @@ def _suite_car_ccr(seed: int, trials: int) -> List[dict]:
                 expected = identity if i == j else zero
                 if bracket != expected:
                     failures.append(
-                        {
-                            "trial": -1,
-                            "input": f"[[a[{sector.name}:{i}], a+[{sector.name}:{j}]]]",
-                            "expected": str(expected),
-                            "got": str(bracket),
-                        }
+                        _failure(-1, f"[[a[{sector.name}:{i}], a+[{sector.name}:{j}]]]", str(expected),
+                                 str(bracket))
                     )
                     continue
                 for n, psi in enumerate(basis):
                     want = psi if i == j else FockState(universe, {})
                     got = op_apply(bracket, psi)
                     if got != want:
-                        failures.append(
-                            {
-                                "trial": n,
-                                "input": f"bracket on basis state {psi}",
-                                "expected": str(want),
-                                "got": str(got),
-                            }
-                        )
+                        failures.append(_failure(n, f"bracket on basis state {psi}", str(want), str(got)))
                 if not super_bracket(absorb(di), absorb(dj)).is_zero():
                     failures.append(
-                        {
-                            "trial": -1,
-                            "input": f"[[a[{sector.name}:{i}], a[{sector.name}:{j}]]]",
-                            "expected": "0",
-                            "got": "nonzero",
-                        }
+                        _failure(-1, f"[[a[{sector.name}:{i}], a[{sector.name}:{j}]]]", "0", "nonzero")
                     )
                 if not super_bracket(emit(zi), emit(zj)).is_zero():
                     failures.append(
-                        {
-                            "trial": -1,
-                            "input": f"[[a+[{sector.name}:{i}], a+[{sector.name}:{j}]]]",
-                            "expected": "0",
-                            "got": "nonzero",
-                        }
+                        _failure(-1, f"[[a+[{sector.name}:{i}], a+[{sector.name}:{j}]]]", "0", "nonzero")
                     )
     # cross-sector brackets vanish too
     f1 = FockState.mode(universe, "f", 1)
     b1 = FockState.mode(universe, "b", 1)
     if not super_bracket(emit(f1), emit(b1)).is_zero():
-        failures.append(
-            {
-                "trial": -1,
-                "input": "[[a+[f:1], a+[b:1]]]",
-                "expected": "0",
-                "got": "nonzero",
-            }
-        )
+        failures.append(_failure(-1, "[[a+[f:1], a+[b:1]]]", "0", "nonzero"))
     return failures
 
 
@@ -448,12 +389,7 @@ def _suite_normal_order(seed: int, trials: int) -> List[dict]:
             expected = apply_generators(universe, gens, psi)
             got = op_apply(element, psi)
             if got != expected:
-                return {
-                    "trial": trial,
-                    "input": f"word = {gens}; psi = {psi}",
-                    "expected": str(expected),
-                    "got": str(got),
-                }
+                return _failure(trial, f"word = {gens}; psi = {psi}", str(expected), str(got))
         return None
 
     return _map_trials(one, trials)
@@ -473,12 +409,7 @@ def _suite_adjunction(seed: int, trials: int) -> List[dict]:
         lhs = interior_product(exterior_product(zeta, xi), psi)
         rhs = interior_product(xi, interior_product(zeta, psi))
         if lhs != rhs:
-            return {
-                "trial": trial,
-                "input": f"zeta = {zeta}; xi = {xi}; psi = {psi}",
-                "expected": str(rhs),
-                "got": str(lhs),
-            }
+            return _failure(trial, f"zeta = {zeta}; xi = {xi}; psi = {psi}", str(rhs), str(lhs))
         return None
 
     return _map_trials(one, trials)

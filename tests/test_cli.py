@@ -1,5 +1,6 @@
 """CLI contract: exit codes, deterministic reports, eval subcommand."""
 
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import spinorkit
-from spinorkit.cli import main
+from spinorkit.cli import INTERNAL_ERROR, main
+from spinorkit.spintensor import ScaledTensor
 
 # the child interpreter imports the same spinorkit as this one, PYTHONPATH or not
 SRC = str(Path(spinorkit.__file__).resolve().parents[1])
@@ -176,6 +178,38 @@ def test_property_failure_exit_code(monkeypatch, capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["failures"] and payload["failures"][0]["got"] == "1"
+
+
+def test_internal_error_exit_code(monkeypatch, tmp_path, capsys):
+    # an exception no user input can cause is a bug: exit 3, never 1 or 2, and no traceback
+    import spinorkit.dsl as dsl
+    import spinorkit.suites as suites
+
+    def broken(*args):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setitem(dsl._FUNCTIONS, "gamma", (broken, ScaledTensor))
+    monkeypatch.setitem(suites.SUITES, "pauli", broken)
+    script = tmp_path / "prog.dsl"
+    script.write_text("gamma(e1*eb1)\n")
+    for argv in (["eval", str(script)], ["check", "--suite", "pauli", "--seed", "1", "--trials", "1"]):
+        assert run_cli(argv, capsys) == (INTERNAL_ERROR, "", "internal error: AssertionError: invariant broken\n")
+
+
+def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "dir" / "report.json"
+    code, out, err = run_cli(["check", "--suite", "pauli", "--seed", "1", "--trials", "1", "--json", str(path)], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: "), err
+
+
+def test_eval_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    script = tmp_path / "prog.dsl"
+    script.write_bytes(b"g( e1*eb1, e2*eb2 )\n\xff\n")
+    code, out, err = run_cli(["eval", str(script)], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: "), err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(script.read_bytes()), encoding="utf8"))
+    code, out, err = run_cli(["eval", "-"], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: "), err
 
 
 def test_usage_error_leaves_later_calls_unchanged(tmp_path, capsys):

@@ -28,6 +28,7 @@ from spinorkit.spintensor import (
     EpsilonStructure,
     ScaledTensor,
     Variance,
+    VarianceError,
     e,
     ebar,
     g_pairing,
@@ -325,3 +326,22 @@ def test_basis_is_orthonormal_for_pairing():
         expected[(i + 2) % 4] = Scalar.one()
         assert gram_row == expected
         assert adj.pair(basis[(i + 2) % 4]) == Scalar.one()
+
+
+def test_operands_of_the_wrong_space_are_refused():
+    # a W* vector is not read as its components in W, nor a W vector as End W
+    psi = dirac(u1=1, l2=R2)
+    adj = dirac_adjoint(psi)
+    g = gamma(T11)
+    for call in (
+        lambda: g.apply(adj),
+        lambda: g(adj),
+        lambda: adj.pair(adj),
+        lambda: adj.pair(g),
+        lambda: adj.compose(psi),
+        lambda: adj.compose(adj),
+    ):
+        with pytest.raises(VarianceError):
+            call()
+    assert g.apply(psi) == g(psi) and adj.pair(psi) == k_form(psi, psi)
+    assert adj.compose(EndW.identity()) == adj

@@ -1,9 +1,17 @@
 """DSL parsing, evaluation and canonical round-trips."""
 
+import contextlib
+import importlib.util
 import io
+import re
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinorkit import dsl
 from spinorkit.cli import main
 from spinorkit.diracw import DiracVector, gamma
 from spinorkit.dsl import DslError, Environment, eval_program
@@ -11,6 +19,8 @@ from spinorkit.exactfield import Scalar, format_scalar
 from spinorkit.fnforms import Form, MatrixForm, Poly, TangentForm, VectorForm
 from spinorkit.prng import SplitMix64, random_scalar
 from spinorkit.spintensor import ScaledTensor, Variance, e, ebar, format_tensor, g_pairing
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def eval_one(text: str) -> str:
@@ -348,3 +358,119 @@ DIRAC_ROWS = [
 @pytest.mark.parametrize("expr, code, stdout", DIRAC_ROWS, ids=[row[0] for row in DIRAC_ROWS])
 def test_dirac_operations_by_kind(expr, code, stdout, tmp_path, capsys):
     assert_eval(DIRAC_PRELUDE + expr + "\n", code, stdout, tmp_path, capsys)
+
+
+# (program, stderr prefix) of `spinor-kit eval` programs that exit 2: a kernel
+# error is a usage error at the token that reached the kernel (a call, an
+# operator, a literal's keyword, a sector name or `universe`), and an argument
+# of the wrong kind is refused at the call before the kernel sees it.
+EVAL_ERROR_ROWS = [
+    ("universe { sector f: fermion [1,1] }", "error: 1:19: ValueError: duplicate modes in sector f"),
+    ("universe { sector f: fermion [1]; sector f: boson [2] }", "error: 1:1: ValueError: duplicate sector names"),
+    ("gamma(1*1)", "error: 1:1: gamma() argument 1 must be ScaledTensor, got Scalar"),
+    ("(1+i)*emit(1-i)", "error: 1:7: emit() argument 1 must be FockState, got Scalar"),
+    ("k(dirac (u: [1, 0], lbar: [0, 0]), 1)", "error: 1:1: k() argument 2 must be DiracVector, got Scalar"),
+    ("apply(id4, 1)", "error: 1:1: apply() argument 2 must be DiracVector or FockState, got Scalar"),
+    ("universe { sector f: fermion [1] }\njson(vac) + json(vac)", "error: 2:11: cannot apply '+' to str and str"),
+    ("hsplit(e1*eb1) + hsplit(e1*eb1)", "error: 1:16: cannot apply '+' to tuple and tuple"),
+    ("e1*eb1 + e1", "error: 1:8: VarianceError: slot mismatch"),
+    ("1 / (1 - 1)", "error: 1:3: ZeroDivisionError"),
+    ("tensor [U] { (3): 1 }", "error: 1:1: VarianceError: bad index (3,)"),
+    ("\u00b2", "error: 1:1: unexpected character '\u00b2'"),
+]
+
+
+@pytest.mark.parametrize("program, prefix", EVAL_ERROR_ROWS, ids=[row[0] for row in EVAL_ERROR_ROWS])
+def test_kernel_errors_are_usage_errors_at_their_token(program, prefix, tmp_path, capsys):
+    script = tmp_path / "prog.dsl"
+    script.write_text(program + "\n")
+    assert main(["eval", str(script)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(prefix), err
+    assert "Traceback" not in err
+
+
+# Valid programs, split into tokens and the whitespace between them, for the mutation test.
+_PIECE = re.compile(r'\s+|"[^"]*"|->|\w+|\S')
+FUZZ_PROGRAMS = [
+    _PIECE.findall(text)
+    for text in [FORM_PRELUDE + expr + "\n" for expr, code, _ in FORM_ROWS if code == 0]
+    + [DIRAC_PRELUDE + expr + "\n" for expr, code, _ in DIRAC_ROWS if code == 0]
+    + [
+        "g( e1*eb1, e2*eb2 )\ng( theta0, theta0 )\n",
+        "apply( gamma(e1*eb1), dirac (u: [0, 1], lbar: [0, 0]) )\n",
+        "let y = e1*eb1 + e2*eb2\ng( y, y )\nhsplit(y)\ndagger(y)\nconj(e1)\n",
+        "nulldec(tensor [U,Ubar] { (1,1): 4; (1,2): 2-2*i; (2,1): 2+2*i; (2,2): 2 })\n",
+        "tensor [U, Ubar*] unit=3/2 { (1,2): 1-3/2*i; (2,1): r2 }\neps_flat(e1)\neps_sharp(es2)\n",
+        "let a = dirac (u: [1, i], lbar: [0, r2])\nk(a, a)\ncc(a)\nsplit(theta0, a)\ntetrad(e1, e2)\n",
+        "universe { sector f: fermion [1,2,3]; sector b: boson [1,2] }\n"
+        "let s = f:1 ^ f:2 * (1+i) + f:1 ^ f:3\nf:1' | s\npair(f:1', f:1)\njson(s)\n"
+        "apply(emit(f:2) * absorb(f:1'), s)\nsbracket(absorb(b:1'), emit(b:1))\n",
+    ]
+]
+# '\u00b2' is a digit to str.isdigit() but not to int(); '\u0663' is an Arabic-Indic 3
+FUZZ_VOCAB = sorted(
+    {p for pieces in FUZZ_PROGRAMS for p in pieces if not p.isspace()} | {"\n", "'", "vac", "0", "\u00b2", "\u0663"}
+)
+
+
+@st.composite
+def mutated_programs(draw):
+    """A valid program after 1-4 token edits: delete, duplicate, replace or insert."""
+    pieces = list(draw(st.sampled_from(FUZZ_PROGRAMS)))
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = [k for k, piece in enumerate(pieces) if not piece.isspace()]
+        edit = draw(st.sampled_from(("delete", "duplicate", "replace", "insert")))
+        if not tokens:
+            edit = "insert"
+        k = draw(st.sampled_from(tokens)) if tokens else 0
+        if edit == "delete":
+            del pieces[k]
+        elif edit == "duplicate":
+            pieces.insert(k, pieces[k])
+        elif edit == "replace":
+            pieces[k] = draw(st.sampled_from(FUZZ_VOCAB))
+        else:
+            pieces.insert(k, f" {draw(st.sampled_from(FUZZ_VOCAB))} ")
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_programs())
+def test_mutated_programs_are_evaluated_or_refused(text):
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", "-"])
+    finally:
+        sys.stdin = saved
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+def test_call_table_kernels_are_their_module_bindings():
+    # a call looks its kernel up in the kernel's module, which must find the table's own callable
+    for name, (fn, *_kinds) in dsl._FUNCTIONS.items():
+        assert getattr(sys.modules[fn.__module__], fn.__name__) is fn, name
+
+
+TRACED_CALLS = [
+    ("diracw.gamma", "gamma(e1*eb1)"),
+    ("fnforms.fn_bracket", FORM_PRELUDE + "fnb(t1, t0)"),
+    ("fnforms.curvature", FORM_PRELUDE + "curv(m1)"),
+    ("fnforms.covariant_differential", FORM_PRELUDE + "covd(m1, v0)"),
+    ("fnforms.bianchi_residual", FORM_PRELUDE + "bianchi(m1)"),
+    ("fockalg.super_bracket", "universe { sector b: boson [1] }\nsbracket(absorb(b:1'), emit(b:1))"),
+]
+
+
+@pytest.mark.parametrize("span, program", TRACED_CALLS, ids=[span for span, _ in TRACED_CALLS])
+def test_benchmark_tracer_counts_dsl_calls(span, program):
+    # the benchmark tracer rebinds module attributes; a DSL call must run the rebound kernel
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    with spans.Tracer() as tracer:
+        eval_program(program + "\n")
+    assert tracer.calls[span] == 1
