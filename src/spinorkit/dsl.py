@@ -19,7 +19,9 @@ literal and `universe` statement reaches the kernel through
 DslError; it converts ValueError, VarianceError and ZeroDivisionError, which
 cover every error the package declares for bad input.  Any other exception,
 a plain TypeError included, is an internal failure of the kernel and
-propagates unchanged.
+propagates unchanged.  `call_kernel` also holds each result to the size budget
+MAX_COEFF_BITS and MAX_TERMS, so a chain of growing results stops with a
+DslError at the first operation over it instead of running without bound.
 """
 
 from __future__ import annotations
@@ -48,6 +50,15 @@ _PUNCT = set("()[]{},;:*^|'=+-/\"->")
 # accepts; each level costs several Python frames, so this keeps deep input
 # from overflowing the interpreter stack.
 MAX_NESTING = 64
+# The size budget for the result of one call, operator or literal.  Exact
+# arithmetic has no size limit of its own: each squaring doubles the bits of
+# the coefficients.  The kernel stays unbudgeted; a result over either bound is
+# a DslError at its token.  8192 bits are about 2,470 decimal digits, so every
+# coefficient within budget prints under Python's default limit of 4,300
+# digits; the benchmark's coefficients stay under 200 bits.
+MAX_COEFF_BITS = 1 << 13
+# Scalar coefficients in one result, the coefficients of a form's polynomials included.
+MAX_TERMS = 1 << 14
 
 
 class Token:
@@ -229,6 +240,17 @@ _FUNCTIONS = {
 }
 
 
+def _coefficients(value) -> list:
+    """The Scalar coefficients of a DSL value, the nested ones of forms and tuples included."""
+    if type(value) is Scalar:
+        return [value]
+    if isinstance(value, Combination):
+        value = tuple(value.terms.values())
+    if isinstance(value, tuple):
+        return [s for v in value for s in _coefficients(v)]
+    return []
+
+
 def _kind_name(kind) -> str:
     return " or ".join(t.__name__ for t in (kind if isinstance(kind, tuple) else (kind,)))
 
@@ -291,11 +313,23 @@ class Parser:
             self.error("unexpected trailing input")
 
     def call_kernel(self, tok: Token, fn, *args):
-        """fn(*args), with a kernel's ValueError, VarianceError or ZeroDivisionError as a DslError at `tok`."""
+        """fn(*args), with a kernel's ValueError, VarianceError or ZeroDivisionError
+        and a result over the size budget as a DslError at `tok`."""
         try:
-            return fn(*args)
+            result = fn(*args)
         except (ValueError, VarianceError, ZeroDivisionError) as exc:
             raise DslError(f"{type(exc).__name__}: {exc}", tok.line, tok.col) from None
+        if type(result) is Scalar:  # most results, and the cheapest to measure
+            terms, ints = 1, result.ints
+        else:
+            coefficients = _coefficients(result)
+            terms, ints = len(coefficients), [x for c in coefficients for x in c.ints]
+        if terms > MAX_TERMS:
+            self.error(f"result of {terms} terms is over the budget of {MAX_TERMS}", tok)
+        bits = max(map(int.bit_length, ints), default=0)
+        if bits > MAX_COEFF_BITS:
+            self.error(f"result with a {bits}-bit coefficient is over the budget of {MAX_COEFF_BITS} bits", tok)
+        return result
 
     def nested(self, parse, *args):
         """parse(*args) one nesting level deeper, refused beyond MAX_NESTING."""

@@ -248,19 +248,14 @@ def z8_sub(a: Z8, b: Z8) -> Z8:
 
 
 def z8_mul(a: Z8, b: Z8) -> Z8:
-    out = [0, 0, 0, 0]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            k = i + j
-            if k < 4:
-                out[k] += ai * bj
-            else:
-                out[k - 4] -= ai * bj  # z^4 = -1
-    return tuple(out)
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (  # z^4 = -1
+        a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+        a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+        a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+    )
 
 
 def z8_pow(a: Z8, n: int) -> Z8:
@@ -290,22 +285,14 @@ def z8_is_zero(a: Z8) -> bool:
 
 def z8_relative_norm(a: Z8) -> S2:
     """a * conj(a), an element of Z[sqrt2] (totally nonnegative)."""
-    n = z8_mul(a, z8_conj(a))
-    p, q = s2_from_z8(n)
-    return (p, q)
+    c0, c1, c2, c3 = a
+    return (c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3, c0 * c1 + c1 * c2 + c2 * c3 - c3 * c0)
 
 
 def z8_abs_norm(a: Z8) -> int:
-    """Product of all four Galois conjugates; the absolute norm to Z."""
-    rel = z8_relative_norm(a)
-    return rel[0] * rel[0] - 2 * rel[1] * rel[1]
-
-
-def s2_from_z8(a: Z8) -> S2:
-    """Interpret an element known to lie in Z[sqrt2]; sqrt2 = z - z^3."""
-    if a[2] != 0 or a[1] != -a[3]:
-        raise ValueError(f"{a} is not in Z[sqrt2]")
-    return (a[0], a[1])
+    """Product of all four Galois conjugates; the absolute norm to Z (never negative)."""
+    p, q = z8_relative_norm(a)
+    return p * p - 2 * q * q
 
 
 def z8_from_s2(m: S2) -> Z8:
@@ -316,34 +303,55 @@ def z8_from_int(n: int) -> Z8:
     return (n, 0, 0, 0)
 
 
-def z8_divmod(a: Z8, b: Z8) -> Tuple[Z8, Z8]:
-    """Euclidean division: remainder has strictly smaller absolute norm.
+def _shifts(r: Z8, v: Z8):
+    """(off, r - off * v) for off in (0, -1, 1), in that order."""
+    return (
+        (0, r),
+        (-1, (r[0] + v[0], r[1] + v[1], r[2] + v[2], r[3] + v[3])),
+        (1, (r[0] - v[0], r[1] - v[1], r[2] - v[2], r[3] - v[3])),
+    )
 
-    Nearest-integer rounding in the power basis almost always suffices in this
-    norm-Euclidean field; a small offset search guarantees the bound.
+
+def _offset_remainders(r0: Z8, b: Z8):
+    """(off, r0 - sum off[k] * z^k * b) for off in (0, -1, 1)^4, in product order.
+
+    z^k * b is a signed rotation of b, so every remainder is built by additions.
+    """
+    b0, b1, b2, b3 = b
+    zb, z2b, z3b = (-b3, b0, b1, b2), (-b2, -b3, b0, b1), (-b1, -b2, -b3, b0)
+    for o0, r1 in _shifts(r0, b):
+        for o1, r2 in _shifts(r1, zb):
+            for o2, r3 in _shifts(r2, z2b):
+                for o3, r in _shifts(r3, z3b):
+                    yield (o0, o1, o2, o3), r
+
+
+def z8_divmod(a: Z8, b: Z8) -> Tuple[Z8, Z8]:
+    """Euclidean division a = q * b + r with the least-norm remainder near a / b.
+
+    q is the coordinate-wise rounding of a / b plus an offset in (0, -1, 1)^4.
+    The 81 offsets are tried in product order; the first remainder of least
+    absolute norm wins, and a remainder 0 ends the search.  That choice fixes
+    the associate z8_gcd returns, and through it the spinor that
+    null_decompose prints.
     """
     nb = z8_abs_norm(b)
     if nb == 0:
         raise ZeroDivisionError("division by zero in Z[zeta8]")
     num = z8_mul(a, z8_mul(z8_conj(b), z8_mul(z8_galois(b), z8_galois(z8_conj(b)))))
-    # floor(x / nb + 1/2) exactly, for either sign of nb
-    base = [(2 * x + nb) // (2 * nb) for x in num]
+    # floor(x / nb + 1/2) exactly; nb > 0
+    base = tuple((2 * x + nb) // (2 * nb) for x in num)
     best = None
-    for off0 in (0, -1, 1):
-        for off1 in (0, -1, 1):
-            for off2 in (0, -1, 1):
-                for off3 in (0, -1, 1):
-                    q = (base[0] + off0, base[1] + off1, base[2] + off2, base[3] + off3)
-                    r = z8_sub(a, z8_mul(q, b))
-                    nr = abs(z8_abs_norm(r))
-                    if best is None or nr < best[0]:
-                        best = (nr, q, r)
-                    if nr == 0:
-                        return best[1], best[2]
-    nr, q, r = best
-    if nr >= abs(nb):
+    for off, r in _offset_remainders(z8_sub(a, z8_mul(base, b)), b):
+        nr = z8_abs_norm(r)
+        if best is None or nr < best[0]:
+            best = (nr, off, r)
+            if nr == 0:
+                break
+    nr, off, r = best
+    if nr >= nb:
         raise ArithmeticError("Euclidean division failed to reduce the norm")
-    return q, r
+    return (base[0] + off[0], base[1] + off[1], base[2] + off[2], base[3] + off[3]), r
 
 
 def z8_gcd(a: Z8, b: Z8) -> Z8:
@@ -390,7 +398,8 @@ def s2_divmod(a: S2, b: S2) -> Tuple[S2, S2]:
     for off0 in (0, -1, 1):
         for off1 in (0, -1, 1):
             qq = (q[0] + off0, q[1] + off1)
-            r = (a[0] - s2_mul(qq, b)[0], a[1] - s2_mul(qq, b)[1])
+            qb = s2_mul(qq, b)
+            r = (a[0] - qb[0], a[1] - qb[1])
             nr = abs(s2_norm(r))
             if best is None or nr < best[0]:
                 best = (nr, qq, r)
@@ -512,9 +521,7 @@ def solve_norm_s2(m: S2) -> Optional[Z8]:
     if log is None or log[0] != 1 or log[1] % 2 != 0:
         raise ArithmeticError(f"norm equation residual {residual} is not the square of a unit")
     k = log[1] // 2
-    unit = S2_FUND if k > 0 else S2_FUND_INV
-    for _ in range(abs(k)):
-        x = z8_mul(x, z8_from_s2(unit))
+    x = z8_mul(x, z8_pow(z8_from_s2(S2_FUND if k > 0 else S2_FUND_INV), abs(k)))
     if z8_relative_norm(x) != m:
         raise ArithmeticError("norm equation postcondition failed")
     return x

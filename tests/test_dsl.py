@@ -377,6 +377,11 @@ EVAL_ERROR_ROWS = [
     ("1 / (1 - 1)", "error: 1:3: ZeroDivisionError"),
     ("tensor [U] { (3): 1 }", "error: 1:1: VarianceError: bad index (3,)"),
     ("\u00b2", "error: 1:1: unexpected character '\u00b2'"),
+    # the 12th squaring is the first result over MAX_COEFF_BITS; the 24th would not end within a minute
+    (
+        "let a = 3+r2\n" + "let a = a*a\n" * 30,
+        "error: 13:10: result with a 8774-bit coefficient is over the budget of 8192 bits",
+    ),
 ]
 
 
@@ -388,6 +393,13 @@ def test_kernel_errors_are_usage_errors_at_their_token(program, prefix, tmp_path
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(prefix), err
     assert "Traceback" not in err
+
+
+def test_term_budget_stops_the_first_result_over_it(monkeypatch):
+    monkeypatch.setattr(dsl, "MAX_TERMS", 2)
+    assert eval_program("e1*eb1 + e2*eb2") == ["tensor [U,Ubar] { (1,1): 1; (2,2): 1 }"]
+    with pytest.raises(DslError, match="^1:17: result of 3 terms is over the budget of 2$"):
+        eval_program("e1*eb1 + e2*eb2 + e1*eb2")
 
 
 # Valid programs, split into tokens and the whitespace between them, for the mutation test.

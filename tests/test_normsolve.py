@@ -1,5 +1,6 @@
 """Cyclotomic integer arithmetic and the relative norm equation solver."""
 
+import hashlib
 import itertools
 import time
 from fractions import Fraction
@@ -20,7 +21,6 @@ from spinorkit.normsolve import (
     _strong_lucas_prp,
     _strong_prp,
     s2_divmod,
-    s2_mul,
     s2_norm,
     s2_totally_positive,
     solve_norm,
@@ -28,7 +28,6 @@ from spinorkit.normsolve import (
     z8_abs_norm,
     z8_conj,
     z8_divmod,
-    z8_galois,
     z8_gcd,
     z8_is_zero,
     z8_mul,
@@ -88,16 +87,42 @@ def _reference_round(x: Fraction) -> int:
     return (x + Fraction(1, 2)).__floor__()
 
 
+def _reference_z8_mul(a, b):
+    """The loop-based product of Z[zeta8], independent of z8_mul."""
+    out = [0, 0, 0, 0]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j < 4:
+                out[i + j] += ai * bj
+            else:
+                out[i + j - 4] -= ai * bj  # z^4 = -1
+    return tuple(out)
+
+
+def _reference_relative_norm(a):
+    """a * conj(a) through the loop-based product, checked to lie in Z[sqrt2]."""
+    n = _reference_z8_mul(a, (a[0], -a[3], -a[2], -a[1]))
+    assert n[2] == 0 and n[1] == -n[3]
+    return (n[0], n[1])
+
+
+def _reference_abs_norm(a):
+    p, q = _reference_relative_norm(a)
+    return p * p - 2 * q * q
+
+
 def _reference_z8_divmod(a, b):
-    """Euclidean division as it stood with Fraction rounding, the reference for z8_divmod."""
-    nb = z8_abs_norm(b)
-    num = z8_mul(a, z8_mul(z8_conj(b), z8_mul(z8_galois(b), z8_galois(z8_conj(b)))))
+    """Euclidean division as it stood with Fraction rounding and a loop-based product."""
+    nb = _reference_abs_norm(b)
+    bc, bg = (b[0], -b[3], -b[2], -b[1]), (b[0], -b[1], b[2], -b[3])
+    bgc = (bg[0], -bg[3], -bg[2], -bg[1])
+    num = _reference_z8_mul(a, _reference_z8_mul(bc, _reference_z8_mul(bg, bgc)))
     base = [_reference_round(Fraction(x, nb)) for x in num]
     best = None
     for off in itertools.product((0, -1, 1), repeat=4):
         q = tuple(x + o for x, o in zip(base, off))
-        r = z8_sub(a, z8_mul(q, b))
-        nr = abs(z8_abs_norm(r))
+        r = tuple(x - y for x, y in zip(a, _reference_z8_mul(q, b)))
+        nr = abs(_reference_abs_norm(r))
         if best is None or nr < best[0]:
             best = (nr, q, r)
         if nr == 0:
@@ -107,22 +132,32 @@ def _reference_z8_divmod(a, b):
 
 def _reference_s2_divmod(a, b):
     nb = s2_norm(b)
-    num = s2_mul(a, (b[0], -b[1]))
+    num = (a[0] * b[0] - 2 * a[1] * b[1], a[1] * b[0] - a[0] * b[1])  # a * conj(b)
     q = (_reference_round(Fraction(num[0], nb)), _reference_round(Fraction(num[1], nb)))
     best = None
     for off in itertools.product((0, -1, 1), repeat=2):
         qq = (q[0] + off[0], q[1] + off[1])
-        r = (a[0] - s2_mul(qq, b)[0], a[1] - s2_mul(qq, b)[1])
+        r = (a[0] - qq[0] * b[0] - 2 * qq[1] * b[1], a[1] - qq[0] * b[1] - qq[1] * b[0])
         nr = abs(s2_norm(r))
         if best is None or nr < best[0]:
             best = (nr, qq, r)
     return best[1], best[2]
 
 
+def test_z8_products_and_norms_match_the_loop_reference():
+    rng = SplitMix64(11)
+    for bound in (3, 40, 2**40, 2**200):
+        for _ in range(150):
+            a, b = random_z8(rng, bound), random_z8(rng, bound)
+            assert z8_mul(a, b) == _reference_z8_mul(a, b)
+            assert z8_relative_norm(a) == _reference_relative_norm(a)
+            assert z8_abs_norm(a) == _reference_abs_norm(a)
+
+
 def test_divmod_matches_fraction_rounding():
     rng = SplitMix64(12)
     signs = set()
-    for bound in (3, 40, 2**40):
+    for bound in (3, 40, 2**40, 2**200):
         for _ in range(150):
             a, b = random_z8(rng, bound), random_z8(rng, bound)
             if not z8_is_zero(b):
@@ -132,6 +167,25 @@ def test_divmod_matches_fraction_rounding():
                 signs.add(s2_norm(b2) > 0)
                 assert s2_divmod(a2, b2) == _reference_s2_divmod(a2, b2)
     assert signs == {True, False}
+
+
+# Divisors with many remainders of equal norm: units, and 1 + z, z - z^2 and
+# 1 + i of absolute norm 2, 2 and 4.  Exact multiples end the search early.
+TIE_DIVISORS = [(1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 1, -1, 0), (1, 0, 1, 0)]
+
+
+def test_divmod_tie_breaks_and_exact_quotients_match_the_reference():
+    rng = SplitMix64(15)
+    for b in TIE_DIVISORS:
+        for bound in (1, 3, 2**40):
+            for _ in range(40):
+                a = random_z8(rng, bound)
+                assert z8_divmod(a, b) == _reference_z8_divmod(a, b)
+                multiple = _reference_z8_mul(a, b)
+                assert z8_divmod(multiple, b) == _reference_z8_divmod(multiple, b)
+                assert z8_divmod(multiple, b)[1] == (0, 0, 0, 0)
+        for a in itertools.product((0, 1), repeat=4):
+            assert z8_divmod(a, b) == _reference_z8_divmod(a, b)
 
 
 def test_relative_norm_is_totally_positive():
@@ -258,3 +312,28 @@ def test_factor_budget_error_is_bounded_and_not_a_verdict():
     # one such prime alone is a perfect square of a prime: solved exactly
     x = solve_norm_s2((P20 * P20, 0))
     assert x is not None
+
+
+# sha256 of repr(solve_norm_s2(t)) over golden_targets(), recorded before the
+# closed-form Z[zeta8] arithmetic replaced the loop-based one: it pins the
+# exact associate of every solution, which null_decompose prints.
+SOLVE_NORM_GOLDEN = "0a378bf01e94abe6fb58c9b8d481cbb9b0daa43809db65706fe6356c7b8d7b25"
+
+
+def golden_targets():
+    """1,000 targets: relative norms of random elements, as null_decompose asks,
+    and every fifth an arbitrary element of Z[sqrt2], mostly not a norm."""
+    rng = SplitMix64(14)
+    targets = []
+    for k in range(1000):
+        if k % 5 == 4:
+            targets.append((rng.randint(-100, 3000), rng.randint(-2000, 2000)))
+        else:
+            targets.append(_reference_relative_norm(random_z8(rng, (3, 40, 700)[k % 3])))
+    return targets
+
+
+def test_solve_norm_s2_golden_associates():
+    outs = [solve_norm_s2(m) for m in golden_targets()]
+    assert 100 < sum(x is None for x in outs) < 300
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == SOLVE_NORM_GOLDEN
