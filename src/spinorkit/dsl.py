@@ -22,6 +22,8 @@ a plain TypeError included, is an internal failure of the kernel and
 propagates unchanged.  `call_kernel` also holds each result to the size budget
 MAX_COEFF_BITS and MAX_TERMS, so a chain of growing results stops with a
 DslError at the first operation over it instead of running without bound.
+The bit budget shrinks to fit Python's int-to-str digit limit when that is
+lower, so every result within budget can be printed.
 """
 
 from __future__ import annotations
@@ -55,10 +57,23 @@ MAX_NESTING = 64
 # the coefficients.  The kernel stays unbudgeted; a result over either bound is
 # a DslError at its token.  8192 bits are about 2,470 decimal digits, so every
 # coefficient within budget prints under Python's default limit of 4,300
-# digits; the benchmark's coefficients stay under 200 bits.
+# digits; a lower limit lowers the budget (`_coeff_bit_budget`).  The
+# benchmark's coefficients stay under 200 bits.
 MAX_COEFF_BITS = 1 << 13
 # Scalar coefficients in one result, the coefficients of a form's polynomials included.
 MAX_TERMS = 1 << 14
+
+
+def _digit_limit() -> int:
+    """Python's int-to-str digit limit: 0 for none, or before Python 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _coeff_bit_budget() -> int:
+    """MAX_COEFF_BITS, lowered so that every coefficient within it prints under the digit limit."""
+    limit = _digit_limit()
+    # |n| < 2**bits has at most `limit` digits when bits <= limit * log2(10) = limit * 3.3219...
+    return min(MAX_COEFF_BITS, limit * 3321928 // 1000000) if limit else MAX_COEFF_BITS
 
 
 class Token:
@@ -120,7 +135,7 @@ def tokenize(text: str) -> List[Token]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit (or before 3.10.7)
+            limit = _digit_limit()
             if limit and j - i > limit:
                 raise DslError(f"integer literal of {j - i} digits is too long", line, col)
             tokens.append(Token("int", int(text[i:j]), line, col))
@@ -327,8 +342,9 @@ class Parser:
         if terms > MAX_TERMS:
             self.error(f"result of {terms} terms is over the budget of {MAX_TERMS}", tok)
         bits = max(map(int.bit_length, ints), default=0)
-        if bits > MAX_COEFF_BITS:
-            self.error(f"result with a {bits}-bit coefficient is over the budget of {MAX_COEFF_BITS} bits", tok)
+        budget = _coeff_bit_budget()
+        if bits > budget:
+            self.error(f"result with a {bits}-bit coefficient is over the budget of {budget} bits", tok)
         return result
 
     def nested(self, parse, *args):

@@ -16,6 +16,11 @@ a[zeta] a+[z] = (-1)^{|zeta||z|} a+[z] a[zeta] + <zeta, z> id.  `normal_order`
 folds a word into the identity, and a product folds the words of its right
 factor into its left factor; equal words merge at every step.
 
+Each universe builds its vacuum monomial (one empty mode tuple per sector)
+once and keeps it as ``Universe.vacuum``; the identity operator is the
+(vacuum, vacuum) word, which ``OperatorElement.apply`` copies the state
+through without contracting.
+
 States and operators are ``exactfield.Combination`` subclasses, whose
 shapes are (universe, dual) and (universe).  The public constructors
 ``FockState(...)`` and ``OperatorElement(...)`` validate every monomial and
@@ -85,7 +90,7 @@ class Sector:
 class Universe:
     """An ordered family of sectors; the ordering fixes the canonical monomial form."""
 
-    __slots__ = ("sectors", "is_fermion", "_index")
+    __slots__ = ("sectors", "is_fermion", "vacuum", "_index")
 
     def __init__(self, sectors: Iterable[Sector]):
         sectors = tuple(sectors)
@@ -95,6 +100,7 @@ class Universe:
         object.__setattr__(self, "sectors", sectors)
         # per-sector statistics flags, read by the monomial inner loops
         object.__setattr__(self, "is_fermion", tuple(s.is_fermion for s in sectors))
+        object.__setattr__(self, "vacuum", tuple(() for _ in sectors))
         object.__setattr__(self, "_index", {s.name: i for i, s in enumerate(sectors)})
 
     def __setattr__(self, name, value):
@@ -131,7 +137,7 @@ Monomial = Tuple[Tuple[int, ...], ...]
 
 
 def vacuum_monomial(universe: Universe) -> Monomial:
-    return tuple(() for _ in universe.sectors)
+    return universe.vacuum
 
 
 def monomial_rank(m: Monomial) -> int:
@@ -487,8 +493,13 @@ class OperatorElement(Combination):
         if self.universe != psi.universe:
             raise SectorMismatchError("operator and state universes differ")
         universe = self.universe
+        vac = universe.vacuum
         out_terms: Dict[Monomial, Scalar] = {}
         for (emit_m, absorb_m), coeff in self.terms.items():
+            if emit_m == vac and absorb_m == vac:  # a multiple of the identity
+                for m_mono, m_coeff in psi.terms.items():
+                    _accumulate(out_terms, m_mono, coeff * m_coeff)
+                continue
             for m_mono, m_coeff in psi.terms.items():
                 contracted = _contract_monomial(universe, absorb_m, m_mono)
                 if contracted is None:
@@ -614,37 +625,55 @@ def op_apply(x: OperatorElement, psi: FockState) -> FockState:
     return x.apply(psi)
 
 
+def generator_action(universe: Universe, gens):
+    """The raw composition of a generator word, as a map on states.
+
+    Checks the word and builds each generator's rank-1 state once; the map
+    applies them right to left, one at a time, through `exterior_product`
+    and `interior_product` alone.
+    """
+    factors = [
+        (kind, FockState._trusted((universe, kind == "-"), {_mode_monomial(universe, sector_idx, mode): Scalar.one()}))
+        for kind, sector_idx, mode in reversed([_check_generator(universe, gen) for gen in gens])
+    ]
+
+    def action(psi: FockState) -> FockState:
+        out = psi
+        for kind, single in factors:
+            if kind == "+":
+                out = exterior_product(single, out)
+            else:
+                # as an endomorphism of the state space, absorption kills the vacuum
+                kept = {m: c for m, c in out.terms.items() if monomial_rank(m) >= 1}
+                kept = FockState._trusted((universe, False), kept)
+                out = kept if kept.is_zero() else interior_product(single, kept)
+        return out
+
+    return action
+
+
 def apply_generators(universe: Universe, gens, psi: FockState) -> FockState:
     """Raw composition: apply generators right to left, one at a time."""
-    out = psi
-    gens = [_check_generator(universe, gen) for gen in gens]
-    for kind, sector_idx, mode in reversed(gens):
-        single = FockState._trusted(
-            (universe, kind == "-"), {_mode_monomial(universe, sector_idx, mode): Scalar.one()}
-        )
-        if kind == "+":
-            out = exterior_product(single, out)
-        else:
-            # as an endomorphism of the state space, absorption kills the vacuum
-            kept = {m: c for m, c in out.terms.items() if monomial_rank(m) >= 1}
-            kept = FockState._trusted((universe, False), kept)
-            out = kept if kept.is_zero() else interior_product(single, kept)
-    return out
+    return generator_action(universe, gens)(psi)
 
 
 def super_bracket(x: OperatorElement, y: OperatorElement) -> OperatorElement:
     """XY - (-1)^{|X||Y|} YX on definite-grade parts, extended bilinearly."""
     x._check_mate(y)
-    out = x._like({})
+    y_parts = y.graded_parts()
+    out: Dict[Word, Scalar] = {}
     for xe, x_grade in zip(x.graded_parts(), (0, 1)):
         if xe.is_zero():
             continue
-        for ye, y_grade in zip(y.graded_parts(), (0, 1)):
+        for ye, y_grade in zip(y_parts, (0, 1)):
             if ye.is_zero():
                 continue
-            yx = ye * xe
-            out = out + xe * ye + (yx if x_grade and y_grade else -yx)
-    return out
+            for word, coeff in (xe * ye).terms.items():
+                _accumulate(out, word, coeff)
+            sign = 1 if x_grade and y_grade else -1
+            for word, coeff in (ye * xe).terms.items():
+                _accumulate(out, word, coeff, sign)
+    return x._like(out)
 
 
 # -- exhaustive bases -----------------------------------------------------------

@@ -313,11 +313,6 @@ class EpsilonStructure:
             raise VarianceError("epsbar_flat needs a [Ubar] tensor")
         return self.eps_flat(ub.conj()).conj()
 
-    def epsbar_sharp(self, lamb: ScaledTensor) -> ScaledTensor:
-        if lamb.slots != (Variance.U_BAR_DUAL,):
-            raise VarianceError("epsbar_sharp needs a [Ubar*] tensor")
-        return self.eps_sharp(lamb.conj()).conj()
-
     # -- Minkowski pairing ----------------------------------------------------
 
     def g_pairing(self, y: ScaledTensor, yp: ScaledTensor) -> Scalar:

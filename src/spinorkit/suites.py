@@ -9,12 +9,13 @@ failure is an implementation bug, never a property of the inputs.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from .diracw import EndW, gamma, k_hermiticity_check
-from .exactfield import Scalar
+from .exactfield import Scalar, _accumulate
 from .fnforms import (
     MatrixForm,
     Poly,
@@ -33,12 +34,12 @@ from .fockalg import (
     Statistics,
     Universe,
     absorb,
-    apply_generators,
-    basis_monomials,
     basis_states,
     emit,
     exterior_product,
+    generator_action,
     interior_product,
+    monomial_rank,
     normal_order,
     op_apply,
     super_bracket,
@@ -156,23 +157,38 @@ SMALL_UNIVERSE = Universe(
 )
 
 
+@functools.cache
+def _small_basis() -> tuple:
+    """The basis states of SMALL_UNIVERSE up to rank 3, built on first use.
+
+    Only the immutable inputs are kept; every suite call still runs all of
+    its checks on them.
+    """
+    return tuple(basis_states(SMALL_UNIVERSE, 3))
+
+
+@functools.cache
+def _deep_monomials() -> tuple:
+    """The monomials of rank 2 and 3 in `_small_basis`, in basis order."""
+    return tuple(m for psi in _small_basis() for m in psi.terms if monomial_rank(m) >= 2)
+
+
 def random_fock_state(rng: SplitMix64, universe: Universe, monomials, terms=3, dual=False):
-    acc = FockState(universe, {}, dual)
+    acc = {}
     for _ in range(terms):
         mono = monomials[rng.randint(0, len(monomials) - 1)]
-        acc = acc + FockState(universe, {mono: random_scalar(rng)}, dual)
-    return acc
+        _accumulate(acc, mono, random_scalar(rng))
+    return FockState(universe, acc, dual)
 
 
 def random_rank1(rng: SplitMix64, universe: Universe, dual=False) -> FockState:
     sector_idx = rng.randint(0, len(universe.sectors) - 1)
-    sector = universe.sectors[sector_idx]
-    acc = FockState(universe, {}, dual)
-    for mode in sector.modes:
-        acc = acc + FockState.mode(universe, sector.name, mode, dual).scaled(
-            random_scalar(rng)
-        )
-    return acc
+    parts = [()] * len(universe.sectors)
+    terms = {}
+    for mode in universe.sectors[sector_idx].modes:
+        parts[sector_idx] = (mode,)
+        terms[tuple(parts)] = random_scalar(rng)
+    return FockState(universe, terms, dual)
 
 
 def random_generator_word(rng: SplitMix64, universe: Universe, max_len: int = 4):
@@ -336,11 +352,23 @@ def _suite_bianchi(seed: int, trials: int) -> List[dict]:
 
 
 def _suite_car_ccr(seed: int, trials: int) -> List[dict]:
+    """The canonical (anti)commutation relations on SMALL_UNIVERSE, exhaustively.
+
+    The checks are fixed, so the suite ignores `seed` and `trials`.  Each call
+    brackets every same-sector mode pair (i, j), 18 in all: [[a_i, a+_j]]
+    must be the identity for i == j and 0 otherwise, and is then applied to
+    each of the 63 basis states of rank <= 3 (18 x 63 applies), while
+    [[a_i, a_j]] and [[a+_i, a+_j]] must vanish; one cross-sector bracket
+    [[a+_f1, a+_b1]] must vanish too.  That makes 55 brackets in all.  A
+    failed apply records the basis index as its trial; a failed bracket is
+    recorded with trial -1.
+    """
     universe = SMALL_UNIVERSE
     failures: List[dict] = []
-    basis = basis_states(universe, 3)
+    basis = _small_basis()
     identity = OperatorElement.identity(universe)
     zero = OperatorElement(universe)
+    empty = FockState(universe, {})
     for sector in universe.sectors:
         for i in sector.modes:
             zi = FockState.mode(universe, sector.name, i)
@@ -357,7 +385,7 @@ def _suite_car_ccr(seed: int, trials: int) -> List[dict]:
                     )
                     continue
                 for n, psi in enumerate(basis):
-                    want = psi if i == j else FockState(universe, {})
+                    want = psi if i == j else empty
                     got = op_apply(bracket, psi)
                     if got != want:
                         failures.append(_failure(n, f"bracket on basis state {psi}", str(want), str(got)))
@@ -379,14 +407,15 @@ def _suite_car_ccr(seed: int, trials: int) -> List[dict]:
 
 def _suite_normal_order(seed: int, trials: int) -> List[dict]:
     universe = SMALL_UNIVERSE
-    basis = basis_states(universe, 3)
+    basis = _small_basis()
 
     def one(trial: int):
         rng = stream_for(seed, f"normal-order#{trial}")
         gens = random_generator_word(rng, universe)
         element = normal_order(universe, gens)
+        reference = generator_action(universe, gens)
         for psi in basis:
-            expected = apply_generators(universe, gens, psi)
+            expected = reference(psi)
             got = op_apply(element, psi)
             if got != expected:
                 return _failure(trial, f"word = {gens}; psi = {psi}", str(expected), str(got))
@@ -397,7 +426,7 @@ def _suite_normal_order(seed: int, trials: int) -> List[dict]:
 
 def _suite_adjunction(seed: int, trials: int) -> List[dict]:
     universe = SMALL_UNIVERSE
-    deep = [m for m in basis_monomials(universe, 3) if sum(len(p) for p in m) >= 2]
+    deep = _deep_monomials()
 
     def one(trial: int):
         rng = stream_for(seed, f"adjunction#{trial}")

@@ -402,6 +402,25 @@ def test_term_budget_stops_the_first_result_over_it(monkeypatch):
         eval_program("e1*eb1 + e2*eb2 + e1*eb2")
 
 
+def test_bit_budget_fits_a_lower_int_digit_limit(tmp_path, capsys):
+    # 11 squarings reach about 4,400 bits: within MAX_COEFF_BITS, but over 640
+    # digits; under that digit limit the budget is 640 * log2(10) = 2126 bits
+    script = tmp_path / "prog.dsl"
+    script.write_text("let a = 3+r2\n" + "let a = a*a\n" * 11 + "a\n")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["eval", str(script)])
+    finally:
+        sys.set_int_max_str_digits(saved)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: 11:10: result with a 2193-bit coefficient is over the budget of 2126 bits"), err
+    assert "Traceback" not in err
+    assert main(["eval", str(script)]) == 0
+    assert len(capsys.readouterr().out) == 2647
+
+
 # Valid programs, split into tokens and the whitespace between them, for the mutation test.
 _PIECE = re.compile(r'\s+|"[^"]*"|->|\w+|\S')
 FUZZ_PROGRAMS = [

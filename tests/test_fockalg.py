@@ -331,6 +331,60 @@ def test_super_bracket_golden_value():
         assert lhs == op_apply(golden, psi)
 
 
+def random_operator(rng, universe, max_words=3):
+    """A sum of 0..max_words random normal-ordered words with random scalars; zero and mixed grades occur."""
+    acc = OperatorElement(universe)
+    for _ in range(rng.randint(0, max_words)):
+        word = normal_order(universe, random_generator_word(rng, universe))
+        acc = acc + word.scaled(random_scalar(rng))
+    return acc
+
+
+def reference_bracket(x, y):
+    """xe*ye - (-1)^{|x||y|} ye*xe over the graded parts, summed with Combination.__add__."""
+    out = OperatorElement(x.universe)
+    for xe, x_grade in zip(x.graded_parts(), (0, 1)):
+        for ye, y_grade in zip(y.graded_parts(), (0, 1)):
+            out = out + xe * ye + (ye * xe).scaled(-((-1) ** (x_grade * y_grade)))
+    return out
+
+
+def test_super_bracket_matches_the_reference_sum():
+    rng = SplitMix64(11)
+    universe = MIXED  # one fermion and one boson sector
+    seen_zero = seen_mixed = 0
+    for _ in range(150):
+        x, y = random_operator(rng, universe), random_operator(rng, universe)
+        seen_zero += x.is_zero() or y.is_zero()
+        seen_mixed += x.grades() == [0, 1] or y.grades() == [0, 1]
+        assert super_bracket(x, y) == reference_bracket(x, y)
+    # the draws reach the cases the one-pass sum must get right
+    assert seen_zero >= 10 and seen_mixed >= 10, (seen_zero, seen_mixed)
+
+
+def test_apply_with_the_vacuum_word_is_the_sum_of_its_words():
+    rng = SplitMix64(12)
+    universe = MIXED
+    vac_word = (universe.vacuum, universe.vacuum)
+    for _ in range(40):
+        c = random_scalar(rng)
+        while c.is_zero():
+            c = random_scalar(rng)
+        x = OperatorElement(universe, {**random_operator(rng, universe).terms, vac_word: c})
+        psi = random_state(rng, universe)
+        expected = FockState(universe, {})
+        for word, coeff in x.terms.items():
+            expected = expected + OperatorElement(universe, {word: coeff}).apply(psi)
+        assert x.apply(psi) == expected
+        assert OperatorElement.of_scalar(universe, c).apply(psi) == psi.scaled(c)
+
+
+def test_vacuum_monomial_is_the_universe_vacuum():
+    for universe in (FERMI, BOSE, MIXED, SANDWICH):
+        assert universe.vacuum == tuple(() for _ in universe.sectors)
+        assert FockState.vacuum(universe).terms == {universe.vacuum: Scalar.one()}
+
+
 def test_mixed_sector_operators_super_commute():
     # operators in different sectors super-commute: odd-odd pairs anticommute
     universe = MIXED
