@@ -22,7 +22,8 @@ a plain TypeError included, is an internal failure of the kernel and
 propagates unchanged.  `call_kernel` also holds each result to the size budget
 MAX_COEFF_BITS and MAX_TERMS, so a chain of growing results stops with a
 DslError at the first operation over it instead of running without bound.
-The bit budget shrinks to fit Python's int-to-str digit limit when that is
+The bit budget bounds the exponents of a form's polynomials as well as the
+coefficients, and shrinks to fit Python's int-to-str digit limit when that is
 lower, so every result within budget can be printed.
 """
 
@@ -255,15 +256,22 @@ _FUNCTIONS = {
 }
 
 
-def _coefficients(value) -> list:
-    """The Scalar coefficients of a DSL value, the nested ones of forms and tuples included."""
+def _collect(value, coefficients: list, exponents: list):
+    """Append the Scalar coefficients of a DSL value to `coefficients` and the
+    largest exponent of each of its polynomials to `exponents`, the nested
+    ones of forms and tuples included."""
     if type(value) is Scalar:
-        return [value]
+        coefficients.append(value)
+        return
+    if type(value) is Poly:
+        coefficients.extend(value.terms.values())
+        exponents.append(max(map(max, value.terms), default=0))
+        return
     if isinstance(value, Combination):
         value = tuple(value.terms.values())
     if isinstance(value, tuple):
-        return [s for v in value for s in _coefficients(v)]
-    return []
+        for v in value:
+            _collect(v, coefficients, exponents)
 
 
 def _kind_name(kind) -> str:
@@ -337,8 +345,14 @@ class Parser:
         if type(result) is Scalar:  # most results, and the cheapest to measure
             terms, ints = 1, result.ints
         else:
-            coefficients = _coefficients(result)
+            coefficients, exponents = [], []
+            _collect(result, coefficients, exponents)
             terms, ints = len(coefficients), [x for c in coefficients for x in c.ints]
+            # an exponent prints as a decimal int too, so it is held to the same budget
+            bits = max(exponents, default=0).bit_length()
+            budget = _coeff_bit_budget()
+            if bits > budget:
+                self.error(f"result with a {bits}-bit exponent is over the budget of {budget} bits", tok)
         if terms > MAX_TERMS:
             self.error(f"result of {terms} terms is over the budget of {MAX_TERMS}", tok)
         bits = max(map(int.bit_length, ints), default=0)

@@ -16,13 +16,16 @@ which only drops zero coefficients.  On top of that class sit:
 * Lie derivative along a polynomial vector field (direct coordinate formula,
   with the Cartan identity kept as an independent test),
 * the Frolicher-Nijenhuis bracket of tangent-valued forms via the five-term
-  rule on decomposables,
+  rule on decomposables, accumulated straight into the term dicts of the
+  result's polynomials, with each wedge sign from the axis-merge parity
+  (`_merge_axes`) and each partial derivative computed once per call,
 * covariant differential d_A = d + A /\\ . , curvature F = dA + A /\\ A, and the
   Bianchi residual dF + [A, F] which must vanish identically.
 """
 
 from __future__ import annotations
 
+from operator import add
 from typing import Dict, NamedTuple, Tuple
 
 from .exactfield import Combination, Scalar, _accumulate, shape_field
@@ -44,6 +47,24 @@ class DegreeOverflowError(ValueError):
 def _check_dim(dim: int):
     if not 1 <= dim <= 4:
         raise ChartError(f"chart dimension must be 1..4, got {dim}")
+
+
+def _add_product(out: dict, p: dict, q: dict, sign: int = 1):
+    """out += sign * p * q on polynomial term dicts {exponents: Scalar}; sign is +1 or -1."""
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            _accumulate(out, tuple(map(add, e1, e2)), c1 * c2, sign)
+
+
+def _partial(terms: dict, axis: int) -> dict:
+    """d/dx_axis on a polynomial term dict {exponents: Scalar}."""
+    out: Dict[Exponents, Scalar] = {}
+    for exps, coeff in terms.items():
+        k = exps[axis]
+        if k:
+            # distinct exponents stay distinct after d/dx_axis, so keys never collide
+            out[exps[:axis] + (k - 1,) + exps[axis + 1:]] = coeff * k
+    return out
 
 
 class Poly(Combination):
@@ -73,8 +94,9 @@ class Poly(Combination):
         return cls(dim, {tuple(exps): Scalar.one()})
 
     def _check_mate(self, other: "Poly"):
-        if self.dim != other.dim:
-            raise ChartError("polynomial dimension mismatch")
+        if self.shape == other.shape:
+            return
+        raise ChartError("polynomial dimension mismatch")
 
     # bound in Poly's own namespace, where the benchmark's span tracer looks them up
     __add__ = Combination.__add__
@@ -85,24 +107,13 @@ class Poly(Combination):
             return self.scaled(other)
         self._check_mate(other)
         terms: Dict[Exponents, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Poly._trusted((self.dim,), terms)
+        _add_product(terms, self.terms, other.terms)
+        return Poly._trusted(self.shape, terms)
 
     __rmul__ = __mul__
 
     def diff(self, axis: int) -> "Poly":
-        terms: Dict[Exponents, Scalar] = {}
-        for exps, coeff in self.terms.items():
-            k = exps[axis]
-            if k == 0:
-                continue
-            new = list(exps)
-            new[axis] = k - 1
-            # distinct exponents stay distinct after d/dx_axis, so keys never collide
-            terms[tuple(new)] = coeff * Scalar(k)
-        return Poly._trusted((self.dim,), terms)
+        return Poly._trusted(self.shape, _partial(self.terms, axis))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -230,7 +241,8 @@ class ValuedForm(Combination):
 
     def wedge(self, other: "ValuedForm") -> "ValuedForm":
         """Wedge of the forms, contracting the last fibre index of self with the first of other."""
-        if not isinstance(other, ValuedForm) or self.dim != other.dim:
+        dim = self.shape[0]
+        if not isinstance(other, ValuedForm) or dim != other.shape[0]:
             raise ChartError("wedge across different charts")
         fibre = _product_fibre(self.fibre, other.fibre)
         out: Dict[Key, Poly] = {}
@@ -243,7 +255,7 @@ class ValuedForm(Combination):
                     continue
                 sign, axes = merged
                 _accumulate(out, (axes, i1[:1] + i2[1:]), p1 * p2, sign)
-        return ValuedForm._trusted((self.dim, self.degree + other.degree, fibre), out)
+        return ValuedForm._trusted((dim, self.degree + other.degree, fibre), out)
 
     def d(self) -> "ValuedForm":
         _require(self, _DIFFERENTIABLE, "d")
@@ -376,10 +388,6 @@ def MatrixForm(dim: int, degree: int, fibre: int, comps=None) -> ValuedForm:
 # -- the Frolicher-Nijenhuis bracket --------------------------------------------------
 
 
-def _scalar_form(dim: int, degree: int, axes: Axes, poly: Poly) -> ValuedForm:
-    return ValuedForm._trusted((dim, degree, SCALAR), {(axes, ()): poly})
-
-
 def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
     """Frolicher-Nijenhuis bracket via the five-term rule on decomposables.
 
@@ -388,49 +396,73 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
 
         fnb = l /\\ (L[u] m) (x) v  -  (L[v] l) /\\ m (x) u
               + (-1)^r (v | l) /\\ dm (x) u  +  (-1)^r dl /\\ (u | m) (x) v
+
+    The terms are expanded on the term dicts of the coefficient polynomials:
+    each product sign * p * q is added straight into one term dict per output
+    component, and each component becomes a Poly once, at the end.  The
+    partial derivatives of every component are computed once per call.  Every
+    wedge sign comes from `_merge_axes` on the axes of the two factors: l and
+    m in terms 2 and 3, (v | l) and dx^i /\\ m in term 4 (dm is the sum of
+    d_i m dx^i /\\ m), dx^i /\\ l and (u | m) in term 5.  Contracting the
+    coordinate field of the axis in slot t of a form adds (-1)^t.
     """
     _require(zeta, ("tangent",), "fn_bracket")
     _require(xi, ("tangent",), "fn_bracket")
-    if zeta.dim != xi.dim:
+    dim = zeta.shape[0]
+    if dim != xi.shape[0]:
         raise ChartError("bracket across different charts")
-    dim = zeta.dim
     r, s = zeta.degree, xi.degree
     if r + s > dim:
         raise DegreeOverflowError(
             f"bracket degree {r}+{s} exceeds chart dimension {dim}"
         )
-    out: Dict[Key, Poly] = {}
+    axes_range = range(dim)
 
-    def accumulate(form: ValuedForm, out_axis: int, sign: int = 1):
-        for (axes, _), poly in form.terms.items():
-            _accumulate(out, (axes, (out_axis,)), poly, sign)
+    def components(form: ValuedForm):
+        """(axes, output axis, polynomial terms, terms of its dim partials) per component."""
+        return [
+            (axes, out_axis, poly.terms, [_partial(poly.terms, i) for i in axes_range])
+            for (axes, (out_axis,)), poly in form.terms.items()
+        ]
+
+    lams = components(zeta)
+    mus = lams if xi is zeta else components(xi)
+    out: Dict[Key, Dict[Exponents, Scalar]] = {}
+
+    def add_product(axes: Axes, out_axis: int, p: dict, q: dict, sign: int):
+        _add_product(out.setdefault((axes, (out_axis,)), {}), p, q, sign)
 
     sign_r = (-1) ** r
-    for (s_axes, (j,)), lam_poly in zeta.terms.items():
-        lam = _scalar_form(dim, r, s_axes, lam_poly)
-        d_lam = lam.d()
-        for (t_axes, (k,)), mu_poly in xi.terms.items():
-            mu = _scalar_form(dim, s, t_axes, mu_poly)
-            # term 2: l /\ (d_j m) (x) v
-            accumulate(lam.wedge(_scalar_form(dim, s, t_axes, mu_poly.diff(j))), k)
-            # term 3: - (d_k l) /\ m (x) u
-            accumulate(_scalar_form(dim, r, s_axes, lam_poly.diff(k)).wedge(mu), j, -1)
+    for s_axes, j, lam, d_lam in lams:
+        for t_axes, k, mu, d_mu in mus:
+            merged = _merge_axes(s_axes, t_axes)
+            if merged is not None:
+                sign, axes = merged
+                # term 2: l /\ (d_j m) (x) v
+                add_product(axes, k, lam, d_mu[j], sign)
+                # term 3: - (d_k l) /\ m (x) u
+                add_product(axes, j, d_lam[k], mu, -sign)
             # term 4: (-1)^r (v | l) /\ dm (x) u
             if k in s_axes:
-                v_lam = lam.interior(_basis_field(dim, k))
-                accumulate(v_lam.wedge(mu.d()), j, sign_r)
+                t = s_axes.index(k)
+                rest = s_axes[:t] + s_axes[t + 1:]
+                for i in axes_range:
+                    merged = _merge_axes(rest, (i,) + t_axes)
+                    if merged is not None:
+                        sign, axes = merged
+                        add_product(axes, j, lam, d_mu[i], sign * sign_r * (-1) ** t)
             # term 5: (-1)^r dl /\ (u | m) (x) v
             if j in t_axes:
-                u_mu = mu.interior(_basis_field(dim, j))
-                accumulate(d_lam.wedge(u_mu), k, sign_r)
-    return ValuedForm._trusted((dim, r + s, Fibre("tangent", dim)), out)
-
-
-def _basis_field(dim: int, axis: int):
-    fields = []
-    for j in range(dim):
-        fields.append(Poly.const(dim, 1) if j == axis else Poly(dim))
-    return fields
+                t = t_axes.index(j)
+                rest = t_axes[:t] + t_axes[t + 1:]
+                for i in axes_range:
+                    merged = _merge_axes((i,) + s_axes, rest)
+                    if merged is not None:
+                        sign, axes = merged
+                        add_product(axes, k, d_lam[i], mu, sign * sign_r * (-1) ** t)
+    shape = (dim,)
+    polys = {key: Poly._trusted(shape, terms) for key, terms in out.items()}
+    return ValuedForm._trusted((dim, r + s, Fibre("tangent", dim)), polys)
 
 
 # -- gauge calculus ------------------------------------------------------------

@@ -219,6 +219,8 @@ class FockState(Combination):
         return cls._trusted((universe, bool(dual)), {_mode_monomial(universe, idx, mode): Scalar.one()})
 
     def _check_mate(self, other: "FockState"):
+        if self.shape == other.shape:
+            return
         if self.universe != other.universe:
             raise SectorMismatchError("states live over different universes")
         if self.dual != other.dual:
@@ -465,8 +467,9 @@ class OperatorElement(Combination):
         return self._like(even), self._like(odd)
 
     def _check_mate(self, other: "OperatorElement"):
-        if self.universe != other.universe:
-            raise SectorMismatchError("operators live over different universes")
+        if self.shape == other.shape:
+            return
+        raise SectorMismatchError("operators live over different universes")
 
     def __mul__(self, other):
         """Composition, folding each word of `other` into these terms; or a scalar multiple."""

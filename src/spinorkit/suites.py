@@ -111,13 +111,20 @@ def random_spin_frame(rng: SplitMix64, eps: EpsilonStructure):
 
 
 def random_poly(rng: SplitMix64, dim: int, max_degree: int = 2, terms: int = 2) -> Poly:
-    out = Poly(dim)
+    """The sum of `terms` draws of a monomial of degree <= max_degree with a random coefficient.
+
+    A draw takes the dim exponents, then the coefficient, and one whose degree
+    is over max_degree is dropped before its coefficient is drawn.  This draw
+    order is part of the suite contract: every later draw of a seeded suite,
+    and so its report, depends on it.
+    """
+    acc: dict = {}
     for _ in range(terms):
         exps = tuple(rng.randint(0, max_degree) for _ in range(dim))
         if sum(exps) > max_degree:
             continue
-        out = out + Poly(dim, {exps: random_scalar(rng)})
-    return out
+        _accumulate(acc, exps, random_scalar(rng))
+    return Poly._trusted((dim,), acc)
 
 
 def random_tangent_form(rng: SplitMix64, dim: int, degree: int) -> ValuedForm:

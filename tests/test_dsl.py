@@ -402,6 +402,21 @@ def test_term_budget_stops_the_first_result_over_it(monkeypatch):
         eval_program("e1*eb1 + e2*eb2 + e1*eb2")
 
 
+def test_bit_budget_bounds_polynomial_exponents(monkeypatch, tmp_path, capsys):
+    # n wedge squarings of x give x^(2^n): the coefficient stays 1, the exponent
+    # has n + 1 bits, and one over the budget would not print under a low digit limit
+    monkeypatch.setattr(dsl, "MAX_COEFF_BITS", 16)
+    script = tmp_path / "prog.dsl"
+    script.write_text('let p = form deg=0 dim=1 { 1 : poly "x" }\n' + "let p = p^p\n" * 20 + "p\n")
+    assert main(["eval", str(script)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: 17:10: result with a 17-bit exponent is over the budget of 16 bits"), err
+    assert "Traceback" not in err
+    with pytest.raises(DslError, match="^1:1: result with a 17-bit exponent is over the budget of 16 bits$"):
+        eval_program('form deg=0 dim=1 { 1 : poly "x^65536" }')
+    assert eval_program('form deg=0 dim=1 { 1 : poly "x^65535" }') == ['form deg=0 dim=1 { 1 : poly "x^65535" }']
+
+
 def test_bit_budget_fits_a_lower_int_digit_limit(tmp_path, capsys):
     # 11 squarings reach about 4,400 bits: within MAX_COEFF_BITS, but over 640
     # digits; under that digit limit the budget is 640 * log2(10) = 2126 bits

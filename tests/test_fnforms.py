@@ -1,5 +1,7 @@
 """Exterior calculus, the FN bracket, curvature and Bianchi, all exact."""
 
+import hashlib
+
 import pytest
 
 from spinorkit.exactfield import Scalar
@@ -20,6 +22,8 @@ from spinorkit.fnforms import (
     vector_field,
 )
 from spinorkit.prng import SplitMix64, random_scalar
+from spinorkit.suites import random_poly as suite_random_poly
+from spinorkit.suites import random_tangent_form
 
 
 def P(dim, text_terms):
@@ -275,6 +279,90 @@ def test_fn_bracket_degree_overflow():
     zeta = random_tangent(SplitMix64(1), 3, 2)
     with pytest.raises(DegreeOverflowError):
         fn_bracket(zeta, zeta)
+
+
+def _reference_fn_bracket(zeta, xi):
+    """The five-term rule built from wedge, d and interior on one-term scalar forms."""
+    dim, r, s = zeta.dim, zeta.degree, xi.degree
+    out = TangentForm(dim, r + s)
+
+    def lift(form, out_axis, sign=1):
+        comps = {(axes, out_axis): poly for (axes, _), poly in form.terms.items()}
+        return TangentForm(dim, r + s, comps).scaled(sign)
+
+    def basis_field(axis):
+        return [Poly.const(dim, 1) if i == axis else Poly(dim) for i in range(dim)]
+
+    sign_r = (-1) ** r
+    for (s_axes, (j,)), lam_poly in zeta.terms.items():
+        lam = Form(dim, r, {s_axes: lam_poly})
+        for (t_axes, (k,)), mu_poly in xi.terms.items():
+            mu = Form(dim, s, {t_axes: mu_poly})
+            out += lift(lam.wedge(Form(dim, s, {t_axes: mu_poly.diff(j)})), k)
+            out += lift(Form(dim, r, {s_axes: lam_poly.diff(k)}).wedge(mu), j, -1)
+            if k in s_axes:
+                out += lift(lam.interior(basis_field(k)).wedge(mu.d()), j, sign_r)
+            if j in t_axes:
+                out += lift(lam.d().wedge(mu.interior(basis_field(j))), k, sign_r)
+    return out
+
+
+def bracket_pairs(seed, count):
+    """(kind, zeta, xi) for `count` seeded pairs of suite tangent forms in dims 1-4, and nested pairs.
+
+    Every fifth pair is a "self" bracket where the degree allows it, and each
+    pair whose degrees allow it is followed by the "nested" (zeta, fnb(zeta, xi)).
+    """
+    rng = SplitMix64(seed)
+    for n in range(count):
+        dim = 1 + n % 4
+        r = rng.randint(0, dim)
+        s = rng.randint(0, dim - r)
+        zeta = random_tangent_form(rng, dim, r)
+        if n % 5 == 0 and 2 * r <= dim:
+            kind, xi, s = "self", zeta, r
+        else:
+            kind, xi = "pair", random_tangent_form(rng, dim, s)
+        yield kind, zeta, xi
+        if 2 * r + s <= dim:
+            yield "nested", zeta, fn_bracket(zeta, xi)
+
+
+def test_fn_bracket_matches_the_wrapper_construction():
+    kinds = []
+    for kind, zeta, xi in bracket_pairs(112, 300):
+        assert fn_bracket(zeta, xi) == _reference_fn_bracket(zeta, xi)
+        kinds.append(kind)
+    assert kinds.count("self") >= 20 and kinds.count("nested") >= 20
+
+
+def test_fn_bracket_golden_digest():
+    # sha256 of the printed brackets, recorded from the wrapper construction
+    digest = hashlib.sha256()
+    for _, zeta, xi in bracket_pairs(2011, 300):
+        digest.update(str(fn_bracket(zeta, xi)).encode() + b"\n")
+    assert digest.hexdigest() == "409d5ddf0d5aa07be106319075df9a071b01832e9d75b99ca3cc6cb2710ff3c1"
+
+
+def test_suite_tangent_form_draws_golden_digest():
+    # the printed forms and the draw that follows each: pins the draw order too
+    rng = SplitMix64(6677)
+    digest = hashlib.sha256()
+    for n in range(300):
+        dim = 1 + n % 4
+        form = random_tangent_form(rng, dim, n % (dim + 1))
+        digest.update(f"{form}|{rng.next_u64()}\n".encode())
+    assert digest.hexdigest() == "bbfd9d8df85e680c121b4073fd5c7cd2208a01097c871d8b5b646cde05cf1101"
+
+
+def test_suite_random_poly_is_the_sum_of_its_monomials():
+    # random_poly above sums one-term polynomials; the suite's draws the same values in the same order
+    for seed in range(40):
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        for dim in range(1, 5):
+            for max_degree, terms in ((0, 3), (1, 4), (2, 2), (3, 6)):
+                assert suite_random_poly(rng, dim, max_degree, terms) == random_poly(ref, dim, max_degree, terms)
+        assert rng.next_u64() == ref.next_u64()
 
 
 def test_connection_self_bracket_jacobi():
