@@ -20,8 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Tuple
 
-from .exactfield import Combination, Scalar, UnitMismatchError, _accumulate, shape_field
+from .exactfield import Combination, Scalar, UnitMismatchError, _accumulate, _dot, _reduced, shape_field
 from .spintensor import (
+    _INV_R2,
     EpsilonStructure,
     STANDARD,
     ScaledTensor,
@@ -31,7 +32,6 @@ from .spintensor import (
     mink_trace,
 )
 
-_R2 = Scalar.sqrt2()
 _ZERO = Scalar.zero()
 
 
@@ -114,22 +114,18 @@ class DualDiracVector(_Spinor):
     def pair(self, psi: DiracVector) -> Scalar:
         """Natural duality pairing with W."""
         _require(psi, DiracVector, "pair")
-        total = Scalar.zero()
-        for k, a in self.terms.items():
-            b = psi.terms.get(k)
-            if b is not None:
-                total = total + a * b
-        return total
+        mate = psi.terms.get
+        return _dot((1, a, b) for k, a in self.terms.items() if (b := mate(k)) is not None)
 
     def compose(self, m: "EndW") -> "DualDiracVector":
         """The functional phi -> self(m phi); row-vector times matrix."""
         _require(m, EndW, "compose")
-        terms = {}
+        products = {}
         for (i, j), x in m.terms.items():
             a = self.terms.get(i)
             if a is not None:
-                _accumulate(terms, j, a * x)
-        return DualDiracVector._trusted(self.shape, terms)
+                products.setdefault(j, []).append((1, a, x))
+        return DualDiracVector._trusted(self.shape, {j: _dot(triples) for j, triples in products.items()})
 
     def __str__(self) -> str:
         l1, l2, u1, u2 = self.components
@@ -173,22 +169,22 @@ class EndW(Combination):
         other_rows = {}
         for (k, j), y in other.terms.items():
             other_rows.setdefault(k, []).append((j, y))
-        terms = {}
+        products = {}
         for (i, k), x in self.terms.items():
             for j, y in other_rows.get(k, ()):
-                _accumulate(terms, (i, j), x * y)
-        return EndW._trusted((), terms)
+                products.setdefault((i, j), []).append((1, x, y))
+        return EndW._trusted((), {key: _dot(triples) for key, triples in products.items()})
 
     __rmul__ = Combination.scaled
 
     def apply(self, psi: DiracVector) -> DiracVector:
         _require(psi, DiracVector, "apply")
-        terms = {}
+        products = {}
         for (i, j), x in self.terms.items():
             c = psi.terms.get(j)
             if c is not None:
-                _accumulate(terms, i, x * c)
-        return DiracVector._trusted(psi.shape, terms)
+                products.setdefault(i, []).append((1, x, c))
+        return DiracVector._trusted(psi.shape, {i: _dot(triples) for i, triples in products.items()})
 
     __call__ = apply
 
@@ -238,7 +234,9 @@ def gamma(y: ScaledTensor) -> EndW:
         raise UnitMismatchError("gamma needs the standard unit exponent 1")
     terms = {}
     for (a, b), v in y.terms.items():
-        r2v = _R2 * v
+        # sqrt2 * (p + q i + r sqrt2 + s i sqrt2) / n = (2r + 2s i + p sqrt2 + q i sqrt2) / n
+        p, q, r, s, n = v.ints
+        r2v = _reduced(2 * r, 2 * s, p, q, n)
         # upper-right block: out_u^a += sqrt2 * y^{ab} * lbar_b
         _accumulate(terms, (a - 1, b + 1), r2v)
         # lower-left block: out_lbar_d += sqrt2 * y^{ab} eps_{ac} epsbar_{bd} u^c; only
@@ -390,11 +388,10 @@ def observer_vector(h: ScaledTensor) -> ScaledTensor:
         raise ObserverError(
             f"normalized observer needs det h = 1 exactly, got {det}"
         )
-    inv_r2 = Scalar.one() / _R2
     terms = {
-        (1, 1): m[1][1] * inv_r2,
-        (1, 2): -m[0][1] * inv_r2,
-        (2, 1): -m[1][0] * inv_r2,
-        (2, 2): m[0][0] * inv_r2,
+        (1, 1): m[1][1] * _INV_R2,
+        (1, 2): -m[0][1] * _INV_R2,
+        (2, 1): -m[1][0] * _INV_R2,
+        (2, 2): m[0][0] * _INV_R2,
     }
     return ScaledTensor._trusted(((Variance.U, Variance.U_BAR), Fraction(1)), terms)

@@ -6,11 +6,14 @@ ints over one positive int denominator.  The stored form is canonical,
 ``gcd(a, b, c, d, den) == 1`` with zero as ``(0, 0, 0, 0, 1)``, so ``==`` and
 ``hash`` compare five ints.  Each ``+``, ``-`` and ``*`` reduces its result
 with one ``math.gcd`` over five ints, and with none when the denominator is
-1; ``+`` and ``-`` cross-multiply only when the denominators differ.  The set
-is closed under the four field operations, so all algebraic identities
-downstream can be asserted with ``==`` instead of a tolerance.  The rational
-coordinates are read as the reduced ``Fraction`` properties ``a`` to ``d``,
-the five ints as :attr:`Scalar.ints`.
+1; ``+`` and ``-`` cross-multiply only when the denominators differ.  A sum
+of products, such as a matrix entry or a pairing, goes through the fused
+kernel :func:`_dot`, which keeps one unreduced numerator over a running
+denominator and reduces once, at the end.  The set is closed under the four
+field operations, so all algebraic identities downstream can be asserted
+with ``==`` instead of a tolerance.  The rational coordinates are read as
+the reduced ``Fraction`` properties ``a`` to ``d``, the five ints as
+:attr:`Scalar.ints`.
 
 Length-unit exponents are plain ``fractions.Fraction`` values; they add under
 tensor multiplication and negate under dualization.
@@ -59,6 +62,32 @@ def _reduced(a: int, b: int, c: int, d: int, den: int) -> "Scalar":
         if g != 1:
             return _make((a // g, b // g, c // g, d // g, den // g))
     return _make((a, b, c, d, den))
+
+
+def _dot(triples) -> "Scalar":
+    """The sum of sign * x * y over (sign, x, y) triples, sign +1 or -1, x and y Scalars.
+
+    The products are summed as one unreduced numerator 4-tuple over a running
+    denominator, and the sum is reduced once at the end; the canonical form is
+    unique, so the ints equal those of the chained ``*``, ``+`` and ``-``.
+    """
+    a = b = c = d = 0
+    den = 1
+    for sign, x, y in triples:
+        a1, b1, c1, d1, n1 = x._v
+        a2, b2, c2, d2, n2 = y._v
+        pa = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
+        pb = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
+        pc = a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2
+        pd = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+        if sign < 0:
+            pa, pb, pc, pd = -pa, -pb, -pc, -pd
+        n = n1 * n2
+        if n == den:
+            a, b, c, d = a + pa, b + pb, c + pc, d + pd
+        else:
+            a, b, c, d, den = a * n + pa * den, b * n + pb * den, c * n + pc * den, d * n + pd * den, den * n
+    return _reduced(a, b, c, d, den)
 
 
 def _ints(x) -> Ints:

@@ -13,6 +13,7 @@ here are canonical by construction and go through the trusted constructor,
 which only drops zero coefficients.  On top of that class sit:
 
 * exterior differential and the wedge product with its fibre product rule,
+  the wedge accumulated straight into the term dicts of its result,
 * Lie derivative along a polynomial vector field (direct coordinate formula,
   with the Cartan identity kept as an independent test),
 * the Frolicher-Nijenhuis bracket of tangent-valued forms via the five-term
@@ -245,7 +246,7 @@ class ValuedForm(Combination):
         if not isinstance(other, ValuedForm) or dim != other.shape[0]:
             raise ChartError("wedge across different charts")
         fibre = _product_fibre(self.fibre, other.fibre)
-        out: Dict[Key, Poly] = {}
+        out: Dict[Key, Dict[Exponents, Scalar]] = {}
         for (s1, i1), p1 in self.terms.items():
             for (s2, i2), p2 in other.terms.items():
                 if i1[1:] != i2[:1]:
@@ -254,8 +255,8 @@ class ValuedForm(Combination):
                 if merged is None:
                     continue
                 sign, axes = merged
-                _accumulate(out, (axes, i1[:1] + i2[1:]), p1 * p2, sign)
-        return ValuedForm._trusted((dim, self.degree + other.degree, fibre), out)
+                _add_product(out.setdefault((axes, i1[:1] + i2[1:]), {}), p1.terms, p2.terms, sign)
+        return _poly_form((dim, self.degree + other.degree, fibre), out)
 
     def d(self) -> "ValuedForm":
         _require(self, _DIFFERENTIABLE, "d")
@@ -337,6 +338,16 @@ class ValuedForm(Combination):
         return f"{keyword} {shape} fibre={size} {{ {'; '.join(entries)} }}"
 
     __repr__ = __str__
+
+
+def _poly_form(shape: tuple, out: Dict[Key, Dict[Exponents, Scalar]]) -> ValuedForm:
+    """The form of this shape whose component at each key is the polynomial with the term dict out[key].
+
+    The wedge and the FN bracket add every product of coefficients straight
+    into these term dicts, so each component Poly is built once, here.
+    """
+    poly_shape = shape[:1]
+    return ValuedForm._trusted(shape, {key: Poly._trusted(poly_shape, terms) for key, terms in out.items()})
 
 
 def _axes_label(axes: Axes) -> str:
@@ -460,9 +471,7 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
                     if merged is not None:
                         sign, axes = merged
                         add_product(axes, k, d_lam[i], mu, sign * sign_r * (-1) ** t)
-    shape = (dim,)
-    polys = {key: Poly._trusted(shape, terms) for key, terms in out.items()}
-    return ValuedForm._trusted((dim, r + s, Fibre("tangent", dim)), polys)
+    return _poly_form((dim, r + s, Fibre("tangent", dim)), out)
 
 
 # -- gauge calculus ------------------------------------------------------------

@@ -491,11 +491,11 @@ class OperatorElement(Combination):
 
     def apply(self, psi: FockState) -> FockState:
         """Evaluate the endomorphism: contract the absorb part, wedge the emit part."""
-        if psi.dual:
+        universe, dual = psi.shape
+        if dual:
             raise SectorMismatchError("operators act on non-dual states")
-        if self.universe != psi.universe:
+        if self.shape[0] != universe:
             raise SectorMismatchError("operator and state universes differ")
-        universe = self.universe
         vac = universe.vacuum
         out_terms: Dict[Monomial, Scalar] = {}
         for (emit_m, absorb_m), coeff in self.terms.items():

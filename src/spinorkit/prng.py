@@ -5,13 +5,18 @@ output mix.  The stream is a pure function of the seed, independent of Python's
 hash randomization, so suite reports are byte-identical across runs and
 platforms.  Random scalars keep numerators and denominators in [-9, 9] to bound
 coefficient blow-up in exact computations.
+
+A draw advances the counter and mixes it in one Python frame: ``randint``
+inlines ``next_u64``, so the stream of words, and every draw, is the same.
+``random_scalar`` builds its Scalar straight from the drawn ints, reduced
+once, with no ``Fraction`` in between.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactfield import Scalar
+from .exactfield import Scalar, _reduced
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -44,7 +49,11 @@ class SplitMix64:
         """Uniform-ish integer in [lo, hi], inclusive; deterministic."""
         if hi < lo:
             raise ValueError("empty range")
-        return lo + self.next_u64() % (hi - lo + 1)
+        # next_u64 and _mix, inlined
+        z = self._state = (self._state + _GAMMA) & _MASK
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+        return lo + (z ^ (z >> 31)) % (hi - lo + 1)
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
@@ -60,12 +69,11 @@ def stream_for(seed: int, label: str) -> SplitMix64:
 
 
 def random_scalar(rng: SplitMix64) -> Scalar:
-    """Random field element; each coordinate is zero half the time."""
-    coords = []
+    """Random field element; each coordinate is zero half the time, else one `fraction` draw."""
+    randint = rng.randint
+    draws = []
     for _ in range(4):
-        if rng.randint(0, 1):
-            coords.append(Fraction(0))
-        else:
-            coords.append(rng.fraction())
-    return Scalar(*coords)
+        draws += (0, 1) if randint(0, 1) else (randint(-9, 9), randint(1, 9))
+    a, p, b, q, c, r, d, s = draws
+    return _reduced(a * q * r * s, b * p * r * s, c * p * q * s, d * p * q * r, p * q * r * s)
 

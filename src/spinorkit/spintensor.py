@@ -18,7 +18,7 @@ import enum
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
-from .exactfield import Combination, Scalar, UnitMismatchError, _accumulate, shape_field
+from .exactfield import Combination, Scalar, UnitMismatchError, _accumulate, _dot, shape_field
 
 
 class VarianceError(TypeError):
@@ -63,11 +63,6 @@ class Variance(enum.Enum):
     def conjugate(self) -> "Variance":
         return _CONJ[self]
 
-    @property
-    def unit_weight(self) -> Fraction:
-        # U carries L^(1/2); dual slots carry the opposite exponent.
-        return Fraction(1, 2) if self in (Variance.U, Variance.U_BAR) else Fraction(-1, 2)
-
     def __str__(self) -> str:
         return self.value
 
@@ -84,12 +79,14 @@ _CONJ = {
     Variance.U_DUAL: Variance.U_BAR_DUAL,
     Variance.U_BAR_DUAL: Variance.U_DUAL,
 }
+_PRIMAL = (Variance.U, Variance.U_BAR)
 
 Index = Tuple[int, ...]
 
 
 def default_unit(slots: Tuple[Variance, ...]) -> Fraction:
-    return sum((s.unit_weight for s in slots), Fraction(0))
+    """Half a unit per slot: U and Ubar carry L^(1/2), their duals the opposite exponent."""
+    return Fraction(sum(1 if s in _PRIMAL else -1 for s in slots), 2)
 
 
 class ScaledTensor(Combination):
@@ -137,6 +134,8 @@ class ScaledTensor(Combination):
     # -- linear operations -----------------------------------------------------
 
     def _check_mate(self, other: "ScaledTensor"):
+        if self.shape == other.shape:
+            return
         if self.slots != other.slots:
             raise VarianceError(f"slot mismatch: {self.slots} vs {other.slots}")
         if self.unit != other.unit:
@@ -253,6 +252,8 @@ def mink_trace(y: ScaledTensor) -> Scalar:
 # -- the symplectic form and everything it generates ---------------------------
 
 _J = ((0, 1), (-1, 0))  # component matrix of the phase-1 symplectic form
+_INV_R2 = Scalar.one() / Scalar.sqrt2()
+_I_INV_R2 = Scalar.i() * _INV_R2
 
 
 class EpsilonStructure:
@@ -278,12 +279,9 @@ class EpsilonStructure:
     def eps_value(self, u: ScaledTensor, v: ScaledTensor) -> Scalar:
         if u.slots != (Variance.U,) or v.slots != (Variance.U,):
             raise VarianceError("eps_value needs two [U] tensors")
-        total = Scalar.zero()
-        for (a,), x in u.terms.items():
-            for (b,), y in v.terms.items():
-                j = _J[a - 1][b - 1]
-                if j:
-                    total = total + x * y if j > 0 else total - x * y
+        # eps(e_a, e_b) is 1 for (1, 2), -1 for (2, 1) and 0 on the diagonal
+        mate = v.terms.get
+        total = _dot((1 if a == 1 else -1, x, y) for (a,), x in u.terms.items() if (y := mate((3 - a,))) is not None)
         return total * self.phase
 
     def eps_flat(self, u: ScaledTensor) -> ScaledTensor:
@@ -316,21 +314,24 @@ class EpsilonStructure:
     # -- Minkowski pairing ----------------------------------------------------
 
     def g_pairing(self, y: ScaledTensor, yp: ScaledTensor) -> Scalar:
-        """g(u (x) vbar, u' (x) v'bar) = eps(u, u') epsbar(vbar, v'bar)."""
+        """g(u (x) vbar, u' (x) v'bar) = eps(u, u') epsbar(vbar, v'bar).
+
+        In components, g(y, y') = y11 y'22 + y22 y'11 - y12 y'21 - y21 y'12:
+        eps(e_a, e_c) epsbar(e_b, e_d) is nonzero only for c = 3 - a and
+        d = 3 - b, where it is 1 if a == b and -1 otherwise.  The phase enters
+        as |phase|^2 = 1, so g is phase-independent.
+        """
         _require_uu(y, "g_pairing")
         _require_uu(yp, "g_pairing")
-        if y.unit + yp.unit != 2:
+        unit, unit_p = y.shape[1], yp.shape[1]
+        if not (unit == 1 and unit_p == 1) and unit + unit_p != 2:
             raise UnitMismatchError(
-                f"g needs total unit exponent 2, got {y.unit} + {yp.unit}"
+                f"g needs total unit exponent 2, got {unit} + {unit_p}"
             )
-        # the phase enters as |phase|^2 = 1, so g is phase-independent
-        total = Scalar.zero()
-        for (a, b), x in y.terms.items():
-            for (c, d), z in yp.terms.items():
-                j = _J[a - 1][c - 1] * _J[b - 1][d - 1]
-                if j:
-                    total = total + x * z if j > 0 else total - x * z
-        return total
+        mate = yp.terms.get
+        return _dot(
+            (1 if a == b else -1, x, z) for (a, b), x in y.terms.items() if (z := mate((3 - a, 3 - b))) is not None
+        )
 
     # -- Pauli tetrad -----------------------------------------------------------
 
@@ -349,14 +350,12 @@ class EpsilonStructure:
         if self.eps_value(b1, b2).is_zero():
             raise DegenerateBasisError("basis spinors are linearly dependent")
         c1, c2 = b1.conj(), b2.conj()
-        inv_r2 = Scalar.one() / Scalar.sqrt2()
-        i = Scalar.i()
         t11, t12 = b1.tensor(c1), b1.tensor(c2)
         t21, t22 = b2.tensor(c1), b2.tensor(c2)
-        theta0 = (t11 + t22).scaled(inv_r2)
-        theta1 = (t12 + t21).scaled(inv_r2)
-        theta2 = (t21 - t12).scaled(i * inv_r2)
-        theta3 = (t11 - t22).scaled(inv_r2)
+        theta0 = (t11 + t22).scaled(_INV_R2)
+        theta1 = (t12 + t21).scaled(_INV_R2)
+        theta2 = (t21 - t12).scaled(_I_INV_R2)
+        theta3 = (t11 - t22).scaled(_INV_R2)
         return theta0, theta1, theta2, theta3
 
     # -- null decomposition ------------------------------------------------------

@@ -10,18 +10,18 @@ failure is an implementation bug, never a property of the inputs.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
-from .diracw import EndW, gamma, k_hermiticity_check
-from .exactfield import Scalar, _accumulate
+from .diracw import DiracVector, EndW, gamma, k_form, k_hermiticity_check
+from .exactfield import Scalar, _accumulate, _reduced
 from .fnforms import (
-    MatrixForm,
+    Fibre,
     Poly,
-    TangentForm,
     ValuedForm,
-    VectorForm,
     bianchi_residual,
     covariant_differential,
     curvature,
@@ -84,20 +84,26 @@ def _map_trials(fn: Callable[[int], Optional[dict]], trials: int) -> List[dict]:
 # -- domain samplers -------------------------------------------------------------
 
 
+_MINK_SHAPE = ((Variance.U, Variance.U_BAR), Fraction(1))
+_SPINOR_SHAPE = ((Variance.U,), Fraction(1, 2))
+
+
+def _random_real(rng: SplitMix64) -> Scalar:
+    """p + q*sqrt2 for two `fraction` draws p and q, in that order."""
+    randint = rng.randint
+    a, p, c, q = randint(-9, 9), randint(1, 9), randint(-9, 9), randint(1, 9)
+    return _reduced(a * q, 0, c * p, 0, p * q)
+
+
 def random_mink(rng: SplitMix64) -> ScaledTensor:
-    r1 = Scalar(rng.fraction(), 0, rng.fraction(), 0)
-    r2 = Scalar(rng.fraction(), 0, rng.fraction(), 0)
+    r1 = _random_real(rng)
+    r2 = _random_real(rng)
     z = random_scalar(rng)
-    return ScaledTensor(
-        (Variance.U, Variance.U_BAR),
-        {(1, 1): r1, (2, 2): r2, (1, 2): z, (2, 1): z.conj()},
-    )
+    return ScaledTensor._trusted(_MINK_SHAPE, {(1, 1): r1, (2, 2): r2, (1, 2): z, (2, 1): z.conj()})
 
 
 def random_spinor(rng: SplitMix64) -> ScaledTensor:
-    return ScaledTensor(
-        (Variance.U,), {(1,): random_scalar(rng), (2,): random_scalar(rng)}
-    )
+    return ScaledTensor._trusted(_SPINOR_SHAPE, {(1,): random_scalar(rng), (2,): random_scalar(rng)})
 
 
 def random_spin_frame(rng: SplitMix64, eps: EpsilonStructure):
@@ -128,32 +134,29 @@ def random_poly(rng: SplitMix64, dim: int, max_degree: int = 2, terms: int = 2) 
 
 
 def random_tangent_form(rng: SplitMix64, dim: int, degree: int) -> ValuedForm:
-    import itertools
-
     comps = {}
     for axes in itertools.combinations(range(dim), degree):
         for out_axis in range(dim):
             if rng.randint(0, 1):
-                comps[(axes, out_axis)] = random_poly(rng, dim)
-    return TangentForm(dim, degree, comps)
+                comps[(axes, (out_axis,))] = random_poly(rng, dim)
+    return ValuedForm._trusted((dim, degree, Fibre("tangent", dim)), comps)
 
 
 def random_connection(rng: SplitMix64, dim: int = 3, fibre: int = 2) -> ValuedForm:
     comps = {}
     for axis in range(dim):
-        comps[(axis,)] = tuple(
-            tuple(random_poly(rng, dim) for _ in range(fibre)) for _ in range(fibre)
-        )
-    return MatrixForm(dim, 1, fibre, comps)
+        for i in range(fibre):
+            for j in range(fibre):
+                comps[((axis,), (i, j))] = random_poly(rng, dim)
+    return ValuedForm._trusted((dim, 1, Fibre("matrix", fibre)), comps)
 
 
 def random_vector_form(rng: SplitMix64, dim: int, fibre: int, degree: int) -> ValuedForm:
-    import itertools
-
     comps = {}
     for axes in itertools.combinations(range(dim), degree):
-        comps[axes] = tuple(random_poly(rng, dim) for _ in range(fibre))
-    return VectorForm(dim, degree, fibre, comps)
+        for j in range(fibre):
+            comps[(axes, (j,))] = random_poly(rng, dim)
+    return ValuedForm._trusted((dim, degree, Fibre("vector", fibre)), comps)
 
 
 SMALL_UNIVERSE = Universe(
@@ -226,7 +229,8 @@ def _suite_clifford(seed: int, trials: int) -> List[dict]:
     return _map_trials(one, trials)
 
 
-_MINK_DIAG = (1, -1, -1, -1)
+_ZERO = Scalar.zero()
+_MINK_DIAG = (Scalar(1), Scalar(-1), Scalar(-1), Scalar(-1))
 
 
 def _suite_pauli(seed: int, trials: int) -> List[dict]:
@@ -238,7 +242,7 @@ def _suite_pauli(seed: int, trials: int) -> List[dict]:
         tetrad = eps.pauli_tetrad(b1, b2)
         for i, ti in enumerate(tetrad):
             for j, tj in enumerate(tetrad):
-                want = Scalar(_MINK_DIAG[i]) if i == j else Scalar.zero()
+                want = _MINK_DIAG[i] if i == j else _ZERO
                 got = eps.g_pairing(ti, tj)
                 if got != want:
                     return _failure(trial, f"b1 = {b1}; b2 = {b2}; entry = ({i},{j})", str(want), str(got))
@@ -247,19 +251,19 @@ def _suite_pauli(seed: int, trials: int) -> List[dict]:
     return _map_trials(one, trials)
 
 
-def _signature_witnesses():
-    from .diracw import DiracVector, k_form
+# Dirac vectors that diagonalize k, each with its value of k(w, w); built
+# once, and k is evaluated on them on every call of the suite
+_WITNESSES = tuple(
+    (DiracVector(tuple(Scalar(x) for x in comps)), Scalar(value))
+    for comps, value in (((1, 0, 1, 0), 2), ((0, 1, 0, 1), 2), ((1, 0, -1, 0), -2), ((0, 1, 0, -1), -2))
+)
 
-    witnesses = [
-        (DiracVector((Scalar(1), Scalar(0), Scalar(1), Scalar(0))), Scalar(2)),
-        (DiracVector((Scalar(0), Scalar(1), Scalar(0), Scalar(1))), Scalar(2)),
-        (DiracVector((Scalar(1), Scalar(0), Scalar(-1), Scalar(0))), Scalar(-2)),
-        (DiracVector((Scalar(0), Scalar(1), Scalar(0), Scalar(-1))), Scalar(-2)),
-    ]
-    values = [k_form(w, w) for w, _ in witnesses]
-    expected = [v for _, v in witnesses]
+
+def _signature_witnesses():
+    values = [k_form(w, w) for w, _ in _WITNESSES]
+    expected = [v for _, v in _WITNESSES]
     ortho = all(
-        k_form(witnesses[i][0], witnesses[j][0]).is_zero()
+        k_form(_WITNESSES[i][0], _WITNESSES[j][0]).is_zero()
         for i in range(4)
         for j in range(4)
         if i != j

@@ -328,6 +328,39 @@ def test_basis_is_orthonormal_for_pairing():
         assert adj.pair(basis[(i + 2) % 4]) == Scalar.one()
 
 
+def reference_endw_mul(m: EndW, n: EndW) -> EndW:
+    """The product as accumulated products with chained +, kept as a reference."""
+    n_rows = {}
+    for (k, j), y in n.terms.items():
+        n_rows.setdefault(k, []).append((j, y))
+    terms = {}
+    for (i, k), x in m.terms.items():
+        for j, y in n_rows.get(k, ()):
+            terms[(i, j)] = terms.get((i, j), Scalar.zero()) + x * y
+    return EndW([[terms.get((i, j), 0) for j in range(4)] for i in range(4)])
+
+
+def test_fused_products_match_chained_references():
+    rng = SplitMix64(8080)
+    eps = EpsilonStructure()
+    for _ in range(60):
+        y, yp = random_mink(rng), random_mink(rng)
+        tetrad = pauli_tetrad(*spin_frame(rng, eps))
+        sparse = EndW([[random_scalar(rng) if rng.randint(0, 2) else 0 for _ in range(4)] for _ in range(4)])
+        mats = [gamma(y), gamma(yp), sparse, EndW.zero(), EndW.identity()] + [gamma(t) for t in tetrad]
+        for m in mats:
+            for n in mats:
+                assert m * n == reference_endw_mul(m, n)
+        psi, phi = random_dirac(rng), random_dirac(rng)
+        for m in mats:
+            rows = m.rows
+            assert m(psi).components == tuple(
+                sum((rows[i][j] * psi.components[j] for j in range(4)), Scalar.zero()) for i in range(4)
+            )
+        adj = dirac_adjoint(psi)
+        assert adj.pair(phi) == sum((a * b for a, b in zip(adj.components, phi.components)), Scalar.zero())
+
+
 def test_operands_of_the_wrong_space_are_refused():
     # a W* vector is not read as its components in W, nor a W vector as End W
     psi = dirac(u1=1, l2=R2)

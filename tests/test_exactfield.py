@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorkit.dsl import DslError, Environment, Parser, tokenize
-from spinorkit.exactfield import ExactError, Scalar, format_scalar
+from spinorkit.exactfield import ExactError, Scalar, _dot, format_scalar
+from spinorkit.prng import SplitMix64, random_scalar
 
 R2 = sympy.sqrt(2)
 
@@ -315,3 +316,55 @@ def test_mixed_rational_operands_on_both_sides(x, k):
         assert ref_mul(ref(quotient), rx) == rk
     assert (x == k) == (rx == rk) and (k == x) == (rx == rk)
     assert Scalar(k) == k and Scalar.coerce(k).ints == Scalar(k).ints
+
+
+# -- the fused dot kernel against the chained * + - ---------------------------------
+
+
+def chained_dot(triples):
+    total = Scalar.zero()
+    for sign, x, y in triples:
+        total = total + x * y if sign > 0 else total - x * y
+    return total
+
+
+def test_dot_of_no_triples_is_canonical_zero():
+    assert _dot([]).ints == (0, 0, 0, 0, 1)
+    assert _dot(iter(())).ints == (0, 0, 0, 0, 1)
+
+
+def test_dot_matches_chained_operations_on_seeded_triples():
+    rng = SplitMix64(667)
+    for n in range(400):
+        triples = [(rng.choice((1, -1)), random_scalar(rng), random_scalar(rng)) for _ in range(n % 7)]
+        got = _dot(triples)
+        assert_canonical(got)
+        assert got.ints == chained_dot(triples).ints
+
+
+def test_dot_sums_that_cancel_are_canonical_zero():
+    rng = SplitMix64(1313)
+    for _ in range(100):
+        x, y, z = random_scalar(rng), random_scalar(rng), random_scalar(rng)
+        for triples in ([(1, x, y), (-1, y, x)], [(1, x + z, y), (-1, x, y), (-1, z, y)]):
+            assert _dot(triples).ints == (0, 0, 0, 0, 1)
+
+
+def test_dot_over_mixed_denominators_and_both_signs():
+    half, i_third, r2_fifth = Scalar(Fraction(1, 2)), Scalar(0, Fraction(1, 3)), Scalar(0, 0, Fraction(1, 5))
+    triples = [(1, half, half), (1, i_third, i_third), (-1, r2_fifth, half)]
+    # 1/4 - 1/9 - sqrt2/10
+    assert _dot(triples).ints == Scalar(Fraction(5, 36), 0, Fraction(-1, 10)).ints == chained_dot(triples).ints
+    big = Scalar(Fraction(2**200 + 1, 3**90), 0, Fraction(-(2**199), 7))
+    triples = [(1, big, half), (-1, big, i_third), (1, big, big), (-1, r2_fifth, big)]
+    got = _dot(triples)
+    assert_canonical(got)
+    assert got.ints == chained_dot(triples).ints and max(x.bit_length() for x in got.ints) > 200
+
+
+@settings(max_examples=100, deadline=None)
+@given(triples=st.lists(st.tuples(st.sampled_from((1, -1)), big_scalars, big_scalars), max_size=6))
+def test_dot_matches_chained_operations_on_grown_coefficients(triples):
+    got = _dot(triples)
+    assert_canonical(got)
+    assert got.ints == chained_dot(triples).ints

@@ -22,8 +22,11 @@ from spinorkit.fnforms import (
     vector_field,
 )
 from spinorkit.prng import SplitMix64, random_scalar
+from spinorkit.spintensor import EpsilonStructure
+from spinorkit.suites import random_connection, random_mink, random_spin_frame, random_spinor
 from spinorkit.suites import random_poly as suite_random_poly
 from spinorkit.suites import random_tangent_form
+from spinorkit.suites import random_vector_form as suite_random_vector_form
 
 
 def P(dim, text_terms):
@@ -353,6 +356,33 @@ def test_suite_tangent_form_draws_golden_digest():
         form = random_tangent_form(rng, dim, n % (dim + 1))
         digest.update(f"{form}|{rng.next_u64()}\n".encode())
     assert digest.hexdigest() == "bbfd9d8df85e680c121b4073fd5c7cd2208a01097c871d8b5b646cde05cf1101"
+
+
+def _draw_record(x) -> str:
+    if isinstance(x, tuple):
+        return "(" + ", ".join(_draw_record(v) for v in x) + ")"
+    return f"{x!r}@{x.ints if isinstance(x, Scalar) else x.shape!r}"
+
+
+def test_suite_sampler_draws_golden_digest():
+    # every suite sampler's printed draws, shapes and the word that follows each,
+    # recorded from the samplers that drew through Fraction and the public constructors
+    eps = EpsilonStructure()
+    samplers = (
+        random_mink,
+        random_spinor,
+        lambda rng: random_spin_frame(rng, eps),
+        lambda rng: random_connection(rng, 3, 2),
+        lambda rng: suite_random_vector_form(rng, 3, 2, 1),
+        lambda rng: random_tangent_form(rng, 2, 1),
+        random_scalar,
+    )
+    digest = hashlib.sha256()
+    for seed in range(300):
+        rng = SplitMix64(seed)
+        for draw in samplers:
+            digest.update(f"{_draw_record(draw(rng))}|{rng.next_u64()}\n".encode())
+    assert digest.hexdigest() == "8642dd3f5e6dd821b27db9b10b7bdf9f210a32ce71e578b38870730de4afbb00"
 
 
 def test_suite_random_poly_is_the_sum_of_its_monomials():

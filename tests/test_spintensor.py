@@ -172,6 +172,35 @@ def test_g_pairing_matches_oracle_and_is_symmetric():
         assert v.is_real()
 
 
+def reference_g_pairing(y: ScaledTensor, yp: ScaledTensor) -> Scalar:
+    """The pairing as a loop over all 16 index pairs with chained + and -, kept as a reference."""
+    total = Scalar.zero()
+    for (a, b), x in y.terms.items():
+        for (c, d), z in yp.terms.items():
+            j = EPS_TABLE[(a, c)] * EPS_TABLE[(b, d)]
+            if j:
+                total = total + x * z if j == 1 else total - x * z
+    return total
+
+
+def test_g_pairing_closed_form_matches_the_pair_loop():
+    rng = SplitMix64(4242)
+    eps = EpsilonStructure()
+    for _ in range(100):
+        y, yp = random_mink(rng), random_mink(rng)
+        b1, b2 = random_spin_frame(rng, eps)
+        tetrad = pauli_tetrad(b1, b2)
+        pairs = [(y, yp), (yp, y), (y, y), (y, ScaledTensor.zero(y.slots))]
+        for s, t in pairs + [(s, t) for s in tetrad for t in tetrad]:
+            assert g_pairing(s, t) == reference_g_pairing(s, t)
+        # eps_value sums its products the same way
+        chained = Scalar.zero()
+        for (a,), x in b1.terms.items():
+            for (c,), z in b2.terms.items():
+                chained = chained + x * z * EPS_TABLE[(a, c)]
+        assert eps.eps_value(b1, b2) == chained == Scalar.one()
+
+
 def test_g_pairing_unit_mismatch():
     y = e(1).tensor(ebar(1))
     bad = ScaledTensor(y.slots, y.terms, Fraction(0))
