@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from . import diracw, fnforms, fockalg, spintensor
 from .diracw import DiracVector, EndW
 from .exactfield import Combination, Scalar
-from .fnforms import AXIS_NAMES, SCALAR, Fibre, Poly, ValuedForm
+from .fnforms import AXIS_NAMES, SCALAR, ChartError, Fibre, Poly, ValuedForm, _check_dim
 from .fockalg import FockState, OperatorElement, Sector, Statistics, Universe
 from .spintensor import ScaledTensor, Variance, VarianceError
 
@@ -647,8 +647,10 @@ class Parser:
             self.expect_punct("=")
             header[key] = self.expect_int()
         degree, dim = header["deg"], header["dim"]
-        if not 1 <= dim <= 4:
-            self.error(f"chart dimension must be 1..4, got {dim}")
+        try:
+            _check_dim(dim)
+        except ChartError as exc:
+            self.error(str(exc))
         size = header.get("fibre")
         self.expect_punct("{")
         comps: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Poly] = {}

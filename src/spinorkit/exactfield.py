@@ -51,7 +51,7 @@ class ExactError(ValueError):
 def _make(v: Ints) -> "Scalar":
     """The Scalar whose canonical ints are `v`; trusts the caller, validates nothing."""
     z = object.__new__(Scalar)
-    object.__setattr__(z, "_v", v)
+    _set_v(z, v)
     return z
 
 
@@ -140,7 +140,7 @@ class Scalar:
         nums = tuple(
             int(x) * den if isinstance(x, int) else x.numerator * (den // x.denominator) for x in coords
         )
-        object.__setattr__(self, "_v", nums + (den,))
+        _set_v(self, nums + (den,))
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
@@ -327,6 +327,10 @@ def format_scalar(z: Scalar) -> str:
     return out
 
 
+# the slot setters; construction writes through them because __setattr__ raises
+_set_v = Scalar._v.__set__
+
+
 # -- unit exponents ----------------------------------------------------------
 #
 # The one-dimensional space of length units enters only through rational
@@ -377,8 +381,8 @@ class Combination:
     __slots__ = ("shape", "terms")
 
     def _fill(self, shape: tuple, terms: dict):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "terms", {key: c for key, c in terms.items() if not c.is_zero()})
+        _set_shape(self, shape)
+        _set_terms(self, {key: c for key, c in terms.items() if not c.is_zero()})
         return self
 
     @classmethod
@@ -425,3 +429,7 @@ class Combination:
 
     def __hash__(self):
         return hash((self.shape, frozenset(self.terms.items())))
+
+
+_set_shape = Combination.shape.__set__
+_set_terms = Combination.terms.__set__

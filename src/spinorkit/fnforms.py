@@ -46,8 +46,9 @@ class DegreeOverflowError(ValueError):
 
 
 def _check_dim(dim: int):
-    if not 1 <= dim <= 4:
-        raise ChartError(f"chart dimension must be 1..4, got {dim}")
+    """Raise ChartError unless 1 <= dim <= len(AXIS_NAMES), the one chart cap."""
+    if not 1 <= dim <= len(AXIS_NAMES):
+        raise ChartError(f"chart dimension must be 1..{len(AXIS_NAMES)}, got {dim}")
 
 
 def _add_product(out: dict, p: dict, q: dict, sign: int = 1):

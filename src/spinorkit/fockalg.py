@@ -13,8 +13,11 @@ all emissions left of all absorptions, both sides canonical.  One step,
 `_times_generator`, appends a generator on the right of a normal-ordered
 element through the products and the relation
 a[zeta] a+[z] = (-1)^{|zeta||z|} a+[z] a[zeta] + <zeta, z> id.  `normal_order`
-folds a word into the identity, and a product folds the words of its right
-factor into its left factor; equal words merge at every step.
+folds a word into the identity, and `_compose` folds the words of a right
+factor into a left one; equal words merge at every step.  Products and
+brackets compose plain {word: coeff} term dicts through `_compose`:
+`super_bracket` splits each operand once into its even and odd terms and
+builds only its result as an ``OperatorElement``.
 
 Each universe builds its vacuum monomial (one empty mode tuple per sector)
 once and keeps it as ``Universe.vacuum``; the identity operator is the
@@ -37,6 +40,8 @@ import json
 from typing import Dict, Iterable, List, Tuple
 
 from .exactfield import Combination, Scalar, _accumulate, shape_field
+
+_ONE = Scalar.one()
 
 
 class Statistics(enum.Enum):
@@ -382,9 +387,11 @@ def interior_product(lam: FockState, psi: FockState):
     dual_terms: Dict[Monomial, Scalar] = {}
     state_side_hit = False
     dual_side_hit = False
+    psi_items = [(m_mono, monomial_rank(m_mono), m_coeff) for m_mono, m_coeff in psi.terms.items()]
     for d_mono, d_coeff in lam.terms.items():
-        for m_mono, m_coeff in psi.terms.items():
-            if monomial_rank(d_mono) <= monomial_rank(m_mono):
+        d_rank = monomial_rank(d_mono)
+        for m_mono, m_rank, m_coeff in psi_items:
+            if d_rank <= m_rank:
                 state_side_hit = True
                 terms = state_terms
                 contracted = _contract_monomial(universe, d_mono, m_mono)
@@ -460,10 +467,7 @@ class OperatorElement(Combination):
 
     def graded_parts(self):
         """(even part, odd part)."""
-        even: Dict[Word, Scalar] = {}
-        odd: Dict[Word, Scalar] = {}
-        for word, coeff in self.terms.items():
-            (even if self.word_grade(word) == 0 else odd)[word] = coeff
+        even, odd = _graded_terms(self.universe, self.terms)
         return self._like(even), self._like(odd)
 
     def _check_mate(self, other: "OperatorElement"):
@@ -476,15 +480,7 @@ class OperatorElement(Combination):
         if not isinstance(other, OperatorElement):
             return self.scaled(other)
         self._check_mate(other)
-        universe = self.universe
-        terms: Dict[Word, Scalar] = {}
-        for w2, c2 in other.terms.items():
-            piece = self.terms
-            for gen in word_generators(universe, w2):
-                piece = _times_generator(universe, piece, gen)
-            for word, coeff in piece.items():
-                _accumulate(terms, word, coeff * c2)
-        return self._like(terms)
+        return self._like(_compose(self.universe, self.terms, other.terms))
 
     def __rmul__(self, factor):
         return self.scaled(factor)
@@ -500,8 +496,9 @@ class OperatorElement(Combination):
         out_terms: Dict[Monomial, Scalar] = {}
         for (emit_m, absorb_m), coeff in self.terms.items():
             if emit_m == vac and absorb_m == vac:  # a multiple of the identity
+                unit = coeff == _ONE
                 for m_mono, m_coeff in psi.terms.items():
-                    _accumulate(out_terms, m_mono, coeff * m_coeff)
+                    _accumulate(out_terms, m_mono, m_coeff if unit else coeff * m_coeff)
                 continue
             for m_mono, m_coeff in psi.terms.items():
                 contracted = _contract_monomial(universe, absorb_m, m_mono)
@@ -611,6 +608,31 @@ def _times_generator(universe: Universe, terms: Dict[Word, Scalar], gen: Generat
     return out
 
 
+def _compose(universe: Universe, x_terms: Dict[Word, Scalar], y_terms: Dict[Word, Scalar]):
+    """The normal-ordered {word: coeff} of X Y, for normal-ordered X = `x_terms` and Y = `y_terms`.
+
+    Folds the generators of each word of Y into X, one `_times_generator`
+    step each; the result may hold zero coefficients.
+    """
+    terms: Dict[Word, Scalar] = {}
+    for w2, c2 in y_terms.items():
+        piece = x_terms
+        for gen in word_generators(universe, w2):
+            piece = _times_generator(universe, piece, gen)
+        for word, coeff in piece.items():
+            _accumulate(terms, word, coeff * c2)
+    return terms
+
+
+def _graded_terms(universe: Universe, terms: Dict[Word, Scalar]):
+    """(even terms, odd terms) of a {word: coeff} dict."""
+    parts: Tuple[Dict[Word, Scalar], Dict[Word, Scalar]] = ({}, {})
+    for word, coeff in terms.items():
+        emit_m, absorb_m = word
+        parts[(monomial_grade(universe, emit_m) + monomial_grade(universe, absorb_m)) % 2][word] = coeff
+    return parts
+
+
 def normal_order(universe: Universe, gens) -> OperatorElement:
     """The unique normal-ordered element equal to the composition of `gens`.
 
@@ -661,20 +683,25 @@ def apply_generators(universe: Universe, gens, psi: FockState) -> FockState:
 
 
 def super_bracket(x: OperatorElement, y: OperatorElement) -> OperatorElement:
-    """XY - (-1)^{|X||Y|} YX on definite-grade parts, extended bilinearly."""
+    """XY - (-1)^{|X||Y|} YX on definite-grade parts, extended bilinearly.
+
+    Each operand is split once into its graded term dicts, and the products
+    of the parts are composed and summed as term dicts.
+    """
     x._check_mate(y)
-    y_parts = y.graded_parts()
+    universe = x.universe
+    y_parts = _graded_terms(universe, y.terms)
     out: Dict[Word, Scalar] = {}
-    for xe, x_grade in zip(x.graded_parts(), (0, 1)):
-        if xe.is_zero():
+    for x_grade, xe in enumerate(_graded_terms(universe, x.terms)):
+        if not xe:
             continue
-        for ye, y_grade in zip(y_parts, (0, 1)):
-            if ye.is_zero():
+        for y_grade, ye in enumerate(y_parts):
+            if not ye:
                 continue
-            for word, coeff in (xe * ye).terms.items():
+            for word, coeff in _compose(universe, xe, ye).items():
                 _accumulate(out, word, coeff)
             sign = 1 if x_grade and y_grade else -1
-            for word, coeff in (ye * xe).terms.items():
+            for word, coeff in _compose(universe, ye, xe).items():
                 _accumulate(out, word, coeff, sign)
     return x._like(out)
 

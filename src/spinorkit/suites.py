@@ -5,6 +5,13 @@ Each suite draws its inputs from a per-trial counter-based substream, so a
 byte-identical across runs.  A failure record carries the offending input
 and both sides of the broken identity; the suites are theorem checks, so any
 failure is an implementation bug, never a property of the inputs.
+
+The ``trial`` of a failure record is the index of the trial that broke, with
+two exceptions.  ``car-ccr`` runs fixed checks instead of trials: a failed
+apply records the index of the basis state it was applied to, and a failed
+bracket, or a broken witness of ``signature``, records -1.  ``fn-bracket``
+numbers its Jacobi rounds after its antisymmetry trials, so round k is
+recorded as trial ``k + trials``.
 """
 
 from __future__ import annotations
@@ -188,7 +195,7 @@ def random_fock_state(rng: SplitMix64, universe: Universe, monomials, terms=3, d
     for _ in range(terms):
         mono = monomials[rng.randint(0, len(monomials) - 1)]
         _accumulate(acc, mono, random_scalar(rng))
-    return FockState(universe, acc, dual)
+    return FockState._trusted((universe, bool(dual)), acc)
 
 
 def random_rank1(rng: SplitMix64, universe: Universe, dual=False) -> FockState:
@@ -198,7 +205,7 @@ def random_rank1(rng: SplitMix64, universe: Universe, dual=False) -> FockState:
     for mode in universe.sectors[sector_idx].modes:
         parts[sector_idx] = (mode,)
         terms[tuple(parts)] = random_scalar(rng)
-    return FockState(universe, terms, dual)
+    return FockState._trusted((universe, bool(dual)), terms)
 
 
 def random_generator_word(rng: SplitMix64, universe: Universe, max_len: int = 4):
@@ -366,12 +373,13 @@ def _suite_car_ccr(seed: int, trials: int) -> List[dict]:
     """The canonical (anti)commutation relations on SMALL_UNIVERSE, exhaustively.
 
     The checks are fixed, so the suite ignores `seed` and `trials`.  Each call
-    brackets every same-sector mode pair (i, j), 18 in all: [[a_i, a+_j]]
-    must be the identity for i == j and 0 otherwise, and is then applied to
-    each of the 63 basis states of rank <= 3 (18 x 63 applies), while
-    [[a_i, a_j]] and [[a+_i, a+_j]] must vanish; one cross-sector bracket
-    [[a+_f1, a+_b1]] must vanish too.  That makes 55 brackets in all.  A
-    failed apply records the basis index as its trial; a failed bracket is
+    builds a table of every mode's absorption a_i and emission a+_i, sector
+    by sector, and brackets every same-sector mode pair (i, j), 18 in all:
+    [[a_i, a+_j]] must be the identity for i == j and 0 otherwise, and is then
+    applied to each of the 63 basis states of rank <= 3 (18 x 63 applies),
+    while [[a_i, a_j]] and [[a+_i, a+_j]] must vanish; one cross-sector
+    bracket [[a+_f1, a+_b1]] must vanish too.  That makes 55 brackets in all.
+    A failed apply records the basis index as its trial; a failed bracket is
     recorded with trial -1.
     """
     universe = SMALL_UNIVERSE
@@ -380,38 +388,31 @@ def _suite_car_ccr(seed: int, trials: int) -> List[dict]:
     identity = OperatorElement.identity(universe)
     zero = OperatorElement(universe)
     empty = FockState(universe, {})
-    for sector in universe.sectors:
-        for i in sector.modes:
-            zi = FockState.mode(universe, sector.name, i)
-            di = FockState.mode(universe, sector.name, i, dual=True)
-            for j in sector.modes:
-                zj = FockState.mode(universe, sector.name, j)
-                dj = FockState.mode(universe, sector.name, j, dual=True)
-                bracket = super_bracket(absorb(di), emit(zj))
+
+    def mode_ops(name: str, i: int):
+        return i, absorb(FockState.mode(universe, name, i, dual=True)), emit(FockState.mode(universe, name, i))
+
+    # per sector, (i, a_i, a+_i) for each of its modes
+    table = {sector.name: [mode_ops(sector.name, i) for i in sector.modes] for sector in universe.sectors}
+    for name, ops in table.items():
+        for i, a_i, e_i in ops:
+            for j, a_j, e_j in ops:
+                bracket = super_bracket(a_i, e_j)
                 expected = identity if i == j else zero
                 if bracket != expected:
-                    failures.append(
-                        _failure(-1, f"[[a[{sector.name}:{i}], a+[{sector.name}:{j}]]]", str(expected),
-                                 str(bracket))
-                    )
+                    failures.append(_failure(-1, f"[[a[{name}:{i}], a+[{name}:{j}]]]", str(expected), str(bracket)))
                     continue
                 for n, psi in enumerate(basis):
                     want = psi if i == j else empty
                     got = op_apply(bracket, psi)
                     if got != want:
                         failures.append(_failure(n, f"bracket on basis state {psi}", str(want), str(got)))
-                if not super_bracket(absorb(di), absorb(dj)).is_zero():
-                    failures.append(
-                        _failure(-1, f"[[a[{sector.name}:{i}], a[{sector.name}:{j}]]]", "0", "nonzero")
-                    )
-                if not super_bracket(emit(zi), emit(zj)).is_zero():
-                    failures.append(
-                        _failure(-1, f"[[a+[{sector.name}:{i}], a+[{sector.name}:{j}]]]", "0", "nonzero")
-                    )
+                if not super_bracket(a_i, a_j).is_zero():
+                    failures.append(_failure(-1, f"[[a[{name}:{i}], a[{name}:{j}]]]", "0", "nonzero"))
+                if not super_bracket(e_i, e_j).is_zero():
+                    failures.append(_failure(-1, f"[[a+[{name}:{i}], a+[{name}:{j}]]]", "0", "nonzero"))
     # cross-sector brackets vanish too
-    f1 = FockState.mode(universe, "f", 1)
-    b1 = FockState.mode(universe, "b", 1)
-    if not super_bracket(emit(f1), emit(b1)).is_zero():
+    if not super_bracket(table["f"][0][2], table["b"][0][2]).is_zero():
         failures.append(_failure(-1, "[[a+[f:1], a+[b:1]]]", "0", "nonzero"))
     return failures
 

@@ -3,6 +3,7 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +16,9 @@ from spinorkit.diracw import (
     gamma,
     observer_dagger,
 )
-from spinorkit.exactfield import Scalar
+from spinorkit.exactfield import Combination, Scalar
 from spinorkit.fnforms import Form, MatrixForm, Poly, TangentForm, ValuedForm, curvature, fn_bracket
+from spinorkit.fockalg import FockState, OperatorElement, Sector, Statistics, Universe
 from spinorkit.spintensor import EpsilonStructure, ScaledTensor, Variance
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -133,3 +135,36 @@ def test_tracer_finds_every_traced_method():
         tracer.uninstall()
     assert tracer.missing == []
     assert spans.leftover_wrappers() == []
+
+
+def _subclasses(cls):
+    return {sub for direct in cls.__subclasses__() for sub in {direct} | _subclasses(direct)}
+
+
+def test_instances_reject_assignment():
+    # construction writes the slots through their descriptors, past __setattr__;
+    # assignment from outside must still raise and leave the instance as it was
+    universe = Universe([Sector("f", Statistics.FERMION, (1, 2))])
+    instances = [
+        ScaledTensor((Variance.U,), {(1,): Scalar(1)}),
+        DiracVector([1, 0, 0, 0]),
+        DualDiracVector([0, 1, 0, 0]),
+        EndW.identity(),
+        Poly(DIM, {(1, 0): Scalar(2)}),
+        Form(DIM, 1, {(0,): Poly.const(DIM, 1)}),
+        FockState.vacuum(universe),
+        OperatorElement.identity(universe),
+    ]
+    # every public Combination subclass of the package has an instance above
+    assert {type(x) for x in instances} == {c for c in _subclasses(Combination) if not c.__name__.startswith("_")}
+    for x in instances:
+        shape, terms = x.shape, dict(x.terms)
+        for name in ("shape", "terms"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, ())
+        assert x.shape == shape and x.terms == terms
+    for z in (Scalar(1, 2), Scalar.one(), Scalar(1, 1) * Scalar(0, 1, 3)):
+        v = z.ints
+        with pytest.raises(AttributeError):
+            z._v = (0, 0, 0, 0, 1)
+        assert z.ints == v

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from spinorkit.exactfield import ExactError, Scalar
+from spinorkit.exactfield import ExactError, Scalar, _accumulate
 from spinorkit.fockalg import (
     FockState,
     MixedRankError,
@@ -16,6 +16,7 @@ from spinorkit.fockalg import (
     SectorMismatchError,
     Statistics,
     Universe,
+    _times_generator,
     _validate_monomial,
     absorb,
     apply_generators,
@@ -377,6 +378,69 @@ def test_apply_with_the_vacuum_word_is_the_sum_of_its_words():
             expected = expected + OperatorElement(universe, {word: coeff}).apply(psi)
         assert x.apply(psi) == expected
         assert OperatorElement.of_scalar(universe, c).apply(psi) == psi.scaled(c)
+
+
+def reference_mul(x, y):
+    """X Y by the plain loop that `_compose` must match: fold each word of y into the terms of x."""
+    universe = x.universe
+    terms = {}
+    for w2, c2 in y.terms.items():
+        piece = x.terms
+        for gen in word_generators(universe, w2):
+            piece = _times_generator(universe, piece, gen)
+        for word, coeff in piece.items():
+            _accumulate(terms, word, coeff * c2)
+    return OperatorElement(universe, terms)
+
+
+def reference_graded_bracket(x, y):
+    """The bracket over graded_parts as OperatorElements, each product through reference_mul."""
+    out = {}
+    for xe, x_grade in zip(x.graded_parts(), (0, 1)):
+        for ye, y_grade in zip(y.graded_parts(), (0, 1)):
+            for word, coeff in reference_mul(xe, ye).terms.items():
+                _accumulate(out, word, coeff)
+            sign = 1 if x_grade and y_grade else -1
+            for word, coeff in reference_mul(ye, xe).terms.items():
+                _accumulate(out, word, coeff, sign)
+    return OperatorElement(x.universe, {w: c for w, c in out.items() if not c.is_zero()})
+
+
+@pytest.mark.parametrize("universe", (MIXED, SANDWICH))
+def test_products_and_brackets_match_the_reference_loops(universe):
+    rng = SplitMix64(13)
+    seen = {"zero": 0, "mixed": 0, "homogeneous": 0}
+    for _ in range(120):
+        x, y = random_operator(rng, universe), random_operator(rng, universe)
+        # a nonzero graded part of x is a homogeneous operand
+        even, odd = x.graded_parts()
+        for a, b in ((x, y), (y, x), (even, y), (odd, y), (x, odd)):
+            for operand in (a, b):
+                grades = operand.grades()
+                seen["zero" if not grades else "mixed" if len(grades) == 2 else "homogeneous"] += 1
+            assert a * b == reference_mul(a, b)
+            assert super_bracket(a, b) == reference_graded_bracket(a, b)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_apply_with_a_unit_vacuum_word_matches_the_scaled_state():
+    rng = SplitMix64(14)
+    universe = MIXED
+    vac_word = (universe.vacuum, universe.vacuum)
+    for n in range(60):
+        c = Scalar.one() if n % 2 else random_scalar(rng)
+        while c.is_zero():
+            c = random_scalar(rng)
+        others = random_operator(rng, universe).terms if n % 3 else {}
+        x = OperatorElement(universe, {**others, vac_word: c})
+        psi = random_state(rng, universe)
+        # the vacuum word contributes c psi, computed here by Combination.scaled
+        expected = psi.scaled(c)
+        for word, coeff in others.items():
+            if word != vac_word:
+                expected = expected + OperatorElement(universe, {word: coeff}).apply(psi)
+        assert x.apply(psi) == expected
+    assert OperatorElement.identity(universe).apply(psi) == psi
 
 
 def test_vacuum_monomial_is_the_universe_vacuum():

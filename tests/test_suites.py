@@ -1,9 +1,12 @@
 """The Fock suites run every check on every call, on the basis they build once."""
 
+import hashlib
+
 import pytest
 
 import spinorkit.suites as suites
 from spinorkit.fockalg import FockState, OperatorElement, basis_monomials, basis_states
+from spinorkit.prng import SplitMix64
 from spinorkit.suites import SMALL_UNIVERSE, run_suite
 
 FOCK_SUITES = ("adjunction", "car-ccr", "normal-order")
@@ -51,6 +54,21 @@ def test_normal_order_reports_a_broken_apply_then_passes_again(apply_drops_a_ter
     assert run_suite("normal-order", 5, 6).passed
 
 
+def test_car_ccr_reports_a_broken_bracket_as_trial_minus_one(monkeypatch):
+    original = suites.super_bracket
+    monkeypatch.setattr(suites, "super_bracket", lambda x, y: original(x, y).scaled(2))
+    first = run_suite("car-ccr", 3, 1).to_json_dict()
+    assert first == run_suite("car-ccr", 3, 1).to_json_dict()
+    # doubling leaves the vanishing brackets at 0 and breaks the 6 that are the identity
+    failures = first["failures"]
+    assert [f["trial"] for f in failures] == [-1] * 6
+    assert [f["input"] for f in failures] == [
+        f"[[a[{s}:{i}], a+[{s}:{i}]]]" for s in ("f", "b") for i in (1, 2, 3)
+    ]
+    monkeypatch.undo()
+    assert run_suite("car-ccr", 3, 1).passed
+
+
 def test_car_ccr_runs_every_bracket_and_apply_on_each_call(monkeypatch):
     counts = {"super_bracket": 0, "op_apply": 0}
     for name in counts:
@@ -71,3 +89,28 @@ def test_fock_suites_repeat_in_one_process(name):
     reports = [run_suite(name, 42, 4).to_json_dict() for _ in range(2)]
     assert reports[0] == reports[1]
     assert reports[0]["failures"] == []
+
+
+def _draw_record(x) -> str:
+    return f"{x!r}@{x.shape!r}" if hasattr(x, "shape") else repr(x)
+
+
+def test_fock_sampler_draws_golden_digest():
+    # every Fock sampler's printed draws, shapes and the word that follows each,
+    # recorded from the samplers that built through the validating constructor
+    universe = SMALL_UNIVERSE
+    deep = suites._deep_monomials()
+    full = tuple(basis_monomials(universe, 3))
+    samplers = (
+        lambda rng: suites.random_rank1(rng, universe),
+        lambda rng: suites.random_rank1(rng, universe, dual=True),
+        lambda rng: suites.random_fock_state(rng, universe, deep, terms=3),
+        lambda rng: suites.random_fock_state(rng, universe, full, terms=4, dual=True),
+        lambda rng: suites.random_generator_word(rng, universe),
+    )
+    digest = hashlib.sha256()
+    for seed in range(300):
+        rng = SplitMix64(seed)
+        for draw in samplers:
+            digest.update(f"{_draw_record(draw(rng))}|{rng.next_u64()}\n".encode())
+    assert digest.hexdigest() == "a7eef4299ac7774e45a830ce444e56678fcab9a7c5c8fad1e905f2a269e017a4"
