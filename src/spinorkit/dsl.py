@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import diracw, fnforms, fockalg, spintensor
 from .diracw import DiracVector, EndW
-from .exactfield import Combination, Scalar
+from .exactfield import Combination, Scalar, _accumulate, _make, _reduced
 from .fnforms import AXIS_NAMES, SCALAR, ChartError, Fibre, Poly, ValuedForm, _check_dim
 from .fockalg import FockState, OperatorElement, Sector, Statistics, Universe
 from .spintensor import ScaledTensor, Variance, VarianceError
@@ -48,7 +48,8 @@ class DslError(ValueError):
         self.col = col
 
 
-_PUNCT = set("()[]{},;:*^|'=+-/\"->")
+# one-character punctuation; '-' may open '--' or '->', and '"' opens a string
+_PUNCT = frozenset("()[]{},;:*^|'=+/>")
 # Deepest nesting of parentheses, call arguments and literals the parser
 # accepts; each level costs several Python frames, so this keeps deep input
 # from overflowing the interpreter stack.
@@ -93,66 +94,53 @@ class Token:
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
+    line, line_start = 1, 0  # text[line_start] opens the current line
+    limit = _digit_limit()
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise DslError("unterminated string", line, col)
-                j += 1
-            if j >= n:
-                raise DslError("unterminated string", line, col)
-            tokens.append(Token("string", text[i + 1: j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
+        ch, col = text[i], i - line_start + 1
         if ch in _PUNCT:
             tokens.append(Token("punct", ch, line, col))
             i += 1
-            col += 1
-            continue
-        if ch.isdecimal():  # isdigit() also accepts characters such as '²' that int() refuses
-            j = i
+        elif ch == "-":
+            nxt = text[i + 1: i + 2]
+            if nxt == "-":  # a comment runs to the end of its line
+                j = text.find("\n", i)
+                if j < 0:
+                    break  # the eof token takes the comment's column
+                i = j
+            else:
+                value = "->" if nxt == ">" else "-"
+                tokens.append(Token("punct", value, line, col))
+                i += len(value)
+        elif ch == "\n":
+            i += 1
+            line, line_start = line + 1, i
+        elif ch.isspace():
+            i += 1
+        elif ch == '"':
+            j = text.find('"', i + 1)
+            if j < 0 or text.find("\n", i + 1, j) >= 0:
+                raise DslError("unterminated string", line, col)
+            tokens.append(Token("string", text[i + 1: j], line, col))
+            i = j + 1
+        elif ch.isdecimal():  # isdigit() also accepts characters such as '²' that int() refuses
+            j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            limit = _digit_limit()
             if limit and j - i > limit:
                 raise DslError(f"integer literal of {j - i} digits is too long", line, col)
             tokens.append(Token("int", int(text[i:j]), line, col))
-            col += j - i
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
             i = j
-            continue
-        raise DslError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", None, line, col))
+        else:
+            raise DslError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("eof", None, line, i - line_start + 1))
     depth, prev_line = 0, 0
     for tok in tokens:
         tok.starts_line = depth == 0 and tok.line != prev_line
@@ -176,11 +164,11 @@ def _poly_from_string(text: str, dim: int, line: int, col: int, depth: int) -> P
     """Parse a polynomial string like 'x^2*y + (1+i)*z - 3/2' found at nesting `depth`."""
     try:
         sub = Parser(tokenize(text), Environment(), depth)
-        poly = sub._parse_poly_sum(dim)
+        terms = sub._parse_poly_sum(dim)
         sub.expect_eof()
     except DslError as exc:
         raise DslError(f"in poly string {text!r}: {exc}", line, col) from None
-    return poly
+    return Poly._trusted((dim,), terms)
 
 
 # Predefined constants, built once; immutable, so every environment shares them.
@@ -480,7 +468,7 @@ class Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return Scalar(tok.value)
+            return _make((tok.value, 0, 0, 0, 1))
         if tok.kind == "punct" and tok.value == "(":
             self.advance()
             value = self.parse_expr()
@@ -712,18 +700,21 @@ class Parser:
 
     # -- polynomial sub-grammar ----------------------------------------------------
 
-    def _parse_poly_sum(self, dim: int) -> Poly:
-        total = self._parse_poly_term(dim, self.match_punct("-"))
+    def _parse_poly_sum(self, dim: int) -> dict:
+        """The terms {exponents: coefficient} of a sum of poly terms, zero coefficients included."""
+        terms: Dict[Tuple[int, ...], Scalar] = {}
+        self._parse_poly_term(dim, self.match_punct("-"), terms)
         while True:
             if self.match_punct("+"):
-                total = total + self._parse_poly_term(dim, self.match_punct("-"))
+                self._parse_poly_term(dim, self.match_punct("-"), terms)
             elif self.match_punct("-"):
-                total = total + self._parse_poly_term(dim, True)
+                self._parse_poly_term(dim, True, terms)
             else:
-                return total
+                return terms
 
-    def _parse_poly_term(self, dim: int, negated: bool) -> Poly:
-        coeff = Scalar(-1) if negated else Scalar.one()
+    def _parse_poly_term(self, dim: int, negated: bool, terms: dict):
+        """Parse one product of factors and add it into `terms`."""
+        coeff = _make((-1 if negated else 1, 0, 0, 0, 1))
         exps = [0] * dim
         while True:
             tok = self.peek()
@@ -731,10 +722,9 @@ class Parser:
                 self.advance()
                 num = tok.value
                 if self.match_punct("/"):
-                    den = self._expect_denominator()
-                    coeff = coeff * Scalar(Fraction(num, den))
+                    coeff = coeff * _reduced(num, 0, 0, 0, self._expect_denominator())
                 else:
-                    coeff = coeff * Scalar(num)
+                    coeff = coeff * _make((num, 0, 0, 0, 1))
             elif tok.kind == "name" and tok.value == "i":
                 self.advance()
                 coeff = coeff * Scalar.i()
@@ -751,17 +741,15 @@ class Parser:
                 self.advance()
                 inner = self.nested(self._parse_poly_sum, dim)
                 self.expect_punct(")")
-                if inner.terms and all(e == 0 for k in inner.terms for e in k):
-                    coeff = coeff * inner.terms[(0,) * dim]
-                elif not inner.terms:
-                    coeff = coeff * Scalar.zero()
-                else:
+                const = (0,) * dim
+                if any(c for k, c in inner.items() if k != const):
                     self.error("parenthesized poly factors must be scalar")
+                coeff = coeff * inner.get(const, Scalar.zero())
             else:
                 break
             if not self.match_punct("*"):
                 break
-        return Poly(dim, {tuple(exps): coeff})
+        _accumulate(terms, tuple(exps), coeff)
 
 
 # -- binary operators: each returns its result, or None for kinds it does not combine ----

@@ -13,7 +13,10 @@ denominator and reduces once, at the end.  The set is closed under the four
 field operations, so all algebraic identities downstream can be asserted
 with ``==`` instead of a tolerance.  The rational coordinates are read as
 the reduced ``Fraction`` properties ``a`` to ``d``, the five ints as
-:attr:`Scalar.ints`.
+:attr:`Scalar.ints`.  :func:`format_scalar` prints each nonzero coordinate
+straight from the ints, reduced by one ``gcd`` with the denominator, and
+:meth:`Scalar.inverse` of a rational ``a / den`` is ``den / a`` with the sign
+moved to the numerator, canonical without a product or a ``gcd``.
 
 Length-unit exponents are plain ``fractions.Fraction`` values; they add under
 tensor multiplication and negate under dualization.
@@ -145,6 +148,9 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Scalar is immutable")
+
     a = _coordinate(0, "Rational coefficient of 1.")
     b = _coordinate(1, "Rational coefficient of i.")
     c = _coordinate(2, "Rational coefficient of sqrt2.")
@@ -218,8 +224,12 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero Scalar")
+        a, b, c, d, den = self._v
+        if not (b or c or d):
+            if not a:
+                raise ZeroDivisionError("inverse of zero Scalar")
+            # a / den is in lowest terms, so den / a with its sign on top is canonical
+            return _make((den, 0, 0, 0, a) if a > 0 else (-den, 0, 0, 0, -a))
         # |z|^2 lies in Q(sqrt2); multiplying by its sqrt2-conjugate lands in Q.
         zc = self.conj()
         n1 = self * zc
@@ -299,32 +309,20 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def format_scalar(z: Scalar) -> str:
     """Canonical text encoding ``a+b*i+c*r2+d*i*r2`` with rationals as p/q; the DSL reads it back exactly."""
-    parts = []
-    for coeff, tail in ((z.a, ""), (z.b, "i"), (z.c, "r2"), (z.d, "i*r2")):
-        if coeff == 0:
+    *nums, den = z._v
+    out = ""
+    for n, tail in zip(nums, ("", "i", "r2", "i*r2")):
+        if not n:
             continue
-        sign = "-" if coeff < 0 else "+"
-        mag = abs(coeff)
-        if tail and mag == 1:
-            body = tail
-        elif tail:
-            body = f"{_frac_str(mag)}*{tail}"
-        else:
-            body = _frac_str(mag)
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = (first_sign if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+        mag = -n if n < 0 else n
+        g = gcd(mag, den)
+        body = str(mag // g) if g == den else f"{mag // g}/{den // g}"
+        if tail:
+            body = tail if body == "1" else f"{body}*{tail}"
+        out += "-" + body if n < 0 else "+" + body if out else body
+    return out or "0"
 
 
 # the slot setters; construction writes through them because __setattr__ raises
@@ -394,6 +392,9 @@ class Combination:
         return self._trusted(self.shape, terms)
 
     def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:

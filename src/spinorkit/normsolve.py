@@ -22,6 +22,10 @@ Tonelli-Shanks, normalized to the root at most p // 2.
 
 Elements of Z[zeta8] are 4-tuples of integers in the basis (1, z, z^2, z^3)
 with z^4 = -1; elements of Z[sqrt2] are integer pairs (p, q) = p + q*sqrt2.
+Euclidean division in Z[zeta8] rounds a / b coordinate-wise and then tries
+the 81 neighbouring quotients in one flat loop of additions, keeping the
+first remainder of least absolute norm in product order and stopping at a
+remainder 0; the gcds, and so the printed spinors, depend on that order.
 """
 
 from __future__ import annotations
@@ -303,37 +307,48 @@ def z8_from_int(n: int) -> Z8:
     return (n, 0, 0, 0)
 
 
-def _shifts(r: Z8, v: Z8):
-    """(off, r - off * v) for off in (0, -1, 1), in that order."""
-    return (
-        (0, r),
-        (-1, (r[0] + v[0], r[1] + v[1], r[2] + v[2], r[3] + v[3])),
-        (1, (r[0] - v[0], r[1] - v[1], r[2] - v[2], r[3] - v[3])),
-    )
+def _least_remainder(r: Z8, b: Z8) -> Tuple[int, Tuple[int, int, int, int], Z8]:
+    """(norm, off, r - sum off[k] * z^k * b): the first off in (0, -1, 1)^4, in
+    product order, whose remainder has the least absolute norm; a remainder 0
+    ends the search.
 
-
-def _offset_remainders(r0: Z8, b: Z8):
-    """(off, r0 - sum off[k] * z^k * b) for off in (0, -1, 1)^4, in product order.
-
-    z^k * b is a signed rotation of b, so every remainder is built by additions.
+    z^k * b is a signed rotation of b, so each loop level adds one rotation
+    (off 0 adds nothing, -1 adds it, +1 subtracts it), and the innermost level
+    computes the norm p^2 - 2 q^2 of the relative norm p + q*sqrt2 inline.
     """
     b0, b1, b2, b3 = b
-    zb, z2b, z3b = (-b3, b0, b1, b2), (-b2, -b3, b0, b1), (-b1, -b2, -b3, b0)
-    for o0, r1 in _shifts(r0, b):
-        for o1, r2 in _shifts(r1, zb):
-            for o2, r3 in _shifts(r2, z2b):
-                for o3, r in _shifts(r3, z3b):
-                    yield (o0, o1, o2, o3), r
+    s0, s1, s2, s3 = (
+        ((0, 0, 0, 0, 0), (-1, v0, v1, v2, v3), (1, -v0, -v1, -v2, -v3))
+        for v0, v1, v2, v3 in ((b0, b1, b2, b3), (-b3, b0, b1, b2), (-b2, -b3, b0, b1), (-b1, -b2, -b3, b0))
+    )
+    r0, r1, r2, r3 = r
+    least = best = None
+    for o0, d0, d1, d2, d3 in s0:
+        a0, a1, a2, a3 = r0 + d0, r1 + d1, r2 + d2, r3 + d3
+        for o1, d0, d1, d2, d3 in s1:
+            e0, e1, e2, e3 = a0 + d0, a1 + d1, a2 + d2, a3 + d3
+            for o2, d0, d1, d2, d3 in s2:
+                f0, f1, f2, f3 = e0 + d0, e1 + d1, e2 + d2, e3 + d3
+                for o3, d0, d1, d2, d3 in s3:
+                    c0, c1, c2, c3 = f0 + d0, f1 + d1, f2 + d2, f3 + d3
+                    p = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3
+                    q = c0 * c1 + c1 * c2 + c2 * c3 - c3 * c0
+                    nr = p * p - 2 * q * q
+                    if least is None or nr < least:
+                        least, best = nr, ((o0, o1, o2, o3), (c0, c1, c2, c3))
+                        if nr == 0:
+                            return 0, *best
+    return least, *best
 
 
 def z8_divmod(a: Z8, b: Z8) -> Tuple[Z8, Z8]:
     """Euclidean division a = q * b + r with the least-norm remainder near a / b.
 
     q is the coordinate-wise rounding of a / b plus an offset in (0, -1, 1)^4.
-    The 81 offsets are tried in product order; the first remainder of least
-    absolute norm wins, and a remainder 0 ends the search.  That choice fixes
-    the associate z8_gcd returns, and through it the spinor that
-    null_decompose prints.
+    One flat search, :func:`_least_remainder`, tries the 81 offsets in product
+    order; the first remainder of least absolute norm wins, and a remainder 0
+    ends the search.  That choice fixes the associate z8_gcd returns, and
+    through it the spinor that null_decompose prints.
     """
     nb = z8_abs_norm(b)
     if nb == 0:
@@ -341,14 +356,7 @@ def z8_divmod(a: Z8, b: Z8) -> Tuple[Z8, Z8]:
     num = z8_mul(a, z8_mul(z8_conj(b), z8_mul(z8_galois(b), z8_galois(z8_conj(b)))))
     # floor(x / nb + 1/2) exactly; nb > 0
     base = tuple((2 * x + nb) // (2 * nb) for x in num)
-    best = None
-    for off, r in _offset_remainders(z8_sub(a, z8_mul(base, b)), b):
-        nr = z8_abs_norm(r)
-        if best is None or nr < best[0]:
-            best = (nr, off, r)
-            if nr == 0:
-                break
-    nr, off, r = best
+    nr, off, r = _least_remainder(z8_sub(a, z8_mul(base, b)), b)
     if nr >= nb:
         raise ArithmeticError("Euclidean division failed to reduce the norm")
     return (base[0] + off[0], base[1] + off[1], base[2] + off[2], base[3] + off[3]), r

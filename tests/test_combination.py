@@ -143,7 +143,7 @@ def _subclasses(cls):
 
 def test_instances_reject_assignment():
     # construction writes the slots through their descriptors, past __setattr__;
-    # assignment from outside must still raise and leave the instance as it was
+    # assignment or deletion from outside must still raise and leave the instance as it was
     universe = Universe([Sector("f", Statistics.FERMION, (1, 2))])
     instances = [
         ScaledTensor((Variance.U,), {(1,): Scalar(1)}),
@@ -162,9 +162,13 @@ def test_instances_reject_assignment():
         for name in ("shape", "terms"):
             with pytest.raises(AttributeError):
                 setattr(x, name, ())
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(x, name)
         assert x.shape == shape and x.terms == terms
     for z in (Scalar(1, 2), Scalar.one(), Scalar(1, 1) * Scalar(0, 1, 3)):
         v = z.ints
         with pytest.raises(AttributeError):
             z._v = (0, 0, 0, 0, 1)
+        with pytest.raises(AttributeError, match="is immutable"):
+            del z._v
         assert z.ints == v

@@ -1,8 +1,11 @@
 """DSL parsing, evaluation and canonical round-trips."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
+import itertools
+import random
 import re
 import sys
 from pathlib import Path
@@ -520,3 +523,376 @@ def test_benchmark_tracer_counts_dsl_calls(span, program):
     with spans.Tracer() as tracer:
         eval_program(program + "\n")
     assert tracer.calls[span] == 1
+
+
+# -- the tokenizer against the character loop it replaced ---------------------------------
+
+
+def _reference_tokenize(text):
+    """The character-at-a-time tokenizer the DSL had before `tokenize` tested punctuation first."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            i += 1
+            col += 1
+            continue
+        if text.startswith("--", i):
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                if text[j] == "\n":
+                    raise DslError("unterminated string", line, col)
+                j += 1
+            if j >= n:
+                raise DslError("unterminated string", line, col)
+            tokens.append(dsl.Token("string", text[i + 1: j], line, col))
+            col += j - i + 1
+            i = j + 1
+            continue
+        if text.startswith("->", i):
+            tokens.append(dsl.Token("punct", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "()[]{},;:*^|'=+-/\">":
+            tokens.append(dsl.Token("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            limit = dsl._digit_limit()
+            if limit and j - i > limit:
+                raise DslError(f"integer literal of {j - i} digits is too long", line, col)
+            tokens.append(dsl.Token("int", int(text[i:j]), line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(dsl.Token("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise DslError(f"unexpected character {ch!r}", line, col)
+    tokens.append(dsl.Token("eof", None, line, col))
+    depth, prev_line = 0, 0
+    for tok in tokens:
+        tok.starts_line = depth == 0 and tok.line != prev_line
+        prev_line = tok.line
+        if tok.kind == "punct" and tok.value in ("(", "[", "{"):
+            depth += 1
+        elif tok.kind == "punct" and tok.value in (")", "]", "}"):
+            depth = max(depth - 1, 0)
+    return tokens
+
+
+def token_rows(tokenizer, text):
+    """(kind, value, line, col, starts_line) of every token, or the DslError text."""
+    try:
+        return [(t.kind, t.value, t.line, t.col, t.starts_line) for t in tokenizer(text)]
+    except DslError as exc:
+        return str(exc)
+
+
+TOKENIZER_EDGE_ROWS = [
+    "",
+    "1 -- a comment at end of file",
+    "-- only a comment",
+    "x --",
+    "1\n  -- indented comment\n2",
+    "a->b",
+    "->",
+    "- >",
+    "1 -",
+    "-",
+    "--\n-",
+    "\tx\r\n\ty\r",
+    "x\x0by\x0cz w",
+    '"open at end of file',
+    '"open across\na newline"',
+    '"a" "" "b-->c"',
+    'poly "x^2" -- "not a string',
+    "x²",
+    "²",
+    "٣ + 1",
+    "x٣",
+    "_x1 x_1 _",
+    "é",
+    "éa + aé",
+    ">",
+    "(\n1\n)\n2",
+    "{ [ ( ) ] }\n}\n)x",
+    "1" * 40,
+]
+
+
+@pytest.mark.parametrize("text", TOKENIZER_EDGE_ROWS, ids=[repr(t)[:30] for t in TOKENIZER_EDGE_ROWS])
+def test_tokenize_matches_reference_on_edge_rows(text):
+    assert token_rows(dsl.tokenize, text) == token_rows(_reference_tokenize, text)
+
+
+def test_tokenize_edge_rows_read_as_documented():
+    assert token_rows(dsl.tokenize, "1 -- a comment") == [("int", 1, 1, 1, True), ("eof", None, 1, 3, False)]
+    assert token_rows(dsl.tokenize, "²") == "1:1: unexpected character '²'"
+    assert token_rows(dsl.tokenize, "٣")[0] == ("int", 3, 1, 1, True)
+    assert token_rows(dsl.tokenize, '"a\nb"') == "1:1: unterminated string"
+
+
+_TOKEN_CHARS = list("()[]{},;:*^|'=+-/\">_ \t\r\n") + ["--", "->", "x", "r2", "12", "²", "٣", "é", "a1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.lists(st.sampled_from(_TOKEN_CHARS), max_size=40).map("".join), st.text(max_size=30)))
+def test_tokenize_matches_reference_on_random_text(text):
+    assert token_rows(dsl.tokenize, text) == token_rows(_reference_tokenize, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_programs())
+def test_tokenize_matches_reference_on_mutated_programs(text):
+    assert token_rows(dsl.tokenize, text) == token_rows(_reference_tokenize, text)
+
+
+def test_tokenize_matches_reference_on_the_fuzz_programs_and_their_poly_strings():
+    texts = ["".join(pieces) for pieces in FUZZ_PROGRAMS]
+    texts += [piece[1:-1] for pieces in FUZZ_PROGRAMS for piece in pieces if piece.startswith('"')]
+    for text in texts:
+        assert token_rows(dsl.tokenize, text) == token_rows(_reference_tokenize, text)
+
+
+# -- polynomial literals in one dict against the sum of per-term Polys -------------------
+
+
+def _reference_poly_sum(parser, dim):
+    """The parser's poly grammar as it was: one Poly per term, summed with `+`."""
+    total = _reference_poly_term(parser, dim, parser.match_punct("-"))
+    while True:
+        if parser.match_punct("+"):
+            total = total + _reference_poly_term(parser, dim, parser.match_punct("-"))
+        elif parser.match_punct("-"):
+            total = total + _reference_poly_term(parser, dim, True)
+        else:
+            return total
+
+
+def _reference_poly_term(parser, dim, negated):
+    coeff = Scalar(-1) if negated else Scalar.one()
+    exps = [0] * dim
+    while True:
+        tok = parser.peek()
+        if tok.kind == "int":
+            parser.advance()
+            if parser.match_punct("/"):
+                coeff = coeff * Scalar(Fraction_like(tok.value, parser._expect_denominator()))
+            else:
+                coeff = coeff * Scalar(tok.value)
+        elif tok.kind == "name" and tok.value in ("i", "r2"):
+            parser.advance()
+            coeff = coeff * (Scalar.i() if tok.value == "i" else Scalar.sqrt2())
+        elif tok.kind == "name" and tok.value in "xyzw"[:dim]:
+            parser.advance()
+            power = parser.expect_int() if parser.match_punct("^") else 1
+            exps["xyzw".index(tok.value)] += power
+        elif tok.kind == "punct" and tok.value == "(":
+            parser.advance()
+            inner = parser.nested(_reference_poly_sum, parser, dim)
+            parser.expect_punct(")")
+            if inner.terms and all(e == 0 for k in inner.terms for e in k):
+                coeff = coeff * inner.terms[(0,) * dim]
+            elif not inner.terms:
+                coeff = coeff * Scalar.zero()
+            else:
+                parser.error("parenthesized poly factors must be scalar")
+        else:
+            break
+        if not parser.match_punct("*"):
+            break
+    return Poly(dim, {tuple(exps): coeff})
+
+
+def _reference_poly_from_string(text, dim, line, col, depth):
+    try:
+        sub = dsl.Parser(dsl.tokenize(text), Environment(), depth)
+        poly = _reference_poly_sum(sub, dim)
+        sub.expect_eof()
+    except DslError as exc:
+        raise DslError(f"in poly string {text!r}: {exc}", line, col) from None
+    return poly
+
+
+def parse_poly_both_ways(text, dim):
+    """(one-dict result, per-term reference), each a Poly or the DslError text."""
+    results = []
+    for parse in (dsl._poly_from_string, _reference_poly_from_string):
+        try:
+            results.append(parse(text, dim, 1, 1, 0))
+        except DslError as exc:
+            results.append(str(exc))
+    return results
+
+
+POLY_ROWS = [
+    ("x + x - 2*x", {}),
+    ("(x - x)*y", {}),
+    ("(0)*x", {}),
+    ("x*x^2", {(3, 0): Scalar(1)}),
+    ("x*x^2 - x^3 + y", {(0, 1): Scalar(1)}),
+    ("-x + 2*x - x + 3/6*i*r2", {(0, 0): Scalar(0, 0, 0, Fraction_like(1, 2))}),
+    ("(1 + i)*(1 - i)*x*y^0", {(1, 0): Scalar(2)}),
+    ("2*x*y - y*x*2", {}),
+    ("0", {}),
+    ("(x)*y", "1:1: in poly string '(x)*y': 1:4: parenthesized poly factors must be scalar"),
+    ("(1 + x - x)*y^", "1:1: in poly string '(1 + x - x)*y^': 1:15: expected an integer"),
+    ("1/0*x", "1:1: in poly string '1/0*x': 1:3: zero denominator"),
+]
+
+
+@pytest.mark.parametrize("text, terms", POLY_ROWS, ids=[text for text, _ in POLY_ROWS])
+def test_poly_literal_matches_sum_of_per_term_polys(text, terms):
+    got, want = parse_poly_both_ways(text, 2)
+    if isinstance(terms, str):
+        assert got == want == terms
+        return
+    assert got == want == Poly(2, terms)
+    assert got.terms == terms and all(not c.is_zero() for c in got.terms.values())
+
+
+_POLY_PIECES = ["x", "y", "x^2", "y^3", "2", "3/4", "0", "i", "r2", "(1-i)", "(x-x)", "(0)", "(2*i - 2*i)", "(r2)"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.sampled_from(("+", "-", "+ -")), st.lists(st.sampled_from(_POLY_PIECES), min_size=1, max_size=4)),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_poly_literal_matches_sum_of_per_term_polys_on_random_sums(terms):
+    text = " ".join(f"{sign} {'*'.join(factors)}" for sign, factors in terms).lstrip("+ ")
+    got, want = parse_poly_both_ways(text, 2)
+    assert got == want
+    if isinstance(got, Poly):
+        assert got.terms == want.terms
+
+
+# -- eval stdout over a seeded corpus of the statement kinds, byte for byte ---------------
+
+
+def _corpus_scalar(rng):
+    """A sum of 1-3 terms such as 3/4*i*r2, in no canonical order."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        num, den = rng.randint(-12, 12), rng.randint(1, 6)
+        tail = rng.choice(("", "*i", "*r2", "*i*r2", "*r2*i"))
+        terms.append(f"{num}/{den}{tail}" if den > 1 else f"{num}{tail}")
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def _corpus_poly(rng, dim):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [rng.choice("xyz"[:dim]) + rng.choice(("", "^2")) for _ in range(rng.randint(0, 2))]
+        coeff = rng.choice(("", f"({_corpus_scalar(rng)})"))
+        terms.append("*".join(filter(None, [coeff] + factors)) or "1")
+    return " + ".join(terms)
+
+
+def _corpus_axes(rng, dim, degree):
+    combos = list(itertools.combinations("xyz"[:dim], degree))
+    return sorted(rng.sample(combos, rng.randint(1, len(combos))))
+
+
+def _corpus_label(axes):
+    return "^".join("d" + a for a in axes) or "1"
+
+
+def _corpus_statement(rng, kind):
+    dim = rng.choice((2, 3))
+    degree = rng.randint(0, 2)
+    if kind == "nulldec":
+        sign = rng.choice(("", "-"))
+        return (
+            f"let a = {_corpus_scalar(rng)}\nlet b = {rng.choice((_corpus_scalar(rng), '0'))}\n"
+            f"nulldec({sign}(a*e1 + b*e2) * (conj(a)*eb1 + conj(b)*eb2))"
+        )
+    if kind == "tensor":
+        slots = rng.choice((("U", "Ubar"), ("U",), ("U*",), ("U", "Ubar*"), ("Ubar*", "U*")))
+        unit = rng.choice(("", "", " unit=0", " unit=-1/2", " unit=3/2"))
+        keys = itertools.product((1, 2), repeat=len(slots))
+        body = "; ".join(f"({','.join(map(str, key))}): {_corpus_scalar(rng)}" for key in keys if rng.random() < 0.75)
+        return f"tensor [{','.join(slots)}]{unit} {{ {body} }}"
+    if kind == "form":
+        body = "; ".join(f'{_corpus_label(axes)} : poly "{_corpus_poly(rng, dim)}"' for axes in _corpus_axes(rng, dim, degree))
+        return f"form deg={degree} dim={dim} {{ {body} }}"
+    if kind == "tangent":
+        body = "; ".join(
+            f'{_corpus_label(axes)} -> axis {rng.choice("xyz"[:dim])} : poly "{_corpus_poly(rng, dim)}"'
+            for axes in _corpus_axes(rng, dim, degree)
+        )
+        return f"form deg={degree} dim={dim} {{ {body} }}"
+    rows = ", ".join(
+        "[" + ", ".join(f'poly "{_corpus_poly(rng, dim)}"' for _ in range(2)) + "]" for _ in range(2)
+    )
+    body = "; ".join(f"{_corpus_label(axes)} : [{rows}]" for axes in _corpus_axes(rng, dim, degree))
+    return f"mform deg={degree} dim={dim} fibre=2 {{ {body} }}"
+
+
+def eval_corpus(seed, rounds):
+    """(exit code, stdout, stderr) of `eval -` on each statement of the seeded corpus.
+
+    Each round evaluates one statement of every kind, twice printed back (a
+    literal re-read from its own output), and a truncated copy of one of them.
+    """
+    rng = random.Random(seed)
+    results = []
+
+    def run(text):
+        saved, sys.stdin = sys.stdin, io.StringIO(text + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["eval", "-"])
+        finally:
+            sys.stdin = saved
+        results.append((code, out.getvalue(), err.getvalue()))
+        return out.getvalue()
+
+    for _ in range(rounds):
+        texts = [_corpus_statement(rng, kind) for kind in ("nulldec", "tensor", "form", "tangent", "mform")]
+        for text in texts:
+            printed = run(text)
+            if not text.startswith("let") and printed:
+                run(printed)
+        full = rng.choice(texts)
+        run(full[: rng.randint(1, len(full) - 1)])
+    return results
+
+
+# sha256 of eval_corpus(1501, 40), recorded with the Fraction-based printer and the per-term poly parser
+GOLDEN_EVAL_CORPUS_SHA256 = "8339ec99c719c88ff56793bf94cffd0eab80f081e34e1f69c696ce078b3a4f79"
+
+
+def test_eval_corpus_prints_byte_identical_output():
+    results = eval_corpus(1501, 40)
+    assert sum(code == 0 for code, _, _ in results) > 300 and all(code in (0, 2) for code, _, _ in results)
+    digest = hashlib.sha256()
+    for code, out, err in results:
+        digest.update(f"{code}\n{out}\x00{err}\x01".encode())
+    assert digest.hexdigest() == GOLDEN_EVAL_CORPUS_SHA256

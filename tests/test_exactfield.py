@@ -368,3 +368,77 @@ def test_dot_matches_chained_operations_on_grown_coefficients(triples):
     got = _dot(triples)
     assert_canonical(got)
     assert got.ints == chained_dot(triples).ints
+
+
+# -- printing from the ints and the rational inverse, against the Fraction forms -------
+
+
+def reference_format_scalar(z: Scalar) -> str:
+    """The printer on the reduced Fraction coordinates a to d."""
+    parts = []
+    for coeff, tail in ((z.a, ""), (z.b, "i"), (z.c, "r2"), (z.d, "i*r2")):
+        if coeff == 0:
+            continue
+        mag = abs(coeff)
+        text = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        body = (tail if mag == 1 else f"{text}*{tail}") if tail else text
+        parts.append(("-" if coeff < 0 else "+", body))
+    if not parts:
+        return "0"
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return out + "".join(sign + body for sign, body in parts[1:])
+
+
+def four_product_inverse(z: Scalar) -> Scalar:
+    """1 / z through |z|^2 and its sqrt2-conjugate: conj(z) * w / (z * conj(z) * w)."""
+    zc = z.conj()
+    n1 = z * zc
+    w = n1.conj_sqrt2()
+    norm, _, _, _, den = (n1 * w).ints
+    return zc * w * Scalar(Fraction(den, norm))
+
+
+# magnitude 1, small fractions, and 300-bit numerators and denominators, of both signs
+printed_coordinate = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2), Fraction(-1, 7)]),
+    small_fraction,
+    st.integers(-(2**300), 2**300).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**300), 2**300), st.integers(1, 2**300)),
+)
+printed_scalars = st.builds(Scalar, printed_coordinate, printed_coordinate, printed_coordinate, printed_coordinate)
+
+
+def test_format_scalar_examples():
+    cases = {
+        Scalar(0): "0",
+        Scalar(-1): "-1",
+        Scalar(0, -1): "-i",
+        Scalar(0, 0, 1, -1): "r2-i*r2",
+        Scalar(-1, 1, -1, 1): "-1+i-r2+i*r2",
+        Scalar(Fraction(-3, 2), 0, 0, Fraction(1, 2)): "-3/2+1/2*i*r2",
+        Scalar(Fraction(2, 6), Fraction(-5, 3)): "1/3-5/3*i",
+        Scalar(0, 0, Fraction(-(2**300), 3)): f"-{2**300}/3*r2",
+    }
+    for z, text in cases.items():
+        assert format_scalar(z) == reference_format_scalar(z) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=printed_scalars)
+def test_format_scalar_matches_fraction_printer(z):
+    assert format_scalar(z) == reference_format_scalar(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=printed_coordinate)
+def test_rational_inverse_matches_four_product_formula(q):
+    z = Scalar(q)
+    if not q:
+        with pytest.raises(ZeroDivisionError):
+            z.inverse()
+        return
+    for x in (z, -z):
+        inv = x.inverse()
+        assert_canonical(inv)
+        assert inv.ints == four_product_inverse(x).ints
+        assert ref(inv) == (1 / ref(x)[0], 0, 0, 0)
