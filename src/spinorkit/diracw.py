@@ -67,8 +67,6 @@ class _Spinor(Combination):
         if self.unit != other.unit:
             raise UnitMismatchError(f"cannot combine {type(self).__name__}s with different units")
 
-    __rmul__ = Combination.scaled
-
 
 class DiracVector(_Spinor):
     """Element of W = U + Ubar*: components (u^1, u^2, lbar_1, lbar_2) and a unit offset."""
@@ -163,9 +161,9 @@ class EndW(Combination):
             raise VarianceError(f"cannot combine EndW with {type(other).__name__}")
 
     def __mul__(self, other):
-        """Composition with another endomorphism, or a scalar multiple."""
+        """Composition with another endomorphism."""
         if not isinstance(other, EndW):
-            return self.scaled(other)
+            return NotImplemented
         other_rows = {}
         for (k, j), y in other.terms.items():
             other_rows.setdefault(k, []).append((j, y))
@@ -174,8 +172,6 @@ class EndW(Combination):
             for j, y in other_rows.get(k, ()):
                 products.setdefault((i, j), []).append((1, x, y))
         return EndW._trusted((), {key: _dot(triples) for key, triples in products.items()})
-
-    __rmul__ = Combination.scaled
 
     def apply(self, psi: DiracVector) -> DiracVector:
         _require(psi, DiracVector, "apply")
@@ -340,16 +336,11 @@ def _h_matrix(h: ScaledTensor):
     return m
 
 
-def _h_positivity(m) -> Tuple[Scalar, Scalar]:
-    trace = m[0][0] + m[1][1]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return trace, det
-
-
 def check_positive_metric(h: ScaledTensor):
     """Hermitian positivity via exact trace and determinant signs."""
     m = _h_matrix(h)
-    trace, det = _h_positivity(m)
+    trace = m[0][0] + m[1][1]
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if trace.real_sign() <= 0 or det.real_sign() <= 0:
         raise ObserverError(
             f"observer metric is not positive: trace={trace}, det={det}"

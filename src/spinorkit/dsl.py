@@ -330,6 +330,7 @@ class Parser:
             result = fn(*args)
         except (ValueError, VarianceError, ZeroDivisionError) as exc:
             raise DslError(f"{type(exc).__name__}: {exc}", tok.line, tok.col) from None
+        budget = _coeff_bit_budget()
         if type(result) is Scalar:  # most results, and the cheapest to measure
             terms, ints = 1, result.ints
         else:
@@ -338,13 +339,11 @@ class Parser:
             terms, ints = len(coefficients), [x for c in coefficients for x in c.ints]
             # an exponent prints as a decimal int too, so it is held to the same budget
             bits = max(exponents, default=0).bit_length()
-            budget = _coeff_bit_budget()
             if bits > budget:
                 self.error(f"result with a {bits}-bit exponent is over the budget of {budget} bits", tok)
         if terms > MAX_TERMS:
             self.error(f"result of {terms} terms is over the budget of {MAX_TERMS}", tok)
         bits = max(map(int.bit_length, ints), default=0)
-        budget = _coeff_bit_budget()
         if bits > budget:
             self.error(f"result with a {bits}-bit coefficient is over the budget of {budget} bits", tok)
         return result
@@ -358,6 +357,14 @@ class Parser:
             return parse(*args)
         finally:
             self.depth -= 1
+
+    def _parse_list(self, close: str, parse_item, *args) -> list:
+        """One or more parse_item(*args), separated by ',' and ended by the punct `close`."""
+        items = [parse_item(*args)]
+        while self.match_punct(","):
+            items.append(parse_item(*args))
+        self.expect_punct(close)
+        return items
 
     # -- program --------------------------------------------------------------
 
@@ -398,10 +405,7 @@ class Parser:
             if kind not in ("fermion", "boson"):
                 self.error("sector kind must be 'fermion' or 'boson'")
             self.expect_punct("[")
-            modes = [self.expect_int()]
-            while self.match_punct(","):
-                modes.append(self.expect_int())
-            self.expect_punct("]")
+            modes = self._parse_list("]", self.expect_int)
             stats = Statistics.FERMION if kind == "fermion" else Statistics.BOSON
             sectors.append(self.call_kernel(s_tok, Sector, s_name, stats, modes))
         universe = self.call_kernel(keyword, Universe, sectors)
@@ -506,12 +510,7 @@ class Parser:
             self.error(f"unknown function {name!r}", tok)
         fn, *kinds = entry
         self.expect_punct("(")
-        args = []
-        if not self.match_punct(")"):
-            args.append(self.parse_expr())
-            while self.match_punct(","):
-                args.append(self.parse_expr())
-            self.expect_punct(")")
+        args = [] if self.match_punct(")") else self._parse_list(")", self.parse_expr)
         arity = len(kinds)
         if len(args) != arity:
             self.error(f"{name}() takes {arity} argument{'s' * (arity != 1)}, got {len(args)}", tok)
@@ -557,10 +556,7 @@ class Parser:
 
     def _parse_tensor_literal(self, keyword: Token) -> ScaledTensor:
         self.expect_punct("[")
-        slots = [self._parse_variance()]
-        while self.match_punct(","):
-            slots.append(self._parse_variance())
-        self.expect_punct("]")
+        slots = self._parse_list("]", self._parse_variance)
         unit = None
         if self.peek().kind == "name" and self.peek().value == "unit":
             self.advance()
@@ -572,10 +568,7 @@ class Parser:
             if self.match_punct(";"):
                 continue
             self.expect_punct("(")
-            index = [self.expect_int()]
-            while self.match_punct(","):
-                index.append(self.expect_int())
-            self.expect_punct(")")
+            index = self._parse_list(")", self.expect_int)
             self.expect_punct(":")
             entries[tuple(index)] = self._parse_scalar("tensor entries")
         return self.call_kernel(keyword, ScaledTensor, slots, entries, unit)
@@ -680,20 +673,14 @@ class Parser:
 
     def _parse_poly_vector(self, dim: int, fibre: int):
         self.expect_punct("[")
-        polys = [self._parse_poly_value(dim)]
-        while self.match_punct(","):
-            polys.append(self._parse_poly_value(dim))
-        self.expect_punct("]")
+        polys = self._parse_list("]", self._parse_poly_value, dim)
         if len(polys) != fibre:
             self.error(f"expected {fibre} fibre components, got {len(polys)}")
         return tuple(polys)
 
     def _parse_poly_matrix(self, dim: int, fibre: int):
         self.expect_punct("[")
-        rows = [self._parse_poly_vector(dim, fibre)]
-        while self.match_punct(","):
-            rows.append(self._parse_poly_vector(dim, fibre))
-        self.expect_punct("]")
+        rows = self._parse_list("]", self._parse_poly_vector, dim, fibre)
         if len(rows) != fibre:
             self.error(f"expected {fibre} fibre rows, got {len(rows)}")
         return tuple(rows)
@@ -746,7 +733,7 @@ class Parser:
                     self.error("parenthesized poly factors must be scalar")
                 coeff = coeff * inner.get(const, Scalar.zero())
             else:
-                break
+                self.error("expected a poly factor")
             if not self.match_punct("*"):
                 break
         _accumulate(terms, tuple(exps), coeff)

@@ -29,7 +29,9 @@ the nonzero coefficients in ``terms`` and the space they live in in
 ``shape``, and it implements ``+``, ``-``, negation, ``scaled``, ``==`` and
 ``hash`` once.  Results computed from canonical operands go through its
 trusted constructor ``_trusted``, which only drops zero coefficients;
-``_accumulate`` is the one merge step behind every sum of terms.
+``_accumulate`` is the one merge step behind every sum of terms.  On
+containers ``*`` means only the algebra product of two elements of one
+class; a scalar multiple is always ``scaled``.
 """
 
 from __future__ import annotations
@@ -277,9 +279,6 @@ class Scalar:
 
     def is_real(self) -> bool:
         return not (self._v[1] or self._v[3])
-
-    def is_rational(self) -> bool:
-        return not (self._v[1] or self._v[2] or self._v[3])
 
     def real_sign(self) -> int:
         """Exact sign (-1, 0, 1) of a real element (a + c*sqrt2) / den."""

@@ -106,13 +106,11 @@ class Poly(Combination):
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return self.scaled(other)
+            return NotImplemented
         self._check_mate(other)
         terms: Dict[Exponents, Scalar] = {}
         _add_product(terms, self.terms, other.terms)
         return Poly._trusted(self.shape, terms)
-
-    __rmul__ = __mul__
 
     def diff(self, axis: int) -> "Poly":
         return Poly._trusted(self.shape, _partial(self.terms, axis))

@@ -141,10 +141,6 @@ class Universe:
 Monomial = Tuple[Tuple[int, ...], ...]
 
 
-def vacuum_monomial(universe: Universe) -> Monomial:
-    return universe.vacuum
-
-
 def monomial_rank(m: Monomial) -> int:
     return sum(map(len, m))
 
@@ -215,7 +211,7 @@ class FockState(Combination):
 
     @classmethod
     def vacuum(cls, universe: Universe, dual: bool = False) -> "FockState":
-        return cls(universe, {vacuum_monomial(universe): Scalar.one()}, dual)
+        return cls(universe, {universe.vacuum: Scalar.one()}, dual)
 
     @classmethod
     def mode(cls, universe: Universe, sector: str, mode: int, dual: bool = False) -> "FockState":
@@ -245,15 +241,7 @@ class FockState(Combination):
         return sorted({monomial_grade(self.universe, m) for m in self.terms})
 
     def vacuum_coefficient(self) -> Scalar:
-        return self.terms.get(vacuum_monomial(self.universe), Scalar.zero())
-
-    def __mul__(self, factor):
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
-    def __xor__(self, other: "FockState") -> "FockState":
-        return exterior_product(self, other)
+        return self.terms.get(self.universe.vacuum, Scalar.zero())
 
     def __str__(self) -> str:
         return format_state(self)
@@ -448,22 +436,11 @@ class OperatorElement(Combination):
 
     @classmethod
     def identity(cls, universe: Universe) -> "OperatorElement":
-        vac = vacuum_monomial(universe)
+        vac = universe.vacuum
         return cls(universe, {(vac, vac): Scalar.one()})
 
-    @classmethod
-    def of_scalar(cls, universe: Universe, c) -> "OperatorElement":
-        return cls.identity(universe).scaled(c)
-
-    def word_grade(self, word: Word) -> int:
-        emit_m, absorb_m = word
-        return (
-            monomial_grade(self.universe, emit_m)
-            + monomial_grade(self.universe, absorb_m)
-        ) % 2
-
     def grades(self):
-        return sorted({self.word_grade(w) for w in self.terms})
+        return [grade for grade, part in enumerate(_graded_terms(self.universe, self.terms)) if part]
 
     def graded_parts(self):
         """(even part, odd part)."""
@@ -476,14 +453,11 @@ class OperatorElement(Combination):
         raise SectorMismatchError("operators live over different universes")
 
     def __mul__(self, other):
-        """Composition, folding each word of `other` into these terms; or a scalar multiple."""
+        """Composition, folding each word of `other` into these terms."""
         if not isinstance(other, OperatorElement):
-            return self.scaled(other)
+            return NotImplemented
         self._check_mate(other)
         return self._like(_compose(self.universe, self.terms, other.terms))
-
-    def __rmul__(self, factor):
-        return self.scaled(factor)
 
     def apply(self, psi: FockState) -> FockState:
         """Evaluate the endomorphism: contract the absorb part, wedge the emit part."""
@@ -530,7 +504,7 @@ class OperatorElement(Combination):
 
 def _rank1_operator(state: FockState) -> OperatorElement:
     """The one-generator words of a rank-1 state: emissions, or absorptions if dual."""
-    vac = vacuum_monomial(state.universe)
+    vac = state.universe.vacuum
     terms: Dict[Word, Scalar] = {}
     for mono, coeff in state.terms.items():
         if monomial_rank(mono) != 1:
@@ -639,7 +613,7 @@ def normal_order(universe: Universe, gens) -> OperatorElement:
     Folds the generators into the identity, one `_times_generator` step each;
     the cost is the word length times the number of live words.
     """
-    vac = vacuum_monomial(universe)
+    vac = universe.vacuum
     terms = {(vac, vac): Scalar.one()}
     for gen in [_check_generator(universe, gen) for gen in gens]:
         terms = _times_generator(universe, terms, gen)
@@ -675,11 +649,6 @@ def generator_action(universe: Universe, gens):
         return out
 
     return action
-
-
-def apply_generators(universe: Universe, gens, psi: FockState) -> FockState:
-    """Raw composition: apply generators right to left, one at a time."""
-    return generator_action(universe, gens)(psi)
 
 
 def super_bracket(x: OperatorElement, y: OperatorElement) -> OperatorElement:

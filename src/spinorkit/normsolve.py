@@ -30,11 +30,10 @@ remainder 0; the gcds, and so the printed spinors, depend on that order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Tuple
 
-from .exactfield import Scalar, sqrt2_sign
+from .exactfield import Scalar, _reduced, sqrt2_sign
 
 Z8 = Tuple[int, int, int, int]
 S2 = Tuple[int, int]
@@ -540,12 +539,7 @@ def solve_norm_s2(m: S2) -> Optional[Z8]:
 
 def z8_to_scalar(a: Z8, denominator: int = 1) -> Scalar:
     c0, c1, c2, c3 = a
-    return Scalar(
-        Fraction(c0, denominator),
-        Fraction(c2, denominator),
-        Fraction(c1 - c3, 2 * denominator),
-        Fraction(c1 + c3, 2 * denominator),
-    )
+    return _reduced(2 * c0, 2 * c2, c1 - c3, c1 + c3, 2 * denominator)
 
 
 def solve_norm(w: Scalar) -> Optional[Scalar]:

@@ -141,15 +141,6 @@ class ScaledTensor(Combination):
         if self.unit != other.unit:
             raise UnitMismatchError(f"unit mismatch: {self.unit} vs {other.unit}")
 
-    def __mul__(self, other):
-        """Scalar multiple, or tensor product when `other` is a tensor."""
-        if isinstance(other, ScaledTensor):
-            return self.tensor(other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
-
     def tensor(self, other: "ScaledTensor") -> "ScaledTensor":
         terms = {k1 + k2: v1 * v2 for k1, v1 in self.terms.items() for k2, v2 in other.terms.items()}
         return ScaledTensor._trusted((self.slots + other.slots, self.unit + other.unit), terms)

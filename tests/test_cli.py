@@ -12,6 +12,7 @@ import pytest
 import spinorkit
 from spinorkit.cli import INTERNAL_ERROR, main
 from spinorkit.spintensor import ScaledTensor
+from spinorkit.suites import SUITE_NAMES
 
 # the child interpreter imports the same spinorkit as this one, PYTHONPATH or not
 SRC = str(Path(spinorkit.__file__).resolve().parents[1])
@@ -42,9 +43,13 @@ def test_check_all_aggregates_sections(capsys):
     payload = json.loads(out)
     assert payload["seed"] == 7 and payload["trials"] == 5
     names = [s["suite"] for s in payload["suites"]]
-    assert names == sorted(names)
-    assert "clifford" in names and "car-ccr" in names
+    # every suite once, in SUITE_NAMES order
+    assert names == list(SUITE_NAMES) and len(set(names)) == len(names)
     assert all(s["failures"] == [] for s in payload["suites"])
+    # each section is the single-suite report at the same seed and trials
+    for section in payload["suites"]:
+        code, single, _ = run_cli(["check", "--suite", section["suite"], "--seed", "7", "--trials", "5"], capsys)
+        assert code == 0 and json.loads(single) == section
 
 
 def test_check_is_byte_deterministic(capsys):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorkit import dsl
+from spinorkit import dsl, suites
 from spinorkit.cli import main
 from spinorkit.diracw import DiracVector, gamma
 from spinorkit.dsl import DslError, Environment, eval_program
@@ -380,6 +380,11 @@ EVAL_ERROR_ROWS = [
     ("1 / (1 - 1)", "error: 1:3: ZeroDivisionError"),
     ("tensor [U] { (3): 1 }", "error: 1:1: VarianceError: bad index (3,)"),
     ("\u00b2", "error: 1:1: unexpected character '\u00b2'"),
+    # every poly term needs a factor: an empty term is refused where it starts, not read as 1
+    ('form deg=0 dim=2 { 1 : poly "" }', "error: 1:29: in poly string '': 1:1: expected a poly factor"),
+    ('form deg=0 dim=2 { 1 : poly "x +" }', "error: 1:29: in poly string 'x +': 1:4: expected a poly factor"),
+    ('let q = 1\nform deg=0 dim=2 { 1 : poly "- -x" }', "error: 2:29: in poly string '- -x': 1:3: expected a poly factor"),
+    ('form deg=0 dim=2 { 1 : poly "x*" }', "error: 1:29: in poly string 'x*': 1:3: expected a poly factor"),
     # the 12th squaring is the first result over MAX_COEFF_BITS; the 24th would not end within a minute
     (
         "let a = 3+r2\n" + "let a = a*a\n" * 30,
@@ -680,7 +685,11 @@ def test_tokenize_matches_reference_on_the_fuzz_programs_and_their_poly_strings(
 
 
 def _reference_poly_sum(parser, dim):
-    """The parser's poly grammar as it was: one Poly per term, summed with `+`."""
+    """The parser's poly grammar as it was: one Poly per term, summed with `+`.
+
+    It still reads a term without a factor as its sign, which the parser now
+    refuses, so the comparisons below draw only terms with a factor.
+    """
     total = _reference_poly_term(parser, dim, parser.match_punct("-"))
     while True:
         if parser.match_punct("+"):
@@ -896,3 +905,33 @@ def test_eval_corpus_prints_byte_identical_output():
     for code, out, err in results:
         digest.update(f"{code}\n{out}\x00{err}\x01".encode())
     assert digest.hexdigest() == GOLDEN_EVAL_CORPUS_SHA256
+
+
+# -- printer round trips over the suite samplers ----------------------------------------
+
+
+PRINTABLE_SAMPLERS = {
+    "scalar": random_scalar,
+    "tensor": suites.random_mink,
+    "spinor": suites.random_spinor,
+    "dirac": lambda rng: DiracVector([random_scalar(rng) for _ in range(4)]),
+    "form": lambda rng: Form(3, 1, {(axis,): suites.random_poly(rng, 3) for axis in range(3)}),
+    "tangent": lambda rng: suites.random_tangent_form(rng, 3, rng.randint(0, 3)),
+    "vector": lambda rng: suites.random_vector_form(rng, 3, 2, rng.randint(0, 3)),
+    "matrix": lambda rng: suites.random_connection(rng, 3, 2),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_printed_values_read_back_to_themselves(seed):
+    for kind, draw in PRINTABLE_SAMPLERS.items():
+        value = draw(SplitMix64(seed))
+        text = str(value)
+        assert eval_program(text) == [text], kind
+        parser = dsl.Parser(dsl.tokenize(text), Environment())
+        parsed = parser.parse_expr()
+        parser.expect_eof()
+        # a zero tangent form prints no component, so it reads back as the zero scalar form
+        if not (kind == "tangent" and value.is_zero()):
+            assert parsed == value, kind
