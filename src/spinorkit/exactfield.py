@@ -124,7 +124,23 @@ def _coordinate(k: int, doc: str) -> property:
     return property(lambda self: Fraction(self._v[k], self._v[4]), doc=doc)
 
 
-class Scalar:
+class Immutable:
+    """A base whose instances refuse assignment and deletion of attributes.
+
+    Subclasses write their slots once, in construction, through the slot
+    descriptors or ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Scalar(Immutable):
     """An element a + b*i + c*sqrt(2) + d*i*sqrt(2) of Q(i, sqrt2).
 
     The coordinates must be ``int`` or ``Fraction``; anything else, a float
@@ -146,12 +162,6 @@ class Scalar:
             int(x) * den if isinstance(x, int) else x.numerator * (den // x.denominator) for x in coords
         )
         _set_v(self, nums + (den,))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Scalar is immutable")
 
     a = _coordinate(0, "Rational coefficient of 1.")
     b = _coordinate(1, "Rational coefficient of i.")
@@ -358,7 +368,7 @@ def _accumulate(out: dict, key, value, sign: int = 1):
         out[key] = prev + value if sign > 0 else prev - value
 
 
-class Combination:
+class Combination(Immutable):
     """A finite linear combination of canonical keys in a space fixed by a shape.
 
     ``terms`` maps keys to nonzero coefficients: :class:`Scalar` values, or
@@ -389,12 +399,6 @@ class Combination:
 
     def _like(self, terms: dict):
         return self._trusted(self.shape, terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
         return not self.terms

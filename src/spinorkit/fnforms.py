@@ -1,6 +1,6 @@
 """Differential forms with exact polynomial coefficients on a coordinate chart.
 
-Forms live on R^m with 1 <= m <= 4; coefficients are polynomials over
+Forms live on R^m with 1 <= m <= 6; coefficients are polynomials over
 Q(i, sqrt2), so every identity below is decided exactly.  Scalar-, tangent-,
 vector- and matrix-valued forms are one construction, sections of
 Lambda^r T* (x) E for a fibre E, and one class, :class:`ValuedForm`, holds
@@ -31,7 +31,7 @@ from typing import Dict, NamedTuple, Tuple
 
 from .exactfield import Combination, Scalar, _accumulate, shape_field
 
-AXIS_NAMES = "xyzw"
+AXIS_NAMES = "xyzwuv"
 
 Exponents = Tuple[int, ...]
 Axes = Tuple[int, ...]

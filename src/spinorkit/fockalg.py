@@ -39,7 +39,7 @@ import itertools
 import json
 from typing import Dict, Iterable, List, Tuple
 
-from .exactfield import Combination, Scalar, _accumulate, shape_field
+from .exactfield import Combination, Immutable, Scalar, _accumulate, shape_field
 
 _ONE = Scalar.one()
 
@@ -57,7 +57,7 @@ class RankError(ValueError):
     """Operation requires a rank-1 (single particle) argument."""
 
 
-class Sector:
+class Sector(Immutable):
     __slots__ = ("name", "statistics", "modes")
 
     def __init__(self, name: str, statistics: Statistics, modes: Iterable[int]):
@@ -67,9 +67,6 @@ class Sector:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "statistics", statistics)
         object.__setattr__(self, "modes", modes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Sector is immutable")
 
     @property
     def is_fermion(self) -> bool:
@@ -92,7 +89,7 @@ class Sector:
         return f"sector {self.name}: {self.statistics.value} [{modes}]"
 
 
-class Universe:
+class Universe(Immutable):
     """An ordered family of sectors; the ordering fixes the canonical monomial form."""
 
     __slots__ = ("sectors", "is_fermion", "vacuum", "_index")
@@ -107,9 +104,6 @@ class Universe:
         object.__setattr__(self, "is_fermion", tuple(s.is_fermion for s in sectors))
         object.__setattr__(self, "vacuum", tuple(() for _ in sectors))
         object.__setattr__(self, "_index", {s.name: i for i, s in enumerate(sectors)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Universe is immutable")
 
     def sector_index(self, name: str) -> int:
         try:

@@ -18,7 +18,7 @@ import enum
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
-from .exactfield import Combination, Scalar, UnitMismatchError, _accumulate, _dot, shape_field
+from .exactfield import Combination, Immutable, Scalar, UnitMismatchError, _accumulate, _dot, shape_field
 
 
 class VarianceError(TypeError):
@@ -247,7 +247,7 @@ _INV_R2 = Scalar.one() / Scalar.sqrt2()
 _I_INV_R2 = Scalar.i() * _INV_R2
 
 
-class EpsilonStructure:
+class EpsilonStructure(Immutable):
     """The normalized complex symplectic form on U, fixed up to a phase.
 
     The phase must be unit-modulus; all phase-invariant derived objects (the
@@ -263,9 +263,6 @@ class EpsilonStructure:
         if phase * phase.conj() != Scalar.one():
             raise ValueError(f"epsilon phase must have unit modulus, got {phase}")
         object.__setattr__(self, "phase", phase)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EpsilonStructure is immutable")
 
     def eps_value(self, u: ScaledTensor, v: ScaledTensor) -> Scalar:
         if u.slots != (Variance.U,) or v.slots != (Variance.U,):

@@ -1,17 +1,23 @@
 """Seeded property suites: every identity the kernel asserts, re-checked exactly.
 
-Each suite draws its inputs from a per-trial counter-based substream, so a
-(suite, seed, trials) triple always examines the same inputs and reports are
-byte-identical across runs.  A failure record carries the offending input
-and both sides of the broken identity; the suites are theorem checks, so any
-failure is an implementation bug, never a property of the inputs.
+A suite is a check per trial plus its label.  A check ``check(rng, trial)``
+draws one trial's inputs from ``rng`` and returns that trial's failure
+record, or None; :func:`_trials` runs trial k on the counter-based substream
+``stream_for(seed, f"{label}#{k}")``.  So a (suite, seed, trials) triple
+always examines the same inputs, reports are byte-identical across runs, and
+any one trial can be re-run alone.  Adding a suite takes one check function
+and one row of :data:`SUITES`.  Checks look up kernels, samplers and classes
+as module globals on each call, so rebinding one here reaches every trial.
+A failure record carries the offending input and both sides of the broken
+identity; the suites are theorem checks, so any failure is an
+implementation bug, never a property of the inputs.
 
 The ``trial`` of a failure record is the index of the trial that broke, with
 two exceptions.  ``car-ccr`` runs fixed checks instead of trials: a failed
 apply records the index of the basis state it was applied to, and a failed
 bracket, or a broken witness of ``signature``, records -1.  ``fn-bracket``
-numbers its Jacobi rounds after its antisymmetry trials, so round k is
-recorded as trial ``k + trials``.
+runs ``max(1, trials // 10)`` Jacobi rounds after its antisymmetry trials;
+round k reads stream ``fn-jacobi#k`` and is recorded as trial ``k + trials``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from typing import Callable, Dict, List, Optional
 from .diracw import DiracVector, EndW, gamma, k_form, k_hermiticity_check
 from .exactfield import Scalar, _accumulate, _reduced
 from .fnforms import (
+    _RANKS,
     Fibre,
     Poly,
     ValuedForm,
@@ -40,6 +47,7 @@ from .fockalg import (
     Sector,
     Statistics,
     Universe,
+    _mode_monomial,
     absorb,
     basis_states,
     emit,
@@ -70,22 +78,12 @@ class SuiteReport:
     def to_json_dict(self) -> dict:
         # elapsed is intentionally absent: reports must be byte-identical
         # across runs for identical (suite, seed, trials)
-        return {
-            "failures": self.failures,
-            "seed": self.seed,
-            "suite": self.suite,
-            "trials": self.trials,
-        }
+        return {name: getattr(self, name) for name in ("failures", "seed", "suite", "trials")}
 
 
 def _failure(trial: int, input: str, expected: str, got: str) -> dict:
     """The record of one broken identity: the trial, its input and both sides."""
     return {"trial": trial, "input": input, "expected": expected, "got": got}
-
-
-def _map_trials(fn: Callable[[int], Optional[dict]], trials: int) -> List[dict]:
-    """Run trials 0..trials-1 in order; the failure records they return."""
-    return [r for r in map(fn, range(trials)) if r is not None]
 
 
 # -- domain samplers -------------------------------------------------------------
@@ -118,9 +116,8 @@ def random_spin_frame(rng: SplitMix64, eps: EpsilonStructure):
         b1 = random_spinor(rng)
         c = random_spinor(rng)
         omega = eps.eps_value(b1, c)
-        if b1.is_zero() or omega.is_zero():
-            continue
-        return b1, c.scaled(omega.inverse())
+        if not (b1.is_zero() or omega.is_zero()):
+            return b1, c.scaled(omega.inverse())
 
 
 def random_poly(rng: SplitMix64, dim: int, max_degree: int = 2, terms: int = 2) -> Poly:
@@ -140,30 +137,21 @@ def random_poly(rng: SplitMix64, dim: int, max_degree: int = 2, terms: int = 2) 
     return Poly._trusted((dim,), acc)
 
 
-def random_tangent_form(rng: SplitMix64, dim: int, degree: int) -> ValuedForm:
-    comps = {}
-    for axes in itertools.combinations(range(dim), degree):
-        for out_axis in range(dim):
-            if rng.randint(0, 1):
-                comps[(axes, (out_axis,))] = random_poly(rng, dim)
-    return ValuedForm._trusted((dim, degree, Fibre("tangent", dim)), comps)
+@functools.cache
+def _form_keys(dim: int, degree: int, fibre: Fibre) -> tuple:
+    """The keys (axes, fibre index) of a form, in key order; built once per shape."""
+    indices = itertools.product(range(fibre.size), repeat=_RANKS[fibre.kind])
+    return tuple(itertools.product(itertools.combinations(range(dim), degree), indices))
 
 
-def random_connection(rng: SplitMix64, dim: int = 3, fibre: int = 2) -> ValuedForm:
-    comps = {}
-    for axis in range(dim):
-        for i in range(fibre):
-            for j in range(fibre):
-                comps[((axis,), (i, j))] = random_poly(rng, dim)
-    return ValuedForm._trusted((dim, 1, Fibre("matrix", fibre)), comps)
+def random_form(rng: SplitMix64, dim: int, degree: int, fibre: Fibre, sparse: bool = False) -> ValuedForm:
+    """A form with a `random_poly` drawn for each key (axes, fibre index), in key order.
 
-
-def random_vector_form(rng: SplitMix64, dim: int, fibre: int, degree: int) -> ValuedForm:
-    comps = {}
-    for axes in itertools.combinations(range(dim), degree):
-        for j in range(fibre):
-            comps[(axes, (j,))] = random_poly(rng, dim)
-    return ValuedForm._trusted((dim, degree, Fibre("vector", fibre)), comps)
+    With `sparse`, each key first draws a coin, and only a 1 draws its polynomial.
+    """
+    keys = _form_keys(dim, degree, fibre)
+    comps = {key: random_poly(rng, dim) for key in keys if not sparse or rng.randint(0, 1)}
+    return ValuedForm._trusted((dim, degree, fibre), comps)
 
 
 SMALL_UNIVERSE = Universe(
@@ -193,25 +181,20 @@ def _deep_monomials() -> tuple:
 def random_fock_state(rng: SplitMix64, universe: Universe, monomials, terms=3, dual=False):
     acc = {}
     for _ in range(terms):
-        mono = monomials[rng.randint(0, len(monomials) - 1)]
-        _accumulate(acc, mono, random_scalar(rng))
+        _accumulate(acc, monomials[rng.randint(0, len(monomials) - 1)], random_scalar(rng))
     return FockState._trusted((universe, bool(dual)), acc)
 
 
 def random_rank1(rng: SplitMix64, universe: Universe, dual=False) -> FockState:
     sector_idx = rng.randint(0, len(universe.sectors) - 1)
-    parts = [()] * len(universe.sectors)
-    terms = {}
-    for mode in universe.sectors[sector_idx].modes:
-        parts[sector_idx] = (mode,)
-        terms[tuple(parts)] = random_scalar(rng)
+    modes = universe.sectors[sector_idx].modes
+    terms = {_mode_monomial(universe, sector_idx, mode): random_scalar(rng) for mode in modes}
     return FockState._trusted((universe, bool(dual)), terms)
 
 
 def random_generator_word(rng: SplitMix64, universe: Universe, max_len: int = 4):
-    length = rng.randint(0, max_len)
     gens = []
-    for _ in range(length):
+    for _ in range(rng.randint(0, max_len)):
         kind = "+" if rng.randint(0, 1) else "-"
         sector_idx = rng.randint(0, len(universe.sectors) - 1)
         modes = universe.sectors[sector_idx].modes
@@ -219,154 +202,133 @@ def random_generator_word(rng: SplitMix64, universe: Universe, max_len: int = 4)
     return gens
 
 
-# -- the suites -------------------------------------------------------------------
+# -- the checks -------------------------------------------------------------------
 
 
-def _suite_clifford(seed: int, trials: int) -> List[dict]:
-    def one(trial: int):
-        rng = stream_for(seed, f"clifford#{trial}")
-        y, yp = random_mink(rng), random_mink(rng)
-        gy, gyp = gamma(y), gamma(yp)
-        got = gy * gyp + gyp * gy
-        expected = EndW.identity().scaled(Scalar(2) * g_pairing(y, yp))
-        if got != expected:
-            return _failure(trial, f"y = {y}; y' = {yp}", str(expected), str(got))
-        return None
-
-    return _map_trials(one, trials)
+def _trials(label: str, check: Callable, seed: int, trials: int, first: int = 0) -> List[dict]:
+    """The records of `check` on trials 0..trials-1, in order; trial k reads `label#k` and is numbered first + k."""
+    return [r for k in range(trials) if (r := check(stream_for(seed, f"{label}#{k}"), first + k)) is not None]
 
 
-_ZERO = Scalar.zero()
-_MINK_DIAG = (Scalar(1), Scalar(-1), Scalar(-1), Scalar(-1))
+def check_clifford(rng: SplitMix64, trial: int) -> Optional[dict]:
+    y, yp = random_mink(rng), random_mink(rng)
+    gy, gyp = gamma(y), gamma(yp)
+    got = gy * gyp + gyp * gy
+    expected = EndW.identity().scaled(Scalar(2) * g_pairing(y, yp))
+    if got != expected:
+        return _failure(trial, f"y = {y}; y' = {yp}", str(expected), str(got))
+    return None
 
 
-def _suite_pauli(seed: int, trials: int) -> List[dict]:
+_MINK_GRAM = [[Scalar(v if i == j else 0) for j in range(4)] for i, v in enumerate((1, -1, -1, -1))]
+
+
+def check_pauli(rng: SplitMix64, trial: int) -> Optional[dict]:
     eps = EpsilonStructure()
-
-    def one(trial: int):
-        rng = stream_for(seed, f"pauli#{trial}")
-        b1, b2 = random_spin_frame(rng, eps)
-        tetrad = eps.pauli_tetrad(b1, b2)
-        for i, ti in enumerate(tetrad):
-            for j, tj in enumerate(tetrad):
-                want = _MINK_DIAG[i] if i == j else _ZERO
-                got = eps.g_pairing(ti, tj)
-                if got != want:
-                    return _failure(trial, f"b1 = {b1}; b2 = {b2}; entry = ({i},{j})", str(want), str(got))
-        return None
-
-    return _map_trials(one, trials)
+    b1, b2 = random_spin_frame(rng, eps)
+    tetrad = eps.pauli_tetrad(b1, b2)
+    for i, ti in enumerate(tetrad):
+        for j, tj in enumerate(tetrad):
+            got = eps.g_pairing(ti, tj)
+            if got != _MINK_GRAM[i][j]:
+                return _failure(trial, f"b1 = {b1}; b2 = {b2}; entry = ({i},{j})", str(_MINK_GRAM[i][j]), str(got))
+    return None
 
 
-# Dirac vectors that diagonalize k, each with its value of k(w, w); built
-# once, and k is evaluated on them on every call of the suite
+# Dirac vectors that diagonalize k, and the Gram matrix of k on them
 _WITNESSES = tuple(
-    (DiracVector(tuple(Scalar(x) for x in comps)), Scalar(value))
-    for comps, value in (((1, 0, 1, 0), 2), ((0, 1, 0, 1), 2), ((1, 0, -1, 0), -2), ((0, 1, 0, -1), -2))
+    DiracVector(tuple(Scalar(x) for x in comps))
+    for comps in ((1, 0, 1, 0), (0, 1, 0, 1), (1, 0, -1, 0), (0, 1, 0, -1))
 )
+_WITNESS_GRAM = [[Scalar(v if i == j else 0) for j in range(4)] for i, v in enumerate((2, 2, -2, -2))]
 
 
-def _signature_witnesses():
-    values = [k_form(w, w) for w, _ in _WITNESSES]
-    expected = [v for _, v in _WITNESSES]
-    ortho = all(
-        k_form(_WITNESSES[i][0], _WITNESSES[j][0]).is_zero()
-        for i in range(4)
-        for j in range(4)
-        if i != j
-    )
-    return values, expected, ortho
-
-
-def _suite_signature(seed: int, trials: int) -> List[dict]:
-    failures: List[dict] = []
-    values, expected, ortho = _signature_witnesses()
-    if values != expected or not ortho:
-        failures.append(
-            _failure(-1, "k-diagonalization witnesses", str([str(v) for v in expected]),
-                     str([str(v) for v in values]))
+def check_signature(rng: SplitMix64, trial: int) -> Optional[dict]:
+    y = random_mink(rng)
+    if not k_hermiticity_check(y):
+        return _failure(
+            trial, f"y = {y}", "k(gamma[y] psi, phi) = k(psi, gamma[y] phi)", "k-hermiticity failed on H"
         )
+    if not y.is_zero() and k_hermiticity_check(y.scaled(Scalar.i())):
+        return _failure(
+            trial, f"i*y with y = {y}", "k-hermiticity must fail off H", "anti-Hermitian element passed"
+        )
+    return None
 
-    def one(trial: int):
-        rng = stream_for(seed, f"signature#{trial}")
-        y = random_mink(rng)
-        if not k_hermiticity_check(y):
-            return _failure(
-                trial, f"y = {y}", "k(gamma[y] psi, phi) = k(psi, gamma[y] phi)", "k-hermiticity failed on H"
-            )
-        if not y.is_zero() and k_hermiticity_check(y.scaled(Scalar.i())):
-            return _failure(
-                trial, f"i*y with y = {y}", "k-hermiticity must fail off H", "anti-Hermitian element passed"
-            )
+
+def _tangent_forms(rng: SplitMix64, count: int):
+    """(dim, degrees, forms) of one trial: dim from (2, 3), then `count` degrees, each at most
+    what the ones before leave of dim, then a sparse tangent-valued form of each degree."""
+    dim = rng.choice((2, 3))
+    degrees: List[int] = []
+    for _ in range(count):
+        degrees.append(rng.randint(0, dim - sum(degrees)))
+    return dim, degrees, [random_form(rng, dim, degree, Fibre("tangent", dim), sparse=True) for degree in degrees]
+
+
+def check_antisymmetry(rng: SplitMix64, trial: int) -> Optional[dict]:
+    dim, (r, s), (zeta, xi) = _tangent_forms(rng, 2)
+    lhs = fn_bracket(zeta, xi)
+    rhs = fn_bracket(xi, zeta).scaled(Scalar(-((-1) ** (r * s))))
+    if lhs != rhs:
+        return _failure(
+            trial, f"dim={dim} r={r} s={s}; zeta = {zeta}; xi = {xi}", "graded antisymmetry",
+            f"lhs = {lhs}; rhs = {rhs}",
+        )
+    return None
+
+
+def check_jacobi(rng: SplitMix64, trial: int) -> Optional[dict]:
+    dim, (r, s, t), (zeta, xi, eta) = _tangent_forms(rng, 3)
+    lhs = fn_bracket(zeta, fn_bracket(xi, eta))
+    rhs = fn_bracket(fn_bracket(zeta, xi), eta) + fn_bracket(
+        xi, fn_bracket(zeta, eta)
+    ).scaled(Scalar((-1) ** (r * s)))
+    if lhs != rhs:
+        return _failure(
+            trial, f"dim={dim} degrees=({r},{s},{t})", "graded Jacobi identity",
+            f"lhs = {lhs}; rhs = {rhs}",
+        )
+    return None
+
+
+def check_bianchi(rng: SplitMix64, trial: int) -> Optional[dict]:
+    a = random_form(rng, 3, 1, Fibre("matrix", 2))
+    f = curvature(a)
+    residual = bianchi_residual(a)
+    if not residual.is_zero():
+        return _failure(trial, f"A = {a}", "dF + [A, F] = 0", str(residual))
+    phi = random_form(rng, 3, rng.randint(0, 1), Fibre("vector", 2))
+    lhs = covariant_differential(a, covariant_differential(a, phi))
+    rhs = f.wedge(phi)
+    if lhs != rhs:
+        return _failure(trial, f"A = {a}; phi = {phi}", "d_A d_A phi = F /\\ phi", f"lhs = {lhs}; rhs = {rhs}")
+    return None
+
+
+def check_normal_order(rng: SplitMix64, trial: int) -> Optional[dict]:
+    gens = random_generator_word(rng, SMALL_UNIVERSE)
+    element = normal_order(SMALL_UNIVERSE, gens)
+    reference = generator_action(SMALL_UNIVERSE, gens)
+    for psi in _small_basis():
+        expected = reference(psi)
+        got = op_apply(element, psi)
+        if got != expected:
+            return _failure(trial, f"word = {gens}; psi = {psi}", str(expected), str(got))
+    return None
+
+
+def check_adjunction(rng: SplitMix64, trial: int) -> Optional[dict]:
+    zeta = random_rank1(rng, SMALL_UNIVERSE, dual=True)
+    xi = random_rank1(rng, SMALL_UNIVERSE, dual=True)
+    psi = random_fock_state(rng, SMALL_UNIVERSE, _deep_monomials(), terms=3)
+    if zeta.is_zero() or xi.is_zero() or psi.is_zero():
         return None
-
-    failures.extend(_map_trials(one, trials))
-    return failures
-
-
-def _suite_fn_bracket(seed: int, trials: int) -> List[dict]:
-    def one(trial: int):
-        rng = stream_for(seed, f"fn-bracket#{trial}")
-        dim = rng.choice((2, 3))
-        r = rng.randint(0, dim)
-        s = rng.randint(0, dim - r)
-        zeta = random_tangent_form(rng, dim, r)
-        xi = random_tangent_form(rng, dim, s)
-        lhs = fn_bracket(zeta, xi)
-        rhs = fn_bracket(xi, zeta).scaled(Scalar(-((-1) ** (r * s))))
-        if lhs != rhs:
-            return _failure(
-                trial, f"dim={dim} r={r} s={s}; zeta = {zeta}; xi = {xi}", "graded antisymmetry",
-                f"lhs = {lhs}; rhs = {rhs}",
-            )
-        return None
-
-    failures = _map_trials(one, trials)
-
-    jacobi_rounds = max(1, trials // 10)
-
-    def jacobi(trial: int):
-        rng = stream_for(seed, f"fn-jacobi#{trial}")
-        dim = rng.choice((2, 3))
-        r = rng.randint(0, dim)
-        s = rng.randint(0, dim - r)
-        t = rng.randint(0, dim - r - s)
-        zeta = random_tangent_form(rng, dim, r)
-        xi = random_tangent_form(rng, dim, s)
-        eta = random_tangent_form(rng, dim, t)
-        lhs = fn_bracket(zeta, fn_bracket(xi, eta))
-        rhs = fn_bracket(fn_bracket(zeta, xi), eta) + fn_bracket(
-            xi, fn_bracket(zeta, eta)
-        ).scaled(Scalar((-1) ** (r * s)))
-        if lhs != rhs:
-            # numbered after the antisymmetry trials
-            return _failure(
-                trial + trials, f"dim={dim} degrees=({r},{s},{t})", "graded Jacobi identity",
-                f"lhs = {lhs}; rhs = {rhs}",
-            )
-        return None
-
-    failures.extend(_map_trials(jacobi, jacobi_rounds))
-    return failures
-
-
-def _suite_bianchi(seed: int, trials: int) -> List[dict]:
-    def one(trial: int):
-        rng = stream_for(seed, f"bianchi#{trial}")
-        a = random_connection(rng, dim=3, fibre=2)
-        f = curvature(a)
-        residual = bianchi_residual(a)
-        if not residual.is_zero():
-            return _failure(trial, f"A = {a}", "dF + [A, F] = 0", str(residual))
-        degree = rng.randint(0, 1)
-        phi = random_vector_form(rng, 3, 2, degree)
-        lhs = covariant_differential(a, covariant_differential(a, phi))
-        rhs = f.wedge(phi)
-        if lhs != rhs:
-            return _failure(trial, f"A = {a}; phi = {phi}", "d_A d_A phi = F /\\ phi", f"lhs = {lhs}; rhs = {rhs}")
-        return None
-
-    return _map_trials(one, trials)
+    lhs = interior_product(exterior_product(zeta, xi), psi)
+    rhs = interior_product(xi, interior_product(zeta, psi))
+    if lhs != rhs:
+        return _failure(trial, f"zeta = {zeta}; xi = {xi}; psi = {psi}", str(rhs), str(lhs))
+    return None
 
 
 def _suite_car_ccr(seed: int, trials: int) -> List[dict]:
@@ -417,53 +379,30 @@ def _suite_car_ccr(seed: int, trials: int) -> List[dict]:
     return failures
 
 
-def _suite_normal_order(seed: int, trials: int) -> List[dict]:
-    universe = SMALL_UNIVERSE
-    basis = _small_basis()
-
-    def one(trial: int):
-        rng = stream_for(seed, f"normal-order#{trial}")
-        gens = random_generator_word(rng, universe)
-        element = normal_order(universe, gens)
-        reference = generator_action(universe, gens)
-        for psi in basis:
-            expected = reference(psi)
-            got = op_apply(element, psi)
-            if got != expected:
-                return _failure(trial, f"word = {gens}; psi = {psi}", str(expected), str(got))
-        return None
-
-    return _map_trials(one, trials)
+def _suite_fn_bracket(seed: int, trials: int) -> List[dict]:
+    antisymmetry = _trials("fn-bracket", check_antisymmetry, seed, trials)
+    return antisymmetry + _trials("fn-jacobi", check_jacobi, seed, max(1, trials // 10), first=trials)
 
 
-def _suite_adjunction(seed: int, trials: int) -> List[dict]:
-    universe = SMALL_UNIVERSE
-    deep = _deep_monomials()
-
-    def one(trial: int):
-        rng = stream_for(seed, f"adjunction#{trial}")
-        zeta = random_rank1(rng, universe, dual=True)
-        xi = random_rank1(rng, universe, dual=True)
-        psi = random_fock_state(rng, universe, deep, terms=3)
-        if zeta.is_zero() or xi.is_zero() or psi.is_zero():
-            return None
-        lhs = interior_product(exterior_product(zeta, xi), psi)
-        rhs = interior_product(xi, interior_product(zeta, psi))
-        if lhs != rhs:
-            return _failure(trial, f"zeta = {zeta}; xi = {xi}; psi = {psi}", str(rhs), str(lhs))
-        return None
-
-    return _map_trials(one, trials)
+def _suite_signature(seed: int, trials: int) -> List[dict]:
+    """The Gram matrix of k on the witnesses, one record with trial -1 if it is wrong, then the trials."""
+    gram = [[k_form(u, v) for v in _WITNESSES] for u in _WITNESSES]
+    failures = []
+    if gram != _WITNESS_GRAM:
+        expected, got = ([str(row[i]) for i, row in enumerate(g)] for g in (_WITNESS_GRAM, gram))
+        failures.append(_failure(-1, "k-diagonalization witnesses", str(expected), str(got)))
+    return failures + _trials("signature", check_signature, seed, trials)
 
 
+# every suite by name, each a function of (seed, trials) to its failure records
 SUITES: Dict[str, Callable[[int, int], List[dict]]] = {
-    "adjunction": _suite_adjunction,
-    "bianchi": _suite_bianchi,
+    "adjunction": functools.partial(_trials, "adjunction", check_adjunction),
+    "bianchi": functools.partial(_trials, "bianchi", check_bianchi),
     "car-ccr": _suite_car_ccr,
-    "clifford": _suite_clifford,
+    "clifford": functools.partial(_trials, "clifford", check_clifford),
     "fn-bracket": _suite_fn_bracket,
-    "normal-order": _suite_normal_order,
-    "pauli": _suite_pauli,
+    "normal-order": functools.partial(_trials, "normal-order", check_normal_order),
+    "pauli": functools.partial(_trials, "pauli", check_pauli),
     "signature": _suite_signature,
 }
 
@@ -483,8 +422,7 @@ def run_suite(name: str, seed: int, trials: int) -> SuiteReport:
         raise ValueError("trials must be positive")
     start = time.monotonic()
     failures = SUITES[name](seed, trials)
-    elapsed = time.monotonic() - start
-    return SuiteReport(name, seed, trials, failures, elapsed)
+    return SuiteReport(name, seed, trials, failures, time.monotonic() - start)
 
 
 def run_all(seed: int, trials: int) -> List[SuiteReport]:

@@ -172,3 +172,16 @@ def test_instances_reject_assignment():
         with pytest.raises(AttributeError, match="is immutable"):
             del z._v
         assert z.ints == v
+    # the value objects outside Combination share the rule
+    for x, names in (
+        (universe.sectors[0], ("name", "statistics", "modes")),
+        (universe, ("sectors", "is_fermion", "vacuum")),
+        (EpsilonStructure(Scalar(0, 1)), ("phase",)),
+    ):
+        before = [getattr(x, name) for name in names]
+        for name in names:
+            with pytest.raises(AttributeError, match=f"{type(x).__name__} is immutable"):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError, match=f"{type(x).__name__} is immutable"):
+                delattr(x, name)
+        assert [getattr(x, name) for name in names] == before

@@ -19,7 +19,7 @@ from spinorkit.cli import main
 from spinorkit.diracw import DiracVector, gamma
 from spinorkit.dsl import DslError, Environment, eval_program
 from spinorkit.exactfield import Scalar, format_scalar
-from spinorkit.fnforms import Form, MatrixForm, Poly, TangentForm, VectorForm
+from spinorkit.fnforms import Fibre, Form, MatrixForm, Poly, TangentForm, VectorForm
 from spinorkit.prng import SplitMix64, random_scalar
 from spinorkit.spintensor import ScaledTensor, Variance, e, ebar, format_tensor, g_pairing
 
@@ -194,7 +194,7 @@ def test_parse_errors_carry_position():
         ("(" * 3000 + "1" + ")" * 3000, 65),
         ("g(" * 400 + "1" + ")" * 400, 129),
         ('form deg=0 dim=2 { 1 : poly "' + "(" * 600 + "x" + ")" * 600 + '" }', 29),
-        ('form deg=0 dim=5 { 1 : poly "x" }', 18),
+        ('form deg=0 dim=7 { 1 : poly "x" }', 18),
         ("1" * 5000, 1),
         ("g(e1)", 1),
         ("conj(e1*eb1, 1)", 1),
@@ -291,6 +291,10 @@ FORM_ROWS = [
     ('curv(m1)', 0, 'mform deg=2 dim=2 fibre=2 { dx^dy : [[poly "0", poly "-1"], [poly "0", poly "0"]] }\n'),
     ('covd(m1, v0)', 0, 'vform deg=1 dim=2 fibre=2 { dx : [poly "1 + y^2", poly "y + x^2"]; dy : [poly "0", poly "1"] }\n'),
     ('bianchi(m1)', 0, 'mform deg=3 dim=2 fibre=2 {  }\n'),
+    # a chart of dimension 6 names its axes x, y, z, w, u, v; v is past a chart of dimension 5
+    ('form deg=1 dim=6 { du : poly "v^2 + x" }', 0, 'form deg=1 dim=6 { du : poly "v^2 + x" }\n'),
+    ('d(form deg=1 dim=6 { du : poly "v^2 + x" })', 0, 'form deg=2 dim=6 { dx^du : poly "1"; du^dv : poly "(-2)*v" }\n'),
+    ('form deg=1 dim=5 { dv : poly "u" }', 2, ''),
     ('f1 ^ t1', 2, ''),
     ('t1 ^ t1', 2, ''),
     ('v0 ^ m1', 2, ''),
@@ -916,9 +920,9 @@ PRINTABLE_SAMPLERS = {
     "spinor": suites.random_spinor,
     "dirac": lambda rng: DiracVector([random_scalar(rng) for _ in range(4)]),
     "form": lambda rng: Form(3, 1, {(axis,): suites.random_poly(rng, 3) for axis in range(3)}),
-    "tangent": lambda rng: suites.random_tangent_form(rng, 3, rng.randint(0, 3)),
-    "vector": lambda rng: suites.random_vector_form(rng, 3, 2, rng.randint(0, 3)),
-    "matrix": lambda rng: suites.random_connection(rng, 3, 2),
+    "tangent": lambda rng: suites.random_form(rng, 3, rng.randint(0, 3), Fibre("tangent", 3), sparse=True),
+    "vector": lambda rng: suites.random_form(rng, 3, rng.randint(0, 3), Fibre("vector", 2)),
+    "matrix": lambda rng: suites.random_form(rng, 3, 1, Fibre("matrix", 2)),
 }
 
 

@@ -8,6 +8,7 @@ from spinorkit.exactfield import Scalar
 from spinorkit.fnforms import (
     ChartError,
     DegreeOverflowError,
+    Fibre,
     Form,
     MatrixForm,
     Poly,
@@ -23,10 +24,9 @@ from spinorkit.fnforms import (
 )
 from spinorkit.prng import SplitMix64, random_scalar
 from spinorkit.spintensor import EpsilonStructure
-from spinorkit.suites import random_connection, random_mink, random_spin_frame, random_spinor
+from spinorkit.suites import random_form as suite_random_form
+from spinorkit.suites import random_mink, random_spin_frame, random_spinor
 from spinorkit.suites import random_poly as suite_random_poly
-from spinorkit.suites import random_tangent_form
-from spinorkit.suites import random_vector_form as suite_random_vector_form
 
 
 def P(dim, text_terms):
@@ -321,11 +321,12 @@ def bracket_pairs(seed, count):
         dim = 1 + n % 4
         r = rng.randint(0, dim)
         s = rng.randint(0, dim - r)
-        zeta = random_tangent_form(rng, dim, r)
+        tangent = Fibre("tangent", dim)
+        zeta = suite_random_form(rng, dim, r, tangent, sparse=True)
         if n % 5 == 0 and 2 * r <= dim:
             kind, xi, s = "self", zeta, r
         else:
-            kind, xi = "pair", random_tangent_form(rng, dim, s)
+            kind, xi = "pair", suite_random_form(rng, dim, s, tangent, sparse=True)
         yield kind, zeta, xi
         if 2 * r + s <= dim:
             yield "nested", zeta, fn_bracket(zeta, xi)
@@ -353,7 +354,7 @@ def test_suite_tangent_form_draws_golden_digest():
     digest = hashlib.sha256()
     for n in range(300):
         dim = 1 + n % 4
-        form = random_tangent_form(rng, dim, n % (dim + 1))
+        form = suite_random_form(rng, dim, n % (dim + 1), Fibre("tangent", dim), sparse=True)
         digest.update(f"{form}|{rng.next_u64()}\n".encode())
     assert digest.hexdigest() == "bbfd9d8df85e680c121b4073fd5c7cd2208a01097c871d8b5b646cde05cf1101"
 
@@ -372,9 +373,9 @@ def test_suite_sampler_draws_golden_digest():
         random_mink,
         random_spinor,
         lambda rng: random_spin_frame(rng, eps),
-        lambda rng: random_connection(rng, 3, 2),
-        lambda rng: suite_random_vector_form(rng, 3, 2, 1),
-        lambda rng: random_tangent_form(rng, 2, 1),
+        lambda rng: suite_random_form(rng, 3, 1, Fibre("matrix", 2)),
+        lambda rng: suite_random_form(rng, 3, 1, Fibre("vector", 2)),
+        lambda rng: suite_random_form(rng, 2, 1, Fibre("tangent", 2), sparse=True),
         random_scalar,
     )
     digest = hashlib.sha256()
@@ -483,7 +484,7 @@ def test_bianchi_residual_vanishes():
 
 def test_chart_dimension_bounds():
     with pytest.raises(ChartError):
-        Poly(5)
+        Poly(7)
     with pytest.raises(ChartError):
         Form(0, 0)
 

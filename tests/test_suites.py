@@ -1,5 +1,6 @@
 """The Fock suites run every check on every call, on the basis they build once;
-every suite reports a broken kernel with the documented trial numbers."""
+every suite reports a broken kernel with the documented trial numbers and the
+pinned report, and each failure record is its trial's check run alone."""
 
 import hashlib
 import json
@@ -38,7 +39,14 @@ def apply_drops_a_term(monkeypatch):
     return monkeypatch
 
 
-def test_car_ccr_reports_a_broken_apply_with_basis_indices(apply_drops_a_term):
+def _check_digest(suite, seed, trials, capsys) -> str:
+    """The sha256 of the stdout report of a failing `check --suite suite`."""
+    assert main(["check", "--suite", suite, "--seed", str(seed), "--trials", str(trials)]) == PROPERTY_FAILURE
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_car_ccr_reports_a_broken_apply_with_basis_indices(apply_drops_a_term, capsys):
+    assert _check_digest("car-ccr", 3, 1, capsys) == "bd32f76a396886f9dffb311774fe356abaeae47a6e8c9c7fd9b72a2c39920c78"
     first = run_suite("car-ccr", 3, 1).to_json_dict()
     second = run_suite("car-ccr", 3, 1).to_json_dict()
     assert first == second
@@ -51,7 +59,9 @@ def test_car_ccr_reports_a_broken_apply_with_basis_indices(apply_drops_a_term):
     assert run_suite("car-ccr", 3, 1).passed
 
 
-def test_normal_order_reports_a_broken_apply_then_passes_again(apply_drops_a_term):
+def test_normal_order_reports_a_broken_apply_then_passes_again(apply_drops_a_term, capsys):
+    digest = _check_digest("normal-order", 5, 6, capsys)
+    assert digest == "1d7210fa449df6ec95a3071cca71ef67c155591fb80984d0378df1abf5702add"
     first = run_suite("normal-order", 5, 6).to_json_dict()
     assert first["failures"]
     assert first == run_suite("normal-order", 5, 6).to_json_dict()
@@ -136,57 +146,73 @@ def _drop_least(form):
 
 
 # (suite, name in the suites namespace, broken kernel made from the original,
-#  seed, trials, the trial of each failure record, (field, prefix) of each record).
+#  seed, trials, the trial of each failure record, (field, prefix) of each record,
+#  sha256 of the report on stdout).  The failure records print the drawn inputs,
+# so the digest pins the draws of each failing trial.
 # A trial draw that makes the broken identity hold anyway (a zero bracket or
 # product) is no failure, hence the gaps.
 BROKEN_KERNELS = [
-    ("clifford", "g_pairing", lambda g: lambda x, y: g(x, y) + 1, 1, 6, list(range(6)), ("input", "y = ")),
-    ("pauli", "EpsilonStructure", lambda cls: _DoubledPairing, 1, 6, list(range(6)), ("input", "b1 = ")),
+    (
+        "clifford", "g_pairing", lambda g: lambda x, y: g(x, y) + 1, 1, 6, list(range(6)), ("input", "y = "),
+        "69aacca2acfacc27804715cc698094cde2c551c49aa0aa8d3afbeafedd87bb5c",
+    ),
+    (
+        "pauli", "EpsilonStructure", lambda cls: _DoubledPairing, 1, 6, list(range(6)), ("input", "b1 = "),
+        "0934794071689fb0585177b5375d7ce6102d1e91d2ca78ae973c9777be8fa2e8",
+    ),
     (
         "signature", "k_hermiticity_check", lambda check: lambda y: not check(y), 1, 6, list(range(6)),
         ("expected", "k(gamma[y] psi, phi) = k(psi, gamma[y] phi)"),
+        "90bb0eb6afc47dc9fee057ace7b7886f359dbbcd3debb8176299f0c6cfa32cd0",
     ),
     # a broken witness is one record, trial -1; the trials do not call k_form
-    ("signature", "k_form", lambda k: lambda u, v: k(u, v) * 2, 1, 6, [-1], ("input", "k-diagonalization witnesses")),
+    (
+        "signature", "k_form", lambda k: lambda u, v: k(u, v) * 2, 1, 6, [-1],
+        ("input", "k-diagonalization witnesses"),
+        "f6e026cd0c8714cfc1f84368d33f73a086aab846ac9998054934bfe96f34de6a",
+    ),
     # dropping a component of the left operand breaks antisymmetry, trial k recorded as k
     (
         "fn-bracket", "fn_bracket", lambda b: lambda x, y: b(_drop_least(x), y), 1, 20, [2, 5, 9, 10, 11, 17, 18],
-        ("expected", "graded antisymmetry"),
+        ("expected", "graded antisymmetry"), "bceb07b0dd5147fa3d5ec97d0233649e6916e8781ccf8d931a1e5fb3e924e14d",
     ),
     # a factor 1 + r + s keeps the bracket graded antisymmetric, and breaks Jacobi:
     # round k of 30 // 10 is recorded as k + 30
     (
         "fn-bracket", "fn_bracket", lambda b: lambda x, y: b(x, y).scaled(1 + x.degree + y.degree), 3, 30,
         [30, 31, 32], ("expected", "graded Jacobi identity"),
+        "7bf83c9f0191fc854956a2c2d2b0eb030c598c27ea1310f79bf7a61c94e6d84e",
     ),
     (
         "bianchi", "bianchi_residual", lambda residual: suites.curvature, 1, 6, list(range(6)),
-        ("expected", "dF + [A, F] = 0"),
+        ("expected", "dF + [A, F] = 0"), "c6bc26cf2fd87a94ec414caa2086f12de1debcf37549658268cc3fd025638fcd",
     ),
     # bianchi_residual builds its own curvature, so only the second identity sees this one
     (
         "bianchi", "curvature", lambda f: lambda a: f(a).scaled(2), 1, 6, list(range(6)),
-        ("expected", "d_A d_A phi = F /\\ phi"),
+        ("expected", "d_A d_A phi = F /\\ phi"), "0a6168c9f1042c6aa2a5196870456e54fbd4418c4cc911a327941aec2a08e358",
     ),
     (
         "adjunction", "exterior_product", lambda wedge: lambda a, b: wedge(a, b).scaled(2), 1, 10,
         [1, 3, 4, 6, 7, 9], ("input", "zeta = "),
+        "2a743d0a41654065cb4c303ab4b4389f361d9aaf9bd6b26d7e2f79e791f78a22",
     ),
 ]
 
 
-@pytest.mark.parametrize(
-    "suite, name, broken, seed, trials, trial_numbers, marker",
-    BROKEN_KERNELS,
-    ids=[f"{row[0]}-{row[1]}-{row[5][0]}" for row in BROKEN_KERNELS],
-)
+BROKEN_FIELDS = "suite, name, broken, seed, trials, trial_numbers, marker, digest"
+BROKEN_IDS = [f"{row[0]}-{row[1]}-{row[5][0]}" for row in BROKEN_KERNELS]
+
+
+@pytest.mark.parametrize(BROKEN_FIELDS, BROKEN_KERNELS, ids=BROKEN_IDS)
 def test_check_reports_a_broken_kernel_with_its_trial_numbers(
-    suite, name, broken, seed, trials, trial_numbers, marker, monkeypatch, capsys
+    suite, name, broken, seed, trials, trial_numbers, marker, digest, monkeypatch, capsys
 ):
     argv = ["check", "--suite", suite, "--seed", str(seed), "--trials", str(trials)]
     monkeypatch.setattr(suites, name, broken(getattr(suites, name)))
     assert main(argv) == PROPERTY_FAILURE
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
     failures = json.loads(out)["failures"]
     assert [f["trial"] for f in failures] == trial_numbers
     field, prefix = marker
@@ -194,3 +220,33 @@ def test_check_reports_a_broken_kernel_with_its_trial_numbers(
     assert main(argv) == PROPERTY_FAILURE and capsys.readouterr().out == out
     monkeypatch.undo()
     assert main(argv) == 0
+
+
+# each suite's check of its trial k < trials; Jacobi round k is check_jacobi on stream
+# fn-jacobi#k, recorded as trial k + trials
+TRIAL_CHECKS = {
+    "adjunction": suites.check_adjunction,
+    "bianchi": suites.check_bianchi,
+    "clifford": suites.check_clifford,
+    "fn-bracket": suites.check_antisymmetry,
+    "pauli": suites.check_pauli,
+    "signature": suites.check_signature,
+}
+
+
+@pytest.mark.parametrize(BROKEN_FIELDS, BROKEN_KERNELS, ids=BROKEN_IDS)
+def test_each_failure_record_is_its_trial_run_alone(
+    suite, name, broken, seed, trials, trial_numbers, marker, digest, monkeypatch
+):
+    monkeypatch.setattr(suites, name, broken(getattr(suites, name)))
+    records = run_suite(suite, seed, trials).failures
+    assert [r["trial"] for r in records] == trial_numbers
+    for record in records:
+        k = record["trial"]
+        if k < 0:
+            continue
+        if k >= trials:
+            label, check, index = "fn-jacobi", suites.check_jacobi, k - trials
+        else:
+            label, check, index = suite, TRIAL_CHECKS[suite], k
+        assert check(suites.stream_for(seed, f"{label}#{index}"), k) == record
