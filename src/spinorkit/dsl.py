@@ -50,6 +50,8 @@ class DslError(ValueError):
 
 # one-character punctuation; '-' may open '--' or '->', and '"' opens a string
 _PUNCT = frozenset("()[]{},;:*^|'=+/>")
+# each axis name and its axis; a name is an axis of a chart of dimension dim iff its axis is below dim
+_AXIS_INDEX = {name: axis for axis, name in enumerate(AXIS_NAMES)}
 # Deepest nesting of parentheses, call arguments and literals the parser
 # accepts; each level costs several Python frames, so this keeps deep input
 # from overflowing the interpreter stack.
@@ -575,25 +577,20 @@ class Parser:
 
     def _parse_dirac_literal(self, keyword: Token) -> DiracVector:
         self.expect_punct("(")
-        if not self.match_name("u"):
-            self.error("expected 'u' component")
-        self.expect_punct(":")
-        self.expect_punct("[")
-        u1 = self._parse_scalar("dirac components")
-        self.expect_punct(",")
-        u2 = self._parse_scalar("dirac components")
-        self.expect_punct("]")
-        self.expect_punct(",")
-        if not self.match_name("lbar"):
-            self.error("expected 'lbar' component")
-        self.expect_punct(":")
-        self.expect_punct("[")
-        l1 = self._parse_scalar("dirac components")
-        self.expect_punct(",")
-        l2 = self._parse_scalar("dirac components")
-        self.expect_punct("]")
+        components = []
+        for part in ("u", "lbar"):
+            if part == "lbar":
+                self.expect_punct(",")
+            if not self.match_name(part):
+                self.error(f"expected '{part}' component")
+            self.expect_punct(":")
+            self.expect_punct("[")
+            components.append(self._parse_scalar("dirac components"))
+            self.expect_punct(",")
+            components.append(self._parse_scalar("dirac components"))
+            self.expect_punct("]")
         self.expect_punct(")")
-        return self.call_kernel(keyword, DiracVector, (u1, u2, l1, l2))
+        return self.call_kernel(keyword, DiracVector, components)
 
     def _parse_axes_label(self, dim: int) -> Tuple[int, ...]:
         tok = self.peek()
@@ -603,9 +600,10 @@ class Parser:
         axes = []
         while True:
             name = self.expect_name()
-            if len(name) != 2 or name[0] != "d" or name[1] not in AXIS_NAMES[:dim]:
+            axis = _AXIS_INDEX.get(name[1:], dim) if name[:1] == "d" else dim
+            if axis >= dim:
                 self.error(f"bad differential {name!r}")
-            axes.append(AXIS_NAMES.index(name[1]))
+            axes.append(axis)
             if not self.match_punct("^"):
                 break
         return tuple(axes)
@@ -647,10 +645,11 @@ class Parser:
                 if not self.match_name("axis"):
                     self.error("expected 'axis'")
                 axis_name = self.expect_name()
-                if axis_name not in AXIS_NAMES[:dim]:
+                axis = _AXIS_INDEX.get(axis_name, dim)
+                if axis >= dim:
                     self.error(f"bad axis {axis_name!r}")
                 self.expect_punct(":")
-                comps[(axes, (AXIS_NAMES.index(axis_name),))] = self._parse_poly_value(dim)
+                comps[(axes, (axis,))] = self._parse_poly_value(dim)
                 tangent = True
                 continue
             self.expect_punct(":")
@@ -718,12 +717,12 @@ class Parser:
             elif tok.kind == "name" and tok.value == "r2":
                 self.advance()
                 coeff = coeff * Scalar.sqrt2()
-            elif tok.kind == "name" and tok.value in AXIS_NAMES[:dim]:
+            elif tok.kind == "name" and _AXIS_INDEX.get(tok.value, dim) < dim:
                 self.advance()
                 power = 1
                 if self.match_punct("^"):
                     power = self.expect_int()
-                exps[AXIS_NAMES.index(tok.value)] += power
+                exps[_AXIS_INDEX[tok.value]] += power
             elif tok.kind == "punct" and tok.value == "(":
                 self.advance()
                 inner = self.nested(self._parse_poly_sum, dim)

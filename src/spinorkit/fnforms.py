@@ -14,8 +14,8 @@ which only drops zero coefficients.  On top of that class sit:
 
 * exterior differential and the wedge product with its fibre product rule,
   the wedge accumulated straight into the term dicts of its result,
-* Lie derivative along a polynomial vector field (direct coordinate formula,
-  with the Cartan identity kept as an independent test),
+* Lie derivative along a polynomial vector field by Cartan's formula
+  L_u = d i_u + i_u d (the coordinate formula is the test reference),
 * the Frolicher-Nijenhuis bracket of tangent-valued forms via the five-term
   rule on decomposables, accumulated straight into the term dicts of the
   result's polynomials, with each wedge sign from the axis-merge parity
@@ -282,25 +282,11 @@ class ValuedForm(Combination):
         return ValuedForm._trusted((self.dim, max(self.degree - 1, 0), self.fibre), out)
 
     def lie(self, field) -> "ValuedForm":
-        """Lie derivative of a scalar form along a polynomial vector field, coordinate formula."""
+        """Lie derivative of a scalar form along a polynomial vector field: Cartan's L_u = [i_u, d]."""
         _require(self, ("scalar",), "lie")
-        out: Dict[Key, Poly] = {}
-        for (axes, index), poly in self.terms.items():
-            for j in range(self.dim):
-                _accumulate(out, (axes, index), field[j] * poly.diff(j))
-            # frame terms: replace axis s_t by j with weight d(u^{s_t})/dx^j
-            for t, axis in enumerate(axes):
-                rest = axes[:t] + axes[t + 1:]
-                for j in range(self.dim):
-                    if j in rest:
-                        continue
-                    du = field[axis].diff(j)
-                    if du.is_zero():
-                        continue
-                    sign, new_axes = _merge_axes((j,), rest)
-                    # dx^j lands in slot t of the original ordering
-                    _accumulate(out, (new_axes, index), du * poly, sign * (-1) ** t)
-        return self._like(out)
+        out = self.d().interior(field)
+        # i_u of a 0-form would stay at degree 0, so only forms of positive degree get d(i_u w)
+        return out + self.interior(field).d() if self.degree else out
 
     def field_components(self):
         """For a degree-0 tangent form: the dim polynomial components."""

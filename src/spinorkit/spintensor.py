@@ -242,7 +242,6 @@ def mink_trace(y: ScaledTensor) -> Scalar:
 
 # -- the symplectic form and everything it generates ---------------------------
 
-_J = ((0, 1), (-1, 0))  # component matrix of the phase-1 symplectic form
 _INV_R2 = Scalar.one() / Scalar.sqrt2()
 _I_INV_R2 = Scalar.i() * _INV_R2
 
@@ -276,21 +275,16 @@ class EpsilonStructure(Immutable):
         """U -> U*; <eps_flat(u), v> = eps(u, v)."""
         if u.slots != (Variance.U,):
             raise VarianceError("eps_flat needs a [U] tensor")
-        terms: Dict[Index, Scalar] = {}
-        for (a,), x in u.terms.items():
-            for b in (1, 2):
-                j = _J[a - 1][b - 1]
-                if j:
-                    _accumulate(terms, (b,), x * self.phase, j)
+        # eps(e_a, .) is phase * e^(3 - a), with sign + iff a == 1
+        terms = {(3 - a,): x * self.phase if a == 1 else -(x * self.phase) for (a,), x in u.terms.items()}
         return ScaledTensor._trusted(((Variance.U_DUAL,), u.unit - 1), terms)
 
     def eps_sharp(self, lam: ScaledTensor) -> ScaledTensor:
         """U* -> U; the inverse of eps_flat with a sign: eps_sharp(eps_flat(u)) = -u."""
         if lam.slots != (Variance.U_DUAL,):
             raise VarianceError("eps_sharp needs a [U*] tensor")
-        inv_phase = self.phase.conj()  # unit modulus
-        l1, l2 = lam.get((1,)), lam.get((2,))
-        terms = {(1,): -inv_phase * l2, (2,): inv_phase * l1}
+        inv_phase = self.phase.conj()  # unit modulus; the sign rule of eps_flat
+        terms = {(3 - b,): x * inv_phase if b == 1 else -(x * inv_phase) for (b,), x in lam.terms.items()}
         return ScaledTensor._trusted(((Variance.U,), lam.unit + 1), terms)
 
     def epsbar_flat(self, ub: ScaledTensor) -> ScaledTensor:
@@ -370,15 +364,13 @@ class EpsilonStructure(Immutable):
         if not g_yy.is_zero():
             raise NonNullError(g_yy)
         sign = mink_trace(y).real_sign()
-        # Hermitian, rank one, nonzero: the trace cannot vanish.
-        assert sign != 0
+        if sign == 0:
+            # Hermitian, rank one, nonzero: the trace cannot vanish, and one diagonal entry is nonzero
+            raise ArithmeticError("nonzero null Hermitian element with zero trace")
         w = y if sign > 0 else -y
         # pivot column j with W[j][j] != 0 spans the image; v0 = column_j / W[j][j]
         pivot = 1 if not w.get((1, 1)).is_zero() else 2
         w_jj = w.get((pivot, pivot))
-        if w_jj.is_zero():
-            # both diagonal entries vanish: Hermitian rank-1 forces y = 0
-            raise ZeroVectorError("degenerate Hermitian matrix")
         v0 = (w.get((1, pivot)) / w_jj, w.get((2, pivot)) / w_jj)
         sigma = solve_norm(w_jj)
         if sigma is None:

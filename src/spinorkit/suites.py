@@ -337,12 +337,12 @@ def _suite_car_ccr(seed: int, trials: int) -> List[dict]:
     The checks are fixed, so the suite ignores `seed` and `trials`.  Each call
     builds a table of every mode's absorption a_i and emission a+_i, sector
     by sector, and brackets every same-sector mode pair (i, j), 18 in all:
-    [[a_i, a+_j]] must be the identity for i == j and 0 otherwise, and is then
-    applied to each of the 63 basis states of rank <= 3 (18 x 63 applies),
-    while [[a_i, a_j]] and [[a+_i, a+_j]] must vanish; one cross-sector
-    bracket [[a+_f1, a+_b1]] must vanish too.  That makes 55 brackets in all.
-    A failed apply records the basis index as its trial; a failed bracket is
-    recorded with trial -1.
+    [[a_i, a+_j]] must be the identity for i == j and 0 otherwise, and only
+    then is applied to each of the 63 basis states of rank <= 3 (18 x 63
+    applies), while [[a_i, a_j]] and [[a+_i, a+_j]] must vanish either way;
+    one cross-sector bracket [[a+_f1, a+_b1]] must vanish too.  That makes 55
+    brackets in all.  A failed apply records the basis index as its trial; a
+    failed bracket is recorded with trial -1.
     """
     universe = SMALL_UNIVERSE
     failures: List[dict] = []
@@ -363,12 +363,12 @@ def _suite_car_ccr(seed: int, trials: int) -> List[dict]:
                 expected = identity if i == j else zero
                 if bracket != expected:
                     failures.append(_failure(-1, f"[[a[{name}:{i}], a+[{name}:{j}]]]", str(expected), str(bracket)))
-                    continue
-                for n, psi in enumerate(basis):
-                    want = psi if i == j else empty
-                    got = op_apply(bracket, psi)
-                    if got != want:
-                        failures.append(_failure(n, f"bracket on basis state {psi}", str(want), str(got)))
+                else:
+                    for n, psi in enumerate(basis):
+                        want = psi if i == j else empty
+                        got = op_apply(bracket, psi)
+                        if got != want:
+                            failures.append(_failure(n, f"bracket on basis state {psi}", str(want), str(got)))
                 if not super_bracket(a_i, a_j).is_zero():
                     failures.append(_failure(-1, f"[[a[{name}:{i}], a[{name}:{j}]]]", "0", "nonzero"))
                 if not super_bracket(e_i, e_j).is_zero():

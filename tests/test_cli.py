@@ -1,5 +1,6 @@
 """CLI contract: exit codes, deterministic reports, eval subcommand."""
 
+import ast
 import io
 import json
 import os
@@ -199,6 +200,28 @@ def test_internal_error_exit_code(monkeypatch, tmp_path, capsys):
     script.write_text("gamma(e1*eb1)\n")
     for argv in (["eval", str(script)], ["check", "--suite", "pauli", "--seed", "1", "--trials", "1"]):
         assert run_cli(argv, capsys) == (INTERNAL_ERROR, "", "internal error: AssertionError: invariant broken\n")
+
+
+def test_null_decompose_invariant_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # a nonzero null Hermitian element has a nonzero trace; a kernel that says otherwise is a bug
+    import spinorkit.spintensor as spintensor
+
+    monkeypatch.setattr(spintensor, "mink_trace", lambda y: spintensor.Scalar.zero())
+    script = tmp_path / "prog.dsl"
+    script.write_text("nulldec(e1*eb1)\n")
+    code, out, err = run_cli(["eval", str(script)], capsys)
+    assert (code, out) == (INTERNAL_ERROR, "") and err.startswith("internal error: ArithmeticError"), err
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so an invariant of the kernel is an explicit raise
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(SRC, "spinorkit").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_unwritable_json_path_is_a_usage_error(tmp_path, capsys):

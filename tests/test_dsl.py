@@ -294,6 +294,7 @@ FORM_ROWS = [
     # a chart of dimension 6 names its axes x, y, z, w, u, v; v is past a chart of dimension 5
     ('form deg=1 dim=6 { du : poly "v^2 + x" }', 0, 'form deg=1 dim=6 { du : poly "v^2 + x" }\n'),
     ('d(form deg=1 dim=6 { du : poly "v^2 + x" })', 0, 'form deg=2 dim=6 { dx^du : poly "1"; du^dv : poly "(-2)*v" }\n'),
+    ('form deg=0 dim=6 { 1 : poly "w*u" }', 0, 'form deg=0 dim=6 { 1 : poly "w*u" }\n'),
     ('form deg=1 dim=5 { dv : poly "u" }', 2, ''),
     ('f1 ^ t1', 2, ''),
     ('t1 ^ t1', 2, ''),
@@ -367,6 +368,26 @@ def test_dirac_operations_by_kind(expr, code, stdout, tmp_path, capsys):
     assert_eval(DIRAC_PRELUDE + expr + "\n", code, stdout, tmp_path, capsys)
 
 
+FOCK_PRELUDE = """\
+universe u { sector f: fermion [1,2] }
+"""
+
+# (expression, exit code, stdout) of `spinor-kit eval` on FOCK_PRELUDE + expression:
+# a named universe is bound to its name, and '|' is the interior product of a dual
+# state with a state.
+FOCK_ROWS = [
+    ('u', 0, 'universe { sector f: fermion [1,2] }\n'),
+    ("f:1' | f:1 ^ f:2", 0, 'f:2 * (1)\n'),
+    ("f:2' | f:1 ^ f:2", 0, 'f:1 * (-1)\n'),
+    ('f:1 | f:2', 2, ''),
+]
+
+
+@pytest.mark.parametrize("expr, code, stdout", FOCK_ROWS, ids=[row[0] for row in FOCK_ROWS])
+def test_fock_operations_by_kind(expr, code, stdout, tmp_path, capsys):
+    assert_eval(FOCK_PRELUDE + expr + "\n", code, stdout, tmp_path, capsys)
+
+
 # (program, stderr prefix) of `spinor-kit eval` programs that exit 2: a kernel
 # error is a usage error at the token that reached the kernel (a call, an
 # operator, a literal's keyword, a sector name or `universe`), and an argument
@@ -389,6 +410,22 @@ EVAL_ERROR_ROWS = [
     ('form deg=0 dim=2 { 1 : poly "x +" }', "error: 1:29: in poly string 'x +': 1:4: expected a poly factor"),
     ('let q = 1\nform deg=0 dim=2 { 1 : poly "- -x" }', "error: 2:29: in poly string '- -x': 1:3: expected a poly factor"),
     ('form deg=0 dim=2 { 1 : poly "x*" }', "error: 1:29: in poly string 'x*': 1:3: expected a poly factor"),
+    ('form deg=0 dim=2 { 1 : poly "x y" }', "error: 1:29: in poly string 'x y': 1:3: unexpected trailing input"),
+    # an axis name is one whole name of the chart, never a run of the alphabet read as its first letter
+    ('form deg=0 dim=2 { 1 : poly "xy" }', "error: 1:29: in poly string 'xy': 1:1: expected a poly factor"),
+    ('form deg=0 dim=6 { 1 : poly "wu" }', "error: 1:29: in poly string 'wu': 1:1: expected a poly factor"),
+    ('form deg=1 dim=2 { dx -> axis xy : poly "x" }', "error: 1:34: bad axis 'xy'"),
+    ('form deg=1 dim=6 { dx -> axis uv : poly "x" }', "error: 1:34: bad axis 'uv'"),
+    ('form deg=1 dim=2 { dxy : poly "x" }', "error: 1:24: bad differential 'dxy'"),
+    # refused once the literal is read, at the token after it
+    (
+        'form deg=1 dim=2 { dx : poly "x"; dy -> axis x : poly "y" }',
+        "error: 2:1: cannot mix scalar and tangent components",
+    ),
+    ('vform deg=0 dim=2 fibre=2 { 1 : [poly "x"] }', "error: 1:44: expected 2 fibre components, got 1"),
+    ("- tetrad(e1, e2)", "error: 1:1: cannot negate tuple"),
+    ("e1'", "error: 1:3: cannot dualize ScaledTensor"),
+    ("universe { sector f: quark [1] }", "error: 1:28: sector kind must be 'fermion' or 'boson'"),
     # the 12th squaring is the first result over MAX_COEFF_BITS; the 24th would not end within a minute
     (
         "let a = 3+r2\n" + "let a = a*a\n" * 30,

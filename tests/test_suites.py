@@ -84,6 +84,29 @@ def test_car_ccr_reports_a_broken_bracket_as_trial_minus_one(monkeypatch):
     assert run_suite("car-ccr", 3, 1).passed
 
 
+def test_car_ccr_checks_the_other_brackets_of_a_pair_whose_mixed_bracket_fails(monkeypatch, capsys):
+    original = suites.super_bracket
+    monkeypatch.setattr(suites, "super_bracket", lambda x, y: original(x, y) + OperatorElement.identity(x.universe))
+    assert _check_digest("car-ccr", 3, 1, capsys) == "8592fabdea8e736562643b547f50a85cc906e5849ec957fea716b387c23b62d7"
+    # every bracket is off by the identity: the 18 mixed ones are not applied, and the
+    # 36 same-kind brackets and the cross-sector one each read nonzero
+    failures = run_suite("car-ccr", 3, 1).failures
+    assert [f["trial"] for f in failures] == [-1] * 55
+    assert sum(f["got"] == "nonzero" for f in failures) == 37
+    assert [f["input"] for f in failures[:3]] == ["[[a[f:1], a+[f:1]]]", "[[a[f:1], a[f:1]]]", "[[a+[f:1], a+[f:1]]]"]
+
+
+def test_signature_reports_an_anti_hermitian_element_that_passes(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "k_hermiticity_check", lambda y: True)
+    digest = _check_digest("signature", 1, 6, capsys)
+    assert digest == "a53281bf0c4cbcffd941c34004752052a798cf4fb3f28ddd93e9f5e80c18961d"
+    failures = run_suite("signature", 1, 6).failures
+    assert [f["trial"] for f in failures] == list(range(6))
+    assert all(f["input"].startswith("i*y with y = ") for f in failures)
+    assert {f["got"] for f in failures} == {"anti-Hermitian element passed"}
+    assert failures == [suites.check_signature(suites.stream_for(1, f"signature#{k}"), k) for k in range(6)]
+
+
 def test_car_ccr_runs_every_bracket_and_apply_on_each_call(monkeypatch):
     counts = {"super_bracket": 0, "op_apply": 0}
     for name in counts:
