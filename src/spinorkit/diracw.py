@@ -44,6 +44,14 @@ def _require(operand, kind: type, what: str):
         raise VarianceError(f"{what} takes a {kind.__name__}, not a {type(operand).__name__}")
 
 
+def _sum_products(products) -> dict:
+    """{key: the sum of x * y over the (key, x, y) triples with that key}, each summed by one `_dot`."""
+    groups = {}
+    for key, x, y in products:
+        groups.setdefault(key, []).append((1, x, y))
+    return {key: _dot(triples) for key, triples in groups.items()}
+
+
 class _Spinor(Combination):
     """Four components keyed by basis position 0..3, with the unit offset as shape."""
 
@@ -118,12 +126,9 @@ class DualDiracVector(_Spinor):
     def compose(self, m: "EndW") -> "DualDiracVector":
         """The functional phi -> self(m phi); row-vector times matrix."""
         _require(m, EndW, "compose")
-        products = {}
-        for (i, j), x in m.terms.items():
-            a = self.terms.get(i)
-            if a is not None:
-                products.setdefault(j, []).append((1, a, x))
-        return DualDiracVector._trusted(self.shape, {j: _dot(triples) for j, triples in products.items()})
+        mate = self.terms.get
+        products = ((j, a, x) for (i, j), x in m.terms.items() if (a := mate(i)) is not None)
+        return DualDiracVector._trusted(self.shape, _sum_products(products))
 
     def __str__(self) -> str:
         l1, l2, u1, u2 = self.components
@@ -167,53 +172,22 @@ class EndW(Combination):
         other_rows = {}
         for (k, j), y in other.terms.items():
             other_rows.setdefault(k, []).append((j, y))
-        products = {}
-        for (i, k), x in self.terms.items():
-            for j, y in other_rows.get(k, ()):
-                products.setdefault((i, j), []).append((1, x, y))
-        return EndW._trusted((), {key: _dot(triples) for key, triples in products.items()})
+        products = (((i, j), x, y) for (i, k), x in self.terms.items() for j, y in other_rows.get(k, ()))
+        return EndW._trusted((), _sum_products(products))
 
     def apply(self, psi: DiracVector) -> DiracVector:
         _require(psi, DiracVector, "apply")
-        products = {}
-        for (i, j), x in self.terms.items():
-            c = psi.terms.get(j)
-            if c is not None:
-                products.setdefault(i, []).append((1, x, c))
-        return DiracVector._trusted(psi.shape, {i: _dot(triples) for i, triples in products.items()})
+        mate = psi.terms.get
+        products = ((i, x, c) for (i, j), x in self.terms.items() if (c := mate(j)) is not None)
+        return DiracVector._trusted(psi.shape, _sum_products(products))
 
     __call__ = apply
 
-    def rank(self) -> int:
-        """Exact rank by Gaussian elimination over the field."""
-        m = [list(row) for row in self.rows]
-        rank = 0
-        for col in range(4):
-            pivot = next(
-                (r for r in range(rank, 4) if not m[r][col].is_zero()), None
-            )
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = m[rank][col].inverse()
-            m[rank] = [x * inv for x in m[rank]]
-            for r in range(4):
-                if r != rank and not m[r][col].is_zero():
-                    factor = m[r][col]
-                    m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
-            rank += 1
-        return rank
-
     def __str__(self) -> str:
-        return format_endw(self)
+        """Row-major 4x4 matrix of scalar literals."""
+        return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in self.rows) + "]"
 
     __repr__ = __str__
-
-
-def format_endw(m: EndW) -> str:
-    """Row-major 4x4 matrix of scalar literals."""
-    rows = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in m.rows)
-    return f"[{rows}]"
 
 
 # -- the Dirac map ---------------------------------------------------------------
@@ -292,14 +266,9 @@ def charge_conjugate(psi: DiracVector, eps: EpsilonStructure = STANDARD) -> Dira
 
 def is_observer(tau: ScaledTensor) -> bool:
     """g-normalized, future-oriented, timelike Hermitian element with unit 1."""
-    if tau.slots != (Variance.U, Variance.U_BAR) or tau.unit != 1:
+    if tau.slots != (Variance.U, Variance.U_BAR) or tau.unit != 1 or not is_hermitian(tau):
         return False
-    if not is_hermitian(tau):
-        return False
-    det = tau.get((1, 1)) * tau.get((2, 2)) - tau.get((1, 2)) * tau.get((2, 1))
-    if det * Scalar(2) != Scalar.one():  # g(tau, tau) = 2 det
-        return False
-    return mink_trace(tau).real_sign() > 0
+    return STANDARD.g_pairing(tau, tau) == Scalar.one() and mink_trace(tau).real_sign() > 0
 
 
 def observer_projectors(tau: ScaledTensor) -> Tuple[EndW, EndW]:

@@ -69,8 +69,8 @@ MAX_TERMS = 1 << 14
 
 
 def _digit_limit() -> int:
-    """Python's int-to-str digit limit: 0 for none, or before Python 3.10.7."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    """Python's int-to-str digit limit: 0 for none."""
+    return sys.get_int_max_str_digits()
 
 
 def _coeff_bit_budget() -> int:
@@ -418,39 +418,25 @@ class Parser:
     # -- expressions -------------------------------------------------------------
 
     def parse_expr(self):
-        return self.nested(self._parse_additive)
+        return self.nested(self._parse_binary, 0)
 
-    def _at_operator(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value in ops
+    def _parse_binary(self, level: int):
+        """A left-associative chain of the operators of _LEVELS[level]; past the last level, a unary expression.
 
-    def _parse_additive(self):
-        value = self._parse_multiplicative()
-        # outside brackets, a '+' or '-' that opens a line starts the next statement
-        while self._at_operator("+", "-") and not self.peek().starts_line:
-            tok = self.advance()
-            value = self._binary(tok, value, self._parse_multiplicative())
+        Outside brackets, a level-0 operator that opens a line starts the next statement.
+        """
+        if level == len(_LEVELS):
+            return self._parse_unary()
+        ops = _LEVELS[level]
+        value = self._parse_binary(level + 1)
+        while (tok := self.peek()).kind == "punct" and tok.value in ops and (level or not tok.starts_line):
+            self.pos += 1
+            rhs = self._parse_binary(level + 1)
+            result = self.call_kernel(tok, _BINARY[tok.value], value, rhs)
+            if result is None:
+                self.error(f"cannot apply {tok.value!r} to {type(value).__name__} and {type(rhs).__name__}", tok)
+            value = result
         return value
-
-    def _parse_multiplicative(self):
-        value = self._parse_wedge()
-        while self._at_operator("*", "/", "|"):
-            tok = self.advance()
-            value = self._binary(tok, value, self._parse_wedge())
-        return value
-
-    def _parse_wedge(self):
-        value = self._parse_unary()
-        while self._at_operator("^"):
-            tok = self.advance()
-            value = self._binary(tok, value, self._parse_unary())
-        return value
-
-    def _binary(self, tok: Token, a, b):
-        result = self.call_kernel(tok, _BINARY[tok.value], a, b)
-        if result is None:
-            self.error(f"cannot apply {tok.value!r} to {type(a).__name__} and {type(b).__name__}", tok)
-        return result
 
     def _parse_unary(self):
         tok, negations = self.peek(), 0
@@ -463,7 +449,7 @@ class Parser:
 
     def _parse_postfix(self):
         value = self._parse_atom()
-        while self._at_operator("'"):
+        while (tok := self.peek()).kind == "punct" and tok.value == "'":
             if not isinstance(value, FockState):
                 self.error(f"cannot dualize {type(value).__name__}")
             self.advance()
@@ -654,15 +640,16 @@ class Parser:
                 continue
             self.expect_punct(":")
             if keyword == "mform":
-                rows = self._parse_poly_matrix(dim, size)
+                rows = self._parse_row(size, "rows", self._parse_row, size, "components", self._parse_poly_value, dim)
                 comps.update(((axes, (i, j)), p) for i, row in enumerate(rows) for j, p in enumerate(row))
             elif keyword == "vform":
-                comps.update(((axes, (j,)), p) for j, p in enumerate(self._parse_poly_vector(dim, size)))
+                row = self._parse_row(size, "components", self._parse_poly_value, dim)
+                comps.update(((axes, (j,)), p) for j, p in enumerate(row))
             else:
                 comps[(axes, ())] = self._parse_poly_value(dim)
                 scalar = True
         if scalar and tangent:
-            self.error("cannot mix scalar and tangent components")
+            self.error("cannot mix scalar and tangent components", keyword_tok)
         fibre = {
             "mform": Fibre("matrix", size),
             "vform": Fibre("vector", size),
@@ -670,19 +657,13 @@ class Parser:
         }[keyword]
         return self.call_kernel(keyword_tok, ValuedForm, dim, degree, fibre, comps)
 
-    def _parse_poly_vector(self, dim: int, fibre: int):
+    def _parse_row(self, count: int, word: str, parse_item, *args) -> list:
+        """'[', `count` parse_item(*args) separated by ',', then ']'; `word` names the items."""
         self.expect_punct("[")
-        polys = self._parse_list("]", self._parse_poly_value, dim)
-        if len(polys) != fibre:
-            self.error(f"expected {fibre} fibre components, got {len(polys)}")
-        return tuple(polys)
-
-    def _parse_poly_matrix(self, dim: int, fibre: int):
-        self.expect_punct("[")
-        rows = self._parse_list("]", self._parse_poly_vector, dim, fibre)
-        if len(rows) != fibre:
-            self.error(f"expected {fibre} fibre rows, got {len(rows)}")
-        return tuple(rows)
+        items = self._parse_list("]", parse_item, *args)
+        if len(items) != count:
+            self.error(f"expected {count} fibre {word}, got {len(items)}")
+        return items
 
     # -- polynomial sub-grammar ----------------------------------------------------
 
@@ -786,6 +767,8 @@ def _interior(a, b):
 
 
 _BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _wedge, "|": _interior}
+# the binary operators by precedence level, loosest first
+_LEVELS = (("+", "-"), ("*", "/", "|"), ("^",))
 
 
 def format_value(value) -> str:

@@ -221,12 +221,9 @@ class FockState(Combination):
         if self.dual != other.dual:
             raise SectorMismatchError("cannot mix dual and non-dual states")
 
-    def ranks(self):
-        return sorted({monomial_rank(m) for m in self.terms})
-
     def rank(self) -> int:
         """The common rank of a homogeneous state; raises if mixed."""
-        ranks = self.ranks()
+        ranks = sorted({monomial_rank(m) for m in self.terms})
         if len(ranks) != 1:
             raise RankError(f"state has mixed ranks {ranks}")
         return ranks[0]
@@ -238,7 +235,10 @@ class FockState(Combination):
         return self.terms.get(self.universe.vacuum, Scalar.zero())
 
     def __str__(self) -> str:
-        return format_state(self)
+        if self.is_zero():
+            return "0"
+        chunks = [f"{format_monomial(self.universe, m)} * ({self.terms[m]})" for m in sorted(self.terms)]
+        return ("dual " if self.dual else "") + " + ".join(chunks)
 
     __repr__ = __str__
 
@@ -249,18 +249,6 @@ def format_monomial(universe: Universe, m: Monomial) -> str:
         name = universe.sectors[idx].name
         chunks.extend(f"{name}:{mode}" for mode in part)
     return "^".join(chunks) if chunks else "vac"
-
-
-def format_state(state: FockState) -> str:
-    if state.is_zero():
-        return "0"
-    chunks = []
-    for mono in sorted(state.terms):
-        coeff = state.terms[mono]
-        label = format_monomial(state.universe, mono)
-        chunks.append(f"{label} * ({coeff})")
-    prefix = "dual " if state.dual else ""
-    return prefix + " + ".join(chunks)
 
 
 def state_to_json(state: FockState) -> str:
@@ -365,36 +353,25 @@ def interior_product(lam: FockState, psi: FockState):
     if not lam.dual or psi.dual:
         raise SectorMismatchError("interior product needs (dual, non-dual) operands")
     universe = lam.universe
-    state_terms: Dict[Monomial, Scalar] = {}
-    dual_terms: Dict[Monomial, Scalar] = {}
-    state_side_hit = False
-    dual_side_hit = False
+    sides = ({}, {})  # the state side's terms and the dual side's, indexed by the dual flag
+    hit = [False, False]
     psi_items = [(m_mono, monomial_rank(m_mono), m_coeff) for m_mono, m_coeff in psi.terms.items()]
     for d_mono, d_coeff in lam.terms.items():
         d_rank = monomial_rank(d_mono)
         for m_mono, m_rank, m_coeff in psi_items:
-            if d_rank <= m_rank:
-                state_side_hit = True
-                terms = state_terms
-                contracted = _contract_monomial(universe, d_mono, m_mono)
-            else:
-                dual_side_hit = True
-                terms = dual_terms
-                contracted = _contract_monomial(universe, m_mono, d_mono)
-            if contracted is None:
-                continue
-            factor, mono = contracted
-            _accumulate(terms, mono, _times(d_coeff * m_coeff, factor))
-    state_part = FockState._trusted((universe, False), state_terms)
-    dual_part = FockState._trusted((universe, True), dual_terms)
+            dual = d_rank > m_rank
+            hit[dual] = True
+            lower, higher = (m_mono, d_mono) if dual else (d_mono, m_mono)
+            contracted = _contract_monomial(universe, lower, higher)
+            if contracted is not None:
+                factor, mono = contracted
+                _accumulate(sides[dual], mono, _times(d_coeff * m_coeff, factor))
+    state_part = FockState._trusted((universe, False), sides[0])
+    dual_part = FockState._trusted((universe, True), sides[1])
     if not dual_part.is_zero() and not state_part.is_zero():
         raise MixedRankError("contraction produced both a state and a dual state")
-    if not dual_part.is_zero():
-        return dual_part
-    if not state_part.is_zero():
-        return state_part
-    # zero result: keep the side determined by the rank comparison when unambiguous
-    return dual_part if (dual_side_hit and not state_side_hit) else state_part
+    # a zero result is dual only when every monomial pair fell on the dual side
+    return dual_part if not dual_part.is_zero() or hit == [False, True] else state_part
 
 
 def pairing(lam: FockState, psi: FockState) -> Scalar:

@@ -86,7 +86,8 @@ def assert_canonical(x):
         assert type(coeff) is coeff_type and not coeff.is_zero()
         if coeff_type is Poly:
             assert_canonical(coeff)
-    assert rebuilt(x) == x
+    copy = rebuilt(x)
+    assert copy == x and hash(copy) == hash(x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,6 +159,9 @@ def test_instances_reject_assignment():
     # every public Combination subclass of the package has an instance above
     assert {type(x) for x in instances} == {c for c in _subclasses(Combination) if not c.__name__.startswith("_")}
     for x in instances:
+        # an equal copy, its terms inserted in the other order, hashes the same
+        copy = type(x)._trusted(x.shape, dict(reversed(x.terms.items())))
+        assert copy == x and hash(copy) == hash(x)
         shape, terms = x.shape, dict(x.terms)
         for name in ("shape", "terms"):
             with pytest.raises(AttributeError):

@@ -417,12 +417,16 @@ EVAL_ERROR_ROWS = [
     ('form deg=1 dim=2 { dx -> axis xy : poly "x" }', "error: 1:34: bad axis 'xy'"),
     ('form deg=1 dim=6 { dx -> axis uv : poly "x" }', "error: 1:34: bad axis 'uv'"),
     ('form deg=1 dim=2 { dxy : poly "x" }', "error: 1:24: bad differential 'dxy'"),
-    # refused once the literal is read, at the token after it
     (
         'form deg=1 dim=2 { dx : poly "x"; dy -> axis x : poly "y" }',
-        "error: 2:1: cannot mix scalar and tangent components",
+        "error: 1:1: cannot mix scalar and tangent components",
     ),
     ('vform deg=0 dim=2 fibre=2 { 1 : [poly "x"] }', "error: 1:44: expected 2 fibre components, got 1"),
+    ('mform deg=0 dim=2 fibre=2 { 1 : [[poly "x", poly "y"]] }', "error: 1:56: expected 2 fibre rows, got 1"),
+    (
+        "universe { sector f: fermion [1] }\napply(id4, vac)",
+        "error: 2:1: VarianceError: apply() cannot act with EndW on FockState",
+    ),
     ("- tetrad(e1, e2)", "error: 1:1: cannot negate tuple"),
     ("e1'", "error: 1:3: cannot dualize ScaledTensor"),
     ("universe { sector f: quark [1] }", "error: 1:28: sector kind must be 'fermion' or 'boson'"),
