@@ -28,6 +28,7 @@ from .spintensor import (
     ScaledTensor,
     Variance,
     VarianceError,
+    _require_uu,
     is_hermitian,
     mink_trace,
 )
@@ -56,7 +57,8 @@ class _Spinor(Combination):
     """Four components keyed by basis position 0..3, with the unit offset as shape."""
 
     __slots__ = ()
-    unit = shape_field(0, "The overall unit offset, a Fraction.")
+    _error = VarianceError
+    unit = shape_field(0, "The overall unit offset, a Fraction.", UnitMismatchError, "unit")
 
     def __init__(self, components, unit: Fraction = Fraction(0)):
         comps = [Scalar.coerce(c) for c in components]
@@ -68,12 +70,6 @@ class _Spinor(Combination):
     def components(self) -> Tuple[Scalar, ...]:
         """The four components in basis order, zeros included."""
         return tuple(self.terms.get(k, _ZERO) for k in range(4))
-
-    def _check_mate(self, other):
-        if type(other) is not type(self):
-            raise VarianceError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if self.unit != other.unit:
-            raise UnitMismatchError(f"cannot combine {type(self).__name__}s with different units")
 
 
 class DiracVector(_Spinor):
@@ -141,6 +137,7 @@ class EndW(Combination):
     """Endomorphism of W: its nonzero matrix entries keyed by (row, col) in the induced basis."""
 
     __slots__ = ()
+    _error = VarianceError
 
     def __init__(self, rows):
         rows = [[Scalar.coerce(x) for x in row] for row in rows]
@@ -160,10 +157,6 @@ class EndW(Combination):
     @classmethod
     def zero(cls) -> "EndW":
         return cls._trusted((), {})
-
-    def _check_mate(self, other):
-        if type(other) is not EndW:
-            raise VarianceError(f"cannot combine EndW with {type(other).__name__}")
 
     def __mul__(self, other):
         """Composition with another endomorphism."""
@@ -198,8 +191,7 @@ def gamma(y: ScaledTensor) -> EndW:
 
     Linear in y; on Hermitian y it is the Dirac map, a Clifford map for g.
     """
-    if y.slots != (Variance.U, Variance.U_BAR):
-        raise VarianceError(f"gamma needs slots [U,Ubar], got {y.slots}")
+    _require_uu(y, "gamma")
     if y.unit != 1:
         raise UnitMismatchError("gamma needs the standard unit exponent 1")
     terms = {}
@@ -294,7 +286,8 @@ def observer_split(tau: ScaledTensor, psi: DiracVector) -> Tuple[DiracVector, Di
 _H_SLOTS = (Variance.U_BAR_DUAL, Variance.U_DUAL)
 
 
-def _h_matrix(h: ScaledTensor):
+def check_positive_metric(h: ScaledTensor):
+    """h's 2x2 matrix and its determinant, after checking Hermitian positivity by exact trace and det signs."""
     if h.slots != _H_SLOTS:
         raise VarianceError(f"observer metric needs slots [Ubar*,U*], got {h.slots}")
     if h.unit != -1:
@@ -302,19 +295,17 @@ def _h_matrix(h: ScaledTensor):
     m = [[h.get((a, b)) for b in (1, 2)] for a in (1, 2)]
     if m[0][1] != m[1][0].conj() or not m[0][0].is_real() or not m[1][1].is_real():
         raise ObserverError("observer metric must be Hermitian")
-    return m
-
-
-def check_positive_metric(h: ScaledTensor):
-    """Hermitian positivity via exact trace and determinant signs."""
-    m = _h_matrix(h)
     trace = m[0][0] + m[1][1]
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     if trace.real_sign() <= 0 or det.real_sign() <= 0:
-        raise ObserverError(
-            f"observer metric is not positive: trace={trace}, det={det}"
-        )
+        raise ObserverError(f"observer metric is not positive: trace={trace}, det={det}")
     return m, det
+
+
+def _adjugate(m):
+    """The adjugate [[d, -b], [-c, a]] of the 2x2 matrix [[a, b], [c, d]]: m times it is det(m) id."""
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
 
 
 def observer_dagger(h: ScaledTensor, psi: DiracVector) -> DualDiracVector:
@@ -325,19 +316,12 @@ def observer_dagger(h: ScaledTensor, psi: DiracVector) -> DualDiracVector:
     """
     m, det = check_positive_metric(h)
     inv_det = det.inverse()
-    k = [
-        [m[1][1] * inv_det, -m[0][1] * inv_det],
-        [-m[1][0] * inv_det, m[0][0] * inv_det],
-    ]
+    k = [[x * inv_det for x in row] for row in _adjugate(m)]
     u1, u2, l1, l2 = psi.components
     ub = (u1.conj(), u2.conj())
     lam = (l1.conj(), l2.conj())
-    out_l = tuple(
-        ub[0] * m[0][b] + ub[1] * m[1][b] for b in range(2)
-    )
-    out_u = tuple(
-        lam[0] * k[0][a] + lam[1] * k[1][a] for a in range(2)
-    )
+    out_l = tuple(ub[0] * m[0][b] + ub[1] * m[1][b] for b in range(2))
+    out_u = tuple(lam[0] * k[0][a] + lam[1] * k[1][a] for a in range(2))
     return DualDiracVector._trusted((-psi.unit,), dict(enumerate(out_l + out_u)))
 
 
@@ -345,13 +329,6 @@ def observer_vector(h: ScaledTensor) -> ScaledTensor:
     """The normalized observer identified with a positive metric of determinant 1."""
     m, det = check_positive_metric(h)
     if det != Scalar.one():
-        raise ObserverError(
-            f"normalized observer needs det h = 1 exactly, got {det}"
-        )
-    terms = {
-        (1, 1): m[1][1] * _INV_R2,
-        (1, 2): -m[0][1] * _INV_R2,
-        (2, 1): -m[1][0] * _INV_R2,
-        (2, 2): m[0][0] * _INV_R2,
-    }
+        raise ObserverError(f"normalized observer needs det h = 1 exactly, got {det}")
+    terms = {(a, b): x * _INV_R2 for a, row in enumerate(_adjugate(m), 1) for b, x in enumerate(row, 1)}
     return ScaledTensor._trusted(((Variance.U, Variance.U_BAR), Fraction(1)), terms)

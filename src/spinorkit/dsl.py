@@ -154,12 +154,7 @@ def tokenize(text: str) -> List[Token]:
     return tokens
 
 
-_VARIANCES = {
-    "U": Variance.U,
-    "U*": Variance.U_DUAL,
-    "Ubar": Variance.U_BAR,
-    "Ubar*": Variance.U_BAR_DUAL,
-}
+_VARIANCES = {v.value: v for v in Variance}
 
 
 def _poly_from_string(text: str, dim: int, line: int, col: int, depth: int) -> Poly:
@@ -404,11 +399,12 @@ class Parser:
             s_name = self.expect_name()
             self.expect_punct(":")
             kind = self.expect_name()
-            if kind not in ("fermion", "boson"):
+            try:
+                stats = Statistics(kind)
+            except ValueError:
                 self.error("sector kind must be 'fermion' or 'boson'")
             self.expect_punct("[")
             modes = self._parse_list("]", self.expect_int)
-            stats = Statistics.FERMION if kind == "fermion" else Statistics.BOSON
             sectors.append(self.call_kernel(s_tok, Sector, s_name, stats, modes))
         universe = self.call_kernel(keyword, Universe, sectors)
         self.env.universe = universe

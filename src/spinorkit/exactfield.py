@@ -24,14 +24,15 @@ tensor multiplication and negate under dualization.
 Every sparse container of the package (two-spinor tensors, Dirac spinors,
 their duals and endomorphisms, polynomials, valued forms, Fock states and
 operators) is one notion, a finite linear combination of canonical keys, and
-subclasses :class:`Combination`.  It holds
-the nonzero coefficients in ``terms`` and the space they live in in
-``shape``, and it implements ``+``, ``-``, negation, ``scaled``, ``==`` and
-``hash`` once.  Results computed from canonical operands go through its
-trusted constructor ``_trusted``, which only drops zero coefficients;
-``_accumulate`` is the one merge step behind every sum of terms.  On
-containers ``*`` means only the algebra product of two elements of one
-class; a scalar multiple is always ``scaled``.
+subclasses :class:`Combination`.  It holds the nonzero coefficients in
+``terms`` and the space they live in in ``shape``, and it implements ``+``,
+``-``, negation, ``scaled``, ``==``, ``hash`` and the check that two operands
+live in one space once; a subclass only declares the error that a mismatch
+of each shape entry raises.  Results computed from canonical operands go
+through its trusted constructor ``_trusted``, which only drops zero
+coefficients; ``_accumulate`` is the one merge step behind every sum of
+terms.  On containers ``*`` means only the algebra product of two elements
+of one class; a scalar multiple is always ``scaled``.
 """
 
 from __future__ import annotations
@@ -354,9 +355,15 @@ class UnitMismatchError(ValueError):
 # -- finite linear combinations ------------------------------------------------
 
 
-def shape_field(index: int, doc: str) -> property:
-    """The read-only attribute of a Combination subclass that is entry `index` of its shape."""
-    return property(lambda self: self.shape[index], doc=doc)
+class _ShapeField(property):
+    """A :func:`shape_field`, which also carries the error and the label of its entry's mismatch."""
+
+
+def shape_field(index: int, doc: str, error: type, label: str) -> property:
+    """Entry `index` of a Combination's shape, read-only; operands that differ in it raise `error`."""
+    field = _ShapeField(lambda self: self.shape[index], doc=doc)
+    field.index, field.error, field.label = index, error, label
+    return field
 
 
 def _accumulate(out: dict, key, value, sign: int = 1):
@@ -374,18 +381,25 @@ class Combination(Immutable):
     ``terms`` maps keys to nonzero coefficients: :class:`Scalar` values, or
     Combinations themselves (the polynomial components of a form).  Absent
     keys are zero, so ``==`` and ``hash`` compare canonical forms.  ``shape``
-    is a tuple that fixes the space, such as a tensor's slots and unit; a
-    subclass names its entries with :func:`shape_field`.  A subclass keeps
-    only what is particular to it: a public constructor that validates every
-    key and coerces every coefficient, ``_check_mate``, which raises the
-    subclass's own error when two operands live in different spaces, and its
-    products.  Results that the package computes from canonical operands are
-    canonical by construction and go through the trusted constructor
-    :meth:`_trusted`, which only drops zero coefficients.  Instances are
-    immutable.
+    is a tuple that fixes the space, such as a tensor's slots and unit.
+    :meth:`_check_mate`, the check behind every sum and product, passes two
+    operands of one class and one shape.  A subclass declares the error that
+    each shape entry's mismatch raises, naming the entry with
+    :func:`shape_field`, and in ``_error`` the error an operand of another
+    class raises; beyond that it keeps only a public constructor that
+    validates every key and coerces every coefficient, and its products.
+    Results that the package computes from canonical operands are canonical
+    by construction and go through the trusted constructor :meth:`_trusted`,
+    which only drops zero coefficients.  Instances are immutable.
     """
 
     __slots__ = ("shape", "terms")
+    _fields = ()  # a subclass's shape_fields, in shape order
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = sorted((f for f in vars(cls).values() if isinstance(f, _ShapeField)), key=lambda f: f.index)
+        cls._fields = tuple(fields) or cls._fields
 
     def _fill(self, shape: tuple, terms: dict):
         _set_shape(self, shape)
@@ -402,6 +416,14 @@ class Combination(Immutable):
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def _check_mate(self, other):
+        """Raise the declared error unless `other` lives in this space: this class and this shape."""
+        if type(other) is not type(self):
+            raise self._error(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if other.shape != self.shape:
+            field = next(f for f in self._fields if f.fget(self) != f.fget(other))
+            raise field.error(f"{field.label} mismatch: {field.fget(self)} vs {field.fget(other)}")
 
     def _combined(self, other, sign: int):
         self._check_mate(other)

@@ -73,7 +73,8 @@ class Poly(Combination):
     """Sparse multivariate polynomial with Scalar coefficients, keyed by exponent tuples."""
 
     __slots__ = ()
-    dim = shape_field(0, "The number of variables.")
+    _error = ChartError
+    dim = shape_field(0, "The number of variables.", ChartError, "dimension")
 
     def __init__(self, dim: int, terms: Dict[Exponents, Scalar] | None = None):
         _check_dim(dim)
@@ -94,11 +95,6 @@ class Poly(Combination):
         exps = [0] * dim
         exps[axis] = 1
         return cls(dim, {tuple(exps): Scalar.one()})
-
-    def _check_mate(self, other: "Poly"):
-        if self.shape == other.shape:
-            return
-        raise ChartError("polynomial dimension mismatch")
 
     # bound in Poly's own namespace, where the benchmark's span tracer looks them up
     __add__ = Combination.__add__
@@ -209,9 +205,10 @@ class ValuedForm(Combination):
     """
 
     __slots__ = ()
-    dim = shape_field(0, "The chart dimension.")
-    degree = shape_field(1, "The form degree.")
-    fibre = shape_field(2, "The fibre the form takes its values in.")
+    _error = ChartError
+    dim = shape_field(0, "The chart dimension.", ChartError, "dimension")
+    degree = shape_field(1, "The form degree.", ChartError, "degree")
+    fibre = shape_field(2, "The fibre the form takes its values in.", ChartError, "fibre")
 
     def __init__(self, dim: int, degree: int, fibre: Fibre, terms: Dict[Key, Poly] | None = None):
         _check_dim(dim)
@@ -234,10 +231,6 @@ class ValuedForm(Combination):
         if degree > dim and any(not poly.is_zero() for poly in clean.values()):
             raise DegreeOverflowError(f"degree {degree} exceeds dimension {dim}")
         self._fill((dim, degree, fibre), clean)
-
-    def _check_mate(self, other: "ValuedForm"):
-        if not isinstance(other, ValuedForm) or self.shape != other.shape:
-            raise ChartError("form shape mismatch")
 
     def wedge(self, other: "ValuedForm") -> "ValuedForm":
         """Wedge of the forms, contracting the last fibre index of self with the first of other."""

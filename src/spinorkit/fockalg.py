@@ -196,8 +196,9 @@ class FockState(Combination):
     """Sparse linear combination of canonical monomials; `dual` marks the dual space."""
 
     __slots__ = ()
-    universe = shape_field(0, "The universe of sectors the monomials live over.")
-    dual = shape_field(1, "True for an element of the dual space.")
+    _error = SectorMismatchError
+    universe = shape_field(0, "The universe of sectors the monomials live over.", SectorMismatchError, "universe")
+    dual = shape_field(1, "True for an element of the dual space.", SectorMismatchError, "dual")
 
     def __init__(self, universe: Universe, terms=None, dual: bool = False):
         clean = {_validate_monomial(universe, mono): Scalar.coerce(c) for mono, c in (terms or {}).items()}
@@ -212,14 +213,6 @@ class FockState(Combination):
         idx = universe.sector_index(sector)
         universe.check_mode(idx, mode)
         return cls._trusted((universe, bool(dual)), {_mode_monomial(universe, idx, mode): Scalar.one()})
-
-    def _check_mate(self, other: "FockState"):
-        if self.shape == other.shape:
-            return
-        if self.universe != other.universe:
-            raise SectorMismatchError("states live over different universes")
-        if self.dual != other.dual:
-            raise SectorMismatchError("cannot mix dual and non-dual states")
 
     def rank(self) -> int:
         """The common rank of a homogeneous state; raises if mixed."""
@@ -396,7 +389,8 @@ class OperatorElement(Combination):
     """Normal-ordered element of the graded operator algebra, keyed by (emit, absorb) words."""
 
     __slots__ = ()
-    universe = shape_field(0, "The universe of sectors the words live over.")
+    _error = SectorMismatchError
+    universe = shape_field(0, "The universe of sectors the words live over.", SectorMismatchError, "universe")
 
     def __init__(self, universe: Universe, terms=None):
         clean = {
@@ -417,11 +411,6 @@ class OperatorElement(Combination):
         """(even part, odd part)."""
         even, odd = _graded_terms(self.universe, self.terms)
         return self._like(even), self._like(odd)
-
-    def _check_mate(self, other: "OperatorElement"):
-        if self.shape == other.shape:
-            return
-        raise SectorMismatchError("operators live over different universes")
 
     def __mul__(self, other):
         """Composition, folding each word of `other` into these terms."""

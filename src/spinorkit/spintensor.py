@@ -97,8 +97,9 @@ class ScaledTensor(Combination):
     """
 
     __slots__ = ()
-    slots = shape_field(0, "The variance tag of each slot, in order.")
-    unit = shape_field(1, "The length-unit exponent, a Fraction.")
+    _error = VarianceError
+    slots = shape_field(0, "The variance tag of each slot, in order.", VarianceError, "slot")
+    unit = shape_field(1, "The length-unit exponent, a Fraction.", UnitMismatchError, "unit")
 
     def __init__(self, slots: Iterable[Variance], terms: Dict[Index, Scalar], unit: Fraction | None = None):
         slots = tuple(slots)
@@ -132,14 +133,6 @@ class ScaledTensor(Combination):
         return self.terms.get(tuple(key), Scalar.zero())
 
     # -- linear operations -----------------------------------------------------
-
-    def _check_mate(self, other: "ScaledTensor"):
-        if self.shape == other.shape:
-            return
-        if self.slots != other.slots:
-            raise VarianceError(f"slot mismatch: {self.slots} vs {other.slots}")
-        if self.unit != other.unit:
-            raise UnitMismatchError(f"unit mismatch: {self.unit} vs {other.unit}")
 
     def tensor(self, other: "ScaledTensor") -> "ScaledTensor":
         terms = {k1 + k2: v1 * v2 for k1, v1 in self.terms.items() for k2, v2 in other.terms.items()}

@@ -1,6 +1,7 @@
 """The shared linear-combination core: canonical internal results and traced method names."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -16,10 +17,10 @@ from spinorkit.diracw import (
     gamma,
     observer_dagger,
 )
-from spinorkit.exactfield import Combination, Scalar
-from spinorkit.fnforms import Form, MatrixForm, Poly, TangentForm, ValuedForm, curvature, fn_bracket
-from spinorkit.fockalg import FockState, OperatorElement, Sector, Statistics, Universe
-from spinorkit.spintensor import EpsilonStructure, ScaledTensor, Variance
+from spinorkit.exactfield import Combination, Scalar, UnitMismatchError
+from spinorkit.fnforms import ChartError, Fibre, Form, MatrixForm, Poly, TangentForm, ValuedForm, curvature, fn_bracket
+from spinorkit.fockalg import FockState, OperatorElement, Sector, SectorMismatchError, Statistics, Universe
+from spinorkit.spintensor import EpsilonStructure, ScaledTensor, Variance, VarianceError
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 DIM = 2
@@ -142,20 +143,78 @@ def _subclasses(cls):
     return {sub for direct in cls.__subclasses__() for sub in {direct} | _subclasses(direct)}
 
 
-def test_instances_reject_assignment():
-    # construction writes the slots through their descriptors, past __setattr__;
-    # assignment or deletion from outside must still raise and leave the instance as it was
-    universe = Universe([Sector("f", Statistics.FERMION, (1, 2))])
-    instances = [
+UNIVERSE = Universe([Sector("f", Statistics.FERMION, (1, 2))])
+
+
+def combination_instances():
+    """One instance of every public Combination subclass of the package."""
+    return [
         ScaledTensor((Variance.U,), {(1,): Scalar(1)}),
         DiracVector([1, 0, 0, 0]),
         DualDiracVector([0, 1, 0, 0]),
         EndW.identity(),
         Poly(DIM, {(1, 0): Scalar(2)}),
         Form(DIM, 1, {(0,): Poly.const(DIM, 1)}),
-        FockState.vacuum(universe),
-        OperatorElement.identity(universe),
+        FockState.vacuum(UNIVERSE),
+        OperatorElement.identity(UNIVERSE),
     ]
+
+
+def test_operands_of_another_class_raise_the_left_class_error():
+    # the declared error, never an AttributeError from reading the other operand's shape
+    instances = combination_instances() + [Scalar(1), 1]
+    for x in combination_instances():
+        assert issubclass(type(x)._error, (ValueError, VarianceError))
+        for y in instances:
+            if type(y) is type(x):
+                continue
+            for op in (lambda: x + y, lambda: x - y):
+                with pytest.raises(type(x)._error, match=f"cannot combine {type(x).__name__} with"):
+                    op()
+
+
+OTHER_UNIVERSE = Universe([Sector("b", Statistics.BOSON, (1,))])
+
+# (operand, an operand of its class that differs from it in one shape entry, that entry's error and message)
+SHAPE_MISMATCHES = [
+    (ScaledTensor((Variance.U,), {}), ScaledTensor((Variance.U,), {}, 0), UnitMismatchError, "unit mismatch: 1/2 vs 0"),
+    (ScaledTensor((Variance.U,), {}), ScaledTensor((Variance.U_BAR,), {}), VarianceError, "slot mismatch"),
+    (FockState.vacuum(UNIVERSE), FockState.vacuum(UNIVERSE, dual=True), SectorMismatchError, "dual mismatch"),
+    (FockState.vacuum(UNIVERSE), FockState.vacuum(OTHER_UNIVERSE), SectorMismatchError, "universe mismatch"),
+    (OperatorElement.identity(UNIVERSE), OperatorElement.identity(OTHER_UNIVERSE), SectorMismatchError, "universe mismatch"),
+    (DiracVector([1, 0, 0, 0]), DiracVector([1, 0, 0, 0], 1), UnitMismatchError, "unit mismatch: 0 vs 1"),
+    (DualDiracVector([1, 0, 0, 0]), DualDiracVector([1, 0, 0, 0], 1), UnitMismatchError, "unit mismatch"),
+    (Poly(2), Poly(3), ChartError, "dimension mismatch: 2 vs 3"),
+    (Form(2, 1, {}), Form(3, 1, {}), ChartError, "dimension mismatch"),
+    (Form(2, 1, {}), Form(2, 2, {}), ChartError, "degree mismatch: 1 vs 2"),
+    (Form(2, 1, {}), ValuedForm(2, 1, Fibre("vector", 2)), ChartError, "fibre mismatch"),
+]
+
+
+@pytest.mark.parametrize(
+    "x, y, error, message", SHAPE_MISMATCHES, ids=[f"{type(x).__name__}: {message}" for x, _, _, message in SHAPE_MISMATCHES]
+)
+def test_a_shape_entry_mismatch_raises_that_entry_error(x, y, error, message):
+    for op in (lambda: x + y, lambda: x - y):
+        with pytest.raises(error, match=re.escape(message)):
+            op()
+    with pytest.raises(error):
+        y + x
+
+
+def test_the_space_check_is_written_once():
+    for cls in _subclasses(Combination):
+        assert "_check_mate" not in vars(cls), cls.__name__
+        # every shape entry declares its error
+        assert [field.index for field in cls._fields] == list(range(len(cls._fields)))
+    for x in combination_instances():
+        assert len(type(x)._fields) == len(x.shape)
+
+
+def test_instances_reject_assignment():
+    # construction writes the slots through their descriptors, past __setattr__;
+    # assignment or deletion from outside must still raise and leave the instance as it was
+    instances = combination_instances()
     # every public Combination subclass of the package has an instance above
     assert {type(x) for x in instances} == {c for c in _subclasses(Combination) if not c.__name__.startswith("_")}
     for x in instances:
@@ -178,8 +237,8 @@ def test_instances_reject_assignment():
         assert z.ints == v
     # the value objects outside Combination share the rule
     for x, names in (
-        (universe.sectors[0], ("name", "statistics", "modes")),
-        (universe, ("sectors", "is_fermion", "vacuum")),
+        (UNIVERSE.sectors[0], ("name", "statistics", "modes")),
+        (UNIVERSE, ("sectors", "is_fermion", "vacuum")),
         (EpsilonStructure(Scalar(0, 1)), ("phase",)),
     ):
         before = [getattr(x, name) for name in names]

@@ -22,7 +22,7 @@ from spinorkit.diracw import (
     observer_vector,
     w_basis,
 )
-from spinorkit.exactfield import Scalar
+from spinorkit.exactfield import Scalar, UnitMismatchError
 from spinorkit.prng import SplitMix64, random_scalar
 from spinorkit.spintensor import (
     EpsilonStructure,
@@ -303,6 +303,29 @@ def test_observer_dagger_rejects_non_positive():
         observer_dagger(h_metric(1, 1, -1, 1), dirac(u1=1))  # not Hermitian
     with pytest.raises(ObserverError):
         observer_vector(h_metric(2, 0, 0, 1))  # positive but det != 1
+
+
+def test_observer_dagger_scales_with_the_metric():
+    # the U* half is linear in h and the Ubar half goes through adj(h) / det h, so h -> c h
+    # scales the first two components by c and the last two by 1 / c
+    rng = SplitMix64(313)
+    for c in (Scalar(2), Scalar(Fraction(1, 3)), Scalar(Fraction(7, 2))):
+        for h in (H_STD, h_metric(2, I, -I, 1), random_unit_det_metric(rng), h_metric(3, 1 + I, 1 - I, 5)):
+            psi = random_dirac(rng)
+            want = observer_dagger(h, psi).components
+            got = observer_dagger(h.scaled(c), psi).components
+            assert got[:2] == tuple(x * c for x in want[:2])
+            assert got[2:] == tuple(x / c for x in want[2:])
+
+
+def test_observer_metric_refuses_the_wrong_slots_and_unit():
+    wrong_slots = ScaledTensor((Variance.U_DUAL, Variance.U_BAR_DUAL), H_STD.terms, Fraction(-1))
+    wrong_unit = ScaledTensor(H_STD.slots, H_STD.terms, Fraction(-2))
+    for call in (observer_dagger, lambda h, psi: observer_vector(h)):
+        with pytest.raises(VarianceError, match=r"observer metric needs slots \[Ubar\*,U\*\]"):
+            call(wrong_slots, dirac(u1=1))
+        with pytest.raises(UnitMismatchError, match="observer metric needs unit exponent -1"):
+            call(wrong_unit, dirac(u1=1))
 
 
 def test_projector_ranks_for_random_observers():

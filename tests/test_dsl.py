@@ -11,15 +11,18 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
+from helpers import scalar_to_sympy
 from spinorkit import dsl, suites
 from spinorkit.cli import main
 from spinorkit.diracw import DiracVector, gamma
 from spinorkit.dsl import DslError, Environment, eval_program
 from spinorkit.exactfield import Scalar, format_scalar
-from spinorkit.fnforms import Fibre, Form, MatrixForm, Poly, TangentForm, VectorForm
+from spinorkit.fnforms import AXIS_NAMES, Fibre, Form, MatrixForm, Poly, TangentForm, VectorForm
 from spinorkit.prng import SplitMix64, random_scalar
 from spinorkit.spintensor import ScaledTensor, Variance, e, ebar, format_tensor, g_pairing
 
@@ -844,6 +847,56 @@ def test_poly_literal_matches_sum_of_per_term_polys_on_random_sums(terms):
     assert got == want
     if isinstance(got, Poly):
         assert got.terms == want.terms
+
+
+# -- poly strings against sympy's parser -----------------------------------------------
+
+SY_TRANSFORMATIONS = standard_transformations + (convert_xor,)
+
+
+def _oracle_factor(rng, axes, depth):
+    kinds = ["int", "fraction", "unit"] + ["axis"] * 3 * bool(axes) + ["paren"] * (depth < 2)
+    kind = rng.choice(kinds)
+    if kind == "int":
+        return str(rng.randint(0, 9))
+    if kind == "fraction":
+        return f"{rng.randint(0, 9)}/{rng.randint(1, 6)}"
+    if kind == "unit":
+        return rng.choice(("i", "r2"))
+    if kind == "axis":
+        return rng.choice(axes) + rng.choice(("", "", f"^{rng.randint(0, 4)}"))
+    return f"({_oracle_poly_text(rng, '', depth + 1)})"
+
+
+def _oracle_poly_text(rng, axes, depth=0):
+    """A poly string the DSL accepts: a sum of products of ints, fractions, i, r2, axis powers and (scalar sums)."""
+    text = rng.choice(("", "-"))
+    for k in range(rng.randint(1, 4)):
+        if k:
+            text += rng.choice((" + ", " - ", " + -"))
+        text += "*".join(_oracle_factor(rng, axes, depth) for _ in range(rng.randint(1, 3)))
+    return text
+
+
+def test_poly_strings_match_sympy_parse_expr():
+    rng = random.Random(2011)
+    texts = []
+    for _ in range(300):
+        dim = rng.randint(1, len(AXIS_NAMES))
+        axes = AXIS_NAMES[:dim]
+        symbols = [sympy.Symbol(a) for a in axes]
+        text = _oracle_poly_text(rng, axes)
+        texts.append(text)
+        poly = dsl._poly_from_string(text, dim, 1, 1, 0)
+        got = sum(
+            (scalar_to_sympy(c) * sympy.Mul(*(x**k for x, k in zip(symbols, exps))) for exps, c in poly.terms.items()),
+            sympy.Integer(0),
+        )
+        names = {"i": sympy.I, "r2": sympy.sqrt(2), **dict(zip(axes, symbols))}
+        want = parse_expr(text, local_dict=names, transformations=SY_TRANSFORMATIONS)
+        assert sympy.expand(got - want) == 0, text
+    # the corpus reaches every kind of factor and sign
+    assert all(any(piece in text for text in texts) for piece in ("(", "i", "r2", "^", "/", " - ", "+ -"))
 
 
 # -- eval stdout over a seeded corpus of the statement kinds, byte for byte ---------------
