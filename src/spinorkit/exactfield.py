@@ -104,6 +104,8 @@ def _ints(x) -> Ints:
         return (int(x), 0, 0, 0, 1)
     if isinstance(x, Fraction):
         return (x.numerator, 0, 0, 0, x.denominator)
+    if isinstance(x, Combination):
+        x._check_mate(Scalar.one())  # the container's own error, whatever the operand order
     raise ExactError(f"cannot coerce {x!r} to Scalar")
 
 

@@ -228,8 +228,6 @@ class ValuedForm(Combination):
             if poly.dim != dim:
                 raise ChartError("component polynomial on wrong chart")
             clean[(axes, index)] = poly
-        if degree > dim and any(not poly.is_zero() for poly in clean.values()):
-            raise DegreeOverflowError(f"degree {degree} exceeds dimension {dim}")
         self._fill((dim, degree, fibre), clean)
 
     def wedge(self, other: "ValuedForm") -> "ValuedForm":

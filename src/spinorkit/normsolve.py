@@ -6,10 +6,11 @@ element of Q(sqrt2).  Q(i, sqrt2) is the 8th cyclotomic field; its ring of
 integers Z[zeta8] is a norm-Euclidean PID, so the equation is solved by
 factoring the target over Z[sqrt2], lifting each prime through the relative
 quadratic extension (via Euclidean gcds with a square root of -1 in the
-residue field), and folding the leftover unit in once at the end.  Returns
-None when the equation has no solution in the field, which happens exactly
-when the target is not totally positive or some rational prime p = 7 mod 8
-divides its norm to an odd power; that verdict is exact, not a search cutoff.
+residue field), and multiplying in the closed-form square root of the
+totally positive unit left over.  Returns None when the equation has no
+solution in the field, which happens exactly when the target is not totally
+positive or some rational prime p = 7 mod 8 divides its norm to an odd
+power; that verdict is exact, not a search cutoff.
 A broken internal invariant raises ArithmeticError.
 
 The rational arithmetic underneath is self-contained.  The absolute norm is
@@ -43,7 +44,6 @@ Z8_I: Z8 = (0, 0, 1, 0)  # i = z^2
 Z8_ZETA_PLUS_ONE: Z8 = (1, 1, 0, 0)  # 1 + z; relative norm 2 + sqrt2
 S2_SQRT2: S2 = (0, 1)
 S2_FUND: S2 = (1, 1)  # 1 + sqrt2, the fundamental unit (norm -1)
-S2_FUND_INV: S2 = (-1, 1)  # sqrt2 - 1
 
 # Pollard rho steps allowed for factoring one norm: about 0.6 s on a 2-core
 # x86_64 machine under Python 3.11.  With near certainty that splits off every
@@ -423,26 +423,18 @@ def s2_gcd(a: S2, b: S2) -> S2:
     return a
 
 
-def _s2_unit_log(u: S2) -> Optional[Tuple[int, int]]:
-    """Write a unit as sign * (1 + sqrt2)^k; None if u is not a unit."""
-    if abs(s2_norm(u)) != 1:
-        return None
-    k = 0
-    cur = u
-    while cur not in ((1, 0), (-1, 0)):
-        # |cur| > 1 in the real embedding: peel a fundamental unit off
-        p, q = cur
-        big = sqrt2_sign(p - 1, q) > 0 or sqrt2_sign(p + 1, q) < 0  # |p + q sqrt2| > 1
-        if big:
-            cur = s2_mul(cur, S2_FUND_INV)
-            k += 1
-        else:
-            cur = s2_mul(cur, S2_FUND)
-            k -= 1
-        if abs(k) > 4096:
-            raise ArithmeticError("unit logarithm failed to terminate")
-    sign = 1 if cur == (1, 0) else -1
-    return sign, k
+def _unit_sqrt(u: S2) -> Optional[S2]:
+    """The root of the nonzero u that is positive for sqrt2 > 0, or None unless
+    u is the square of a unit.  A root a + b*sqrt2 of u = p + q*sqrt2 with
+    a^2 - 2b^2 = n = +/-1 has a^2 = (p + n) / 2, b^2 = (p - n) / 4 and ab of
+    the sign of q; the square test refuses every other u.
+    """
+    p, q = u
+    for n in (1, -1):
+        y = (isqrt(abs(p + n) // 2), isqrt(abs(p - n) // 4) * (1 if q >= 0 else -1))
+        if s2_mul(y, y) == u:
+            return y if sqrt2_sign(*y) > 0 else (-y[0], -y[1])
+    return None
 
 
 def _normalize_totally_positive(pi: S2) -> S2:
@@ -472,7 +464,7 @@ def _lift_prime(pi: S2, p: int) -> Z8:
 
     pi must be a totally positive prime of Z[sqrt2] lying over the odd
     rational prime p, with -1 a square in the residue field.  The unit is
-    totally positive, so a square; solve_norm_s2 folds it in at the end.
+    totally positive, so a square; solve_norm_s2 takes its root at the end.
     """
     if p % 4 == 1:
         r: Z8 = z8_from_int(_sqrt_mod(p - 1, p))
@@ -522,13 +514,12 @@ def solve_norm_s2(m: S2) -> Optional[Z8]:
                 x = z8_mul(x, z8_pow(z8_from_s2(pi_pos), exponent // 2))
             else:
                 x = z8_mul(x, z8_pow(_lift_prime(pi_pos, p), exponent))
-    # m / (x * conj(x)) is now a totally positive unit, the square of a unit: fold it in
+    # m / (x * conj(x)) is now a totally positive unit (1 + sqrt2)^(2k); take its root
     residual = s2_divides_exactly(m, z8_relative_norm(x))
-    log = None if residual is None else _s2_unit_log(residual)
-    if log is None or log[0] != 1 or log[1] % 2 != 0:
+    root = None if residual is None else _unit_sqrt(residual)
+    if root is None:
         raise ArithmeticError(f"norm equation residual {residual} is not the square of a unit")
-    k = log[1] // 2
-    x = z8_mul(x, z8_pow(z8_from_s2(S2_FUND if k > 0 else S2_FUND_INV), abs(k)))
+    x = z8_mul(x, z8_from_s2(root))
     if z8_relative_norm(x) != m:
         raise ArithmeticError("norm equation postcondition failed")
     return x

@@ -1,5 +1,8 @@
-"""Shared test helpers: random exact tensors and sympy conversions."""
+"""Shared test helpers: random exact tensors, sympy conversions and refusal checks."""
 
+import re
+
+import pytest
 import sympy
 
 from spinorkit.exactfield import Scalar
@@ -26,3 +29,14 @@ def endw_to_sympy(m):
 def spin_frame(rng: SplitMix64, eps: EpsilonStructure = None):
     """Random basis of U with eps(b1, b2) = 1 exactly."""
     return random_spin_frame(rng, eps or EpsilonStructure())
+
+
+def assert_refuses(call, error, message):
+    """`call()` raises exactly `error` with exactly `message`."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert type(info.value) is error
+
+
+def refusal_ids(rows):
+    return [message for _, _, message in rows]

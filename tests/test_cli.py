@@ -12,6 +12,7 @@ import pytest
 
 import spinorkit
 from spinorkit.cli import INTERNAL_ERROR, main
+from spinorkit.exactfield import Scalar, format_scalar
 from spinorkit.spintensor import ScaledTensor
 from spinorkit.suites import SUITE_NAMES
 
@@ -141,6 +142,19 @@ def test_eval_factor_budget_is_usage_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert "FactorBudgetError" in err and "budget" in err
     assert "Traceback" not in err
+
+
+def test_eval_nulldec_of_a_high_unit_power(tmp_path, capsys):
+    # (1+r2)^4104 is about 5,200 bits, inside the bit budget; its square root
+    # (1+r2)^2052 is the leftover unit of the norm equation
+    squarings = "".join(f"let a{2 * n} = a{n}*a{n}\n" for n in (2**j for j in range(1, 11)))
+    script = tmp_path / "unit.dsl"
+    script.write_text(
+        "let a = 1+r2\nlet a2 = a*a\n" + squarings + "let b = a2048*a2048*a8\nnulldec(tensor [U,Ubar] { (1,1): b })\n"
+    )
+    code, out, err = run_cli(["eval", str(script)], capsys)
+    assert (code, err) == (0, "")
+    assert out == f"(1, tensor [U] {{ (1): {format_scalar(Scalar(1, 0, 1) ** 2052)} }})\n"
 
 
 def test_eval_nulldec_does_not_import_sympy(tmp_path):

@@ -1,6 +1,7 @@
 """The shared linear-combination core: canonical internal results and traced method names."""
 
 import importlib.util
+import operator
 import re
 from pathlib import Path
 
@@ -171,6 +172,19 @@ def test_operands_of_another_class_raise_the_left_class_error():
             for op in (lambda: x + y, lambda: x - y):
                 with pytest.raises(type(x)._error, match=f"cannot combine {type(x).__name__} with"):
                     op()
+
+
+def test_scalar_operands_raise_the_container_error_in_either_order():
+    # Scalar's own operators refuse a container with the container's error, so
+    # the error does not depend on which operand comes first
+    for x in combination_instances():
+        message = f"^cannot combine {type(x).__name__} with Scalar$"
+        for op in (operator.add, operator.sub, operator.mul):
+            for left, right in ((Scalar(1), x), (x, Scalar(1))):
+                with pytest.raises(type(x)._error, match=message):
+                    op(left, right)
+        with pytest.raises(type(x)._error, match=message):
+            Scalar.coerce(x)
 
 
 OTHER_UNIVERSE = Universe([Sector("b", Statistics.BOSON, (1,))])

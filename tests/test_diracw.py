@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from helpers import endw_to_sympy, random_mink, spin_frame
+from helpers import assert_refuses, endw_to_sympy, random_mink, refusal_ids, spin_frame
 from spinorkit.diracw import (
     DiracVector,
     EndW,
@@ -31,6 +31,7 @@ from spinorkit.spintensor import (
     VarianceError,
     e,
     ebar,
+    ebarstar,
     g_pairing,
     pauli_tetrad,
 )
@@ -408,3 +409,25 @@ def test_operands_of_the_wrong_space_are_refused():
             call()
     assert g.apply(psi) == g(psi) and adj.pair(psi) == k_form(psi, psi)
     assert adj.compose(EndW.identity()) == adj
+
+
+# (call, error, message): each shape, slot and unit refusal of bad input
+DIRACW_REFUSALS = [
+    (lambda: DiracVector([1, 0, 0]), VarianceError, "DiracVector needs 4 components"),
+    (lambda: DiracVector.from_parts(ebar(1), ebarstar(1)), VarianceError, "u_part must have slots [U]"),
+    (lambda: DiracVector.from_parts(e(1), ebar(1)), VarianceError, "lbar_part must have slots [Ubar*]"),
+    (
+        lambda: DiracVector.from_parts(e(1), ScaledTensor((Variance.U_BAR_DUAL,), {(1,): Scalar(1)}, 0)),
+        UnitMismatchError, "parts carry inconsistent unit offsets",
+    ),
+    (lambda: EndW([[1]]), VarianceError, "EndW needs a 4x4 matrix"),
+    (
+        lambda: gamma(ScaledTensor((Variance.U, Variance.U_BAR), {(1, 1): Scalar(1)}, 0)), UnitMismatchError,
+        "gamma needs the standard unit exponent 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", DIRACW_REFUSALS, ids=refusal_ids(DIRACW_REFUSALS))
+def test_refusals_name_their_error(call, error, message):
+    assert_refuses(call, error, message)

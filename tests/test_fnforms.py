@@ -4,15 +4,18 @@ import hashlib
 
 import pytest
 
+from helpers import assert_refuses, refusal_ids
 from spinorkit.exactfield import Scalar, _accumulate
 from spinorkit.fnforms import (
     ChartError,
     DegreeOverflowError,
+    SCALAR,
     Fibre,
     Form,
     MatrixForm,
     Poly,
     TangentForm,
+    ValuedForm,
     VectorForm,
     _merge_axes,
     bianchi_residual,
@@ -537,3 +540,37 @@ def test_kind_mismatches_raise_chart_error():
     for call in calls:
         with pytest.raises(ChartError):
             call()
+
+
+# (call, error, message): each constructor and kernel refusal of bad input
+FNFORMS_REFUSALS = [
+    (lambda: Poly(2, {(1,): 1}), ChartError, "bad exponent tuple (1,) for dim 2"),
+    (lambda: Form(2, 1, {(5,): Poly(2)}), ChartError, "axis out of range in (5,)"),
+    (lambda: Form(2, 2, {(1, 0): Poly(2)}), ChartError, "axes must be strictly increasing, got (1, 0)"),
+    # a degree over the dimension leaves no valid axes, so a nonzero component is refused by them
+    (lambda: Form(2, 3, {(0, 1, 2): Poly.const(2, 1)}), ChartError, "axis out of range in (0, 1, 2)"),
+    (lambda: ValuedForm(2, -1, SCALAR), DegreeOverflowError, "negative degree"),
+    (
+        lambda: ValuedForm(2, 0, Fibre("tangent", 3)), ChartError,
+        "bad fibre Fibre(kind='tangent', size=3) on a chart of dimension 2",
+    ),
+    (
+        lambda: ValuedForm(2, 0, Fibre("vector", 2), {((), (2,)): Poly(2)}), ChartError,
+        "fibre index (2,) out of range for Fibre(kind='vector', size=2)",
+    ),
+    (lambda: Form(2, 0, {(): Poly(3)}), ChartError, "component polynomial on wrong chart"),
+    (lambda: Form(2, 1).wedge(Form(3, 1)), ChartError, "wedge across different charts"),
+    (lambda: VectorForm(2, 0, 2, {(): (Poly(2),)}), ChartError, "bad fibre vector"),
+    (lambda: MatrixForm(2, 0, 2, {(): ((Poly(2),), (Poly(2),))}), ChartError, "bad fibre matrix"),
+    (lambda: fn_bracket(TangentForm(2, 0), TangentForm(3, 0)), ChartError, "bracket across different charts"),
+    (
+        lambda: covariant_differential(MatrixForm(2, 0, 2), VectorForm(2, 0, 2)), ChartError,
+        "connection form must have degree 1",
+    ),
+    (lambda: curvature(MatrixForm(2, 2, 2)), ChartError, "connection form must have degree 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", FNFORMS_REFUSALS, ids=refusal_ids(FNFORMS_REFUSALS))
+def test_refusals_name_their_error(call, error, message):
+    assert_refuses(call, error, message)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from helpers import assert_refuses, refusal_ids
 from spinorkit.exactfield import ExactError, Scalar, _accumulate
 from spinorkit.fockalg import (
     FockState,
@@ -658,3 +659,34 @@ def test_internal_results_are_canonical(phi, psi, lam, z, zeta, w1, w2, c):
             pass
     for result in results:
         assert_canonical(result)
+
+
+ONE_FERMION = Universe([Sector("f", Statistics.FERMION, (1, 2))])
+ONE_BOSON = Universe([Sector("b", Statistics.BOSON, (1,))])
+F1, F2 = (FockState.mode(ONE_FERMION, "f", i) for i in (1, 2))
+# (call, error, message): each universe, duality and rank refusal of bad input
+FOCKALG_REFUSALS = [
+    (lambda: ONE_FERMION.sector_index("g"), SectorMismatchError, "unknown sector 'g'"),
+    (lambda: (FockState.vacuum(ONE_FERMION) + F1).rank(), RankError, "state has mixed ranks [0, 1]"),
+    (
+        lambda: interior_product(FockState.mode(ONE_BOSON, "b", 1, dual=True), F1), SectorMismatchError,
+        "states live over different universes",
+    ),
+    (
+        lambda: pairing(FockState.mode(ONE_FERMION, "f", 1, dual=True), exterior_product(F1, F2)), RankError,
+        "pairing needs equal total ranks",
+    ),
+    (
+        lambda: OperatorElement.identity(ONE_FERMION).apply(FockState.vacuum(ONE_FERMION, dual=True)),
+        SectorMismatchError, "operators act on non-dual states",
+    ),
+    (
+        lambda: OperatorElement.identity(ONE_FERMION).apply(FockState.vacuum(ONE_BOSON)), SectorMismatchError,
+        "operator and state universes differ",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", FOCKALG_REFUSALS, ids=refusal_ids(FOCKALG_REFUSALS))
+def test_refusals_name_their_error(call, error, message):
+    assert_refuses(call, error, message)

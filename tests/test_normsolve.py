@@ -20,7 +20,9 @@ from spinorkit.normsolve import (
     _sqrt_mod,
     _strong_lucas_prp,
     _strong_prp,
+    _unit_sqrt,
     s2_divmod,
+    s2_mul,
     s2_norm,
     s2_totally_positive,
     solve_norm,
@@ -28,6 +30,7 @@ from spinorkit.normsolve import (
     z8_abs_norm,
     z8_conj,
     z8_divmod,
+    z8_from_s2,
     z8_gcd,
     z8_is_zero,
     z8_mul,
@@ -300,6 +303,28 @@ def test_sqrt_mod_matches_sympy(p, a):
 def test_sqrt_mod_rejects_non_squares():
     with pytest.raises(ArithmeticError):
         _sqrt_mod(3, 7)
+
+
+def _fund_power(k):
+    """(1 + sqrt2)^k in Z[sqrt2], for any integer k; (1 + sqrt2)^-1 = sqrt2 - 1."""
+    out, base = (1, 0), (1, 1) if k >= 0 else (-1, 1)
+    for _ in range(abs(k)):
+        out = s2_mul(out, base)
+    return out
+
+
+def test_unit_squares_take_their_positive_root():
+    # the leftover unit of the norm equation is (1 + sqrt2)^(2k), and its root
+    # is (1 + sqrt2)^k; k = 2049 and 3000 lie beyond the old 4,096-step unit logarithm
+    for k in [*range(-40, 41), 2049, 3000]:
+        assert solve_norm_s2(_fund_power(2 * k)) == z8_from_s2(_fund_power(k)), k
+
+
+def test_unit_sqrt_refuses_non_squares():
+    # 1 + sqrt2 and 7 + 5*sqrt2 = (1 + sqrt2)^3 have norm -1; -1 is not totally positive
+    for u in [(1, 1), (-1, 0), (7, 5)]:
+        assert _unit_sqrt(u) is None, u
+    assert _unit_sqrt((3, 2)) == (1, 1) and _unit_sqrt((3, -2)) == (-1, 1)
 
 
 def test_factor_budget_error_is_bounded_and_not_a_verdict():

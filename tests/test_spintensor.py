@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from helpers import assert_refuses, refusal_ids
 from spinorkit.exactfield import Scalar, UnitMismatchError
 from spinorkit.prng import SplitMix64, random_scalar
 from spinorkit.spintensor import (
@@ -352,3 +353,25 @@ def test_epsilon_structure_is_immutable():
 def test_format_tensor_is_stable():
     t = e(1).tensor(ebar(2)).scaled(I) + e(1).tensor(ebar(1))
     assert format_tensor(t) == "tensor [U,Ubar] { (1,1): 1; (1,2): i }"
+
+
+STANDARD = EpsilonStructure()
+# (call, error, message): each slot, unit and phase refusal of bad input
+SPINTENSOR_REFUSALS = [
+    (lambda: e(1).tensor(estar(1)).contract(1, 1), VarianceError, "cannot contract a slot with itself"),
+    (lambda: EpsilonStructure(2), ValueError, "epsilon phase must have unit modulus, got 2"),
+    (lambda: STANDARD.eps_value(ebar(1), e(1)), VarianceError, "eps_value needs two [U] tensors"),
+    (lambda: STANDARD.eps_flat(ebar(1)), VarianceError, "eps_flat needs a [U] tensor"),
+    (lambda: STANDARD.eps_sharp(e(1)), VarianceError, "eps_sharp needs a [U*] tensor"),
+    (lambda: STANDARD.epsbar_flat(e(1)), VarianceError, "epsbar_flat needs a [Ubar] tensor"),
+    (lambda: STANDARD.pauli_tetrad(ebar(1), e(2)), VarianceError, "pauli_tetrad needs [U] tensors"),
+    (
+        lambda: STANDARD.pauli_tetrad(e(1), ScaledTensor((Variance.U,), {(2,): Scalar(1)}, 0)),
+        UnitMismatchError, "basis spinors must carry equal unit exponents",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", SPINTENSOR_REFUSALS, ids=refusal_ids(SPINTENSOR_REFUSALS))
+def test_refusals_name_their_error(call, error, message):
+    assert_refuses(call, error, message)

@@ -3,12 +3,14 @@ every suite reports a broken kernel with the documented trial numbers and the
 pinned report, and each failure record is its trial's check run alone."""
 
 import hashlib
+import inspect
 import json
 
 import pytest
 
 import spinorkit.suites as suites
 from spinorkit.cli import PROPERTY_FAILURE, main
+from spinorkit.exactfield import Combination, Scalar
 from spinorkit.fnforms import ValuedForm
 from spinorkit.fockalg import FockState, OperatorElement, basis_monomials, basis_states
 from spinorkit.prng import SplitMix64
@@ -273,3 +275,84 @@ def test_each_failure_record_is_its_trial_run_alone(
         else:
             label, check, index = suite, TRIAL_CHECKS[suite], k
         assert check(suites.stream_for(seed, f"{label}#{index}"), k) == record
+
+
+def _scaled(value, factor):
+    """`value` times `factor`; a map on states is scaled in what it returns."""
+    if isinstance(value, Combination):
+        return value.scaled(factor)
+    if isinstance(value, Scalar):
+        return value * factor
+    return lambda *args: _scaled(value(*args), factor)
+
+
+def _reporting_suites():
+    """The suites whose report at seed 1 and 10 trials has a failure."""
+    return tuple(name for name in suites.SUITE_NAMES if run_suite(name, 1, 10).failures)
+
+
+FAULT_FACTORS = (Scalar(2), Scalar.i(), Scalar(-1))
+# kernel: the suites that report it with its result times 2, i and -1.  An empty
+# entry is a fault that `check` cannot see:
+# - fn_bracket: graded antisymmetry and Jacobi are homogeneous, so any constant factor keeps them;
+# - gamma and covariant_differential at -1: the Clifford relation and d_A d_A phi = F /\ phi
+#   are quadratic in them;
+# - bianchi_residual: it is a residual that must be 0, and every multiple of 0 is 0.
+FAULT_MATRIX = {
+    "g_pairing": [("clifford",)] * 3,
+    "gamma": [("clifford",), ("clifford",), ()],
+    "k_form": [("signature",)] * 3,
+    "fn_bracket": [()] * 3,
+    "curvature": [("bianchi",)] * 3,
+    "covariant_differential": [("bianchi",), ("bianchi",), ()],
+    "bianchi_residual": [()] * 3,
+    "exterior_product": [("adjunction",)] * 3,
+    "interior_product": [("adjunction",)] * 3,
+    "normal_order": [("normal-order",)] * 3,
+    "op_apply": [("car-ccr", "normal-order")] * 3,
+    "super_bracket": [("car-ccr",)] * 3,
+    "emit": [("car-ccr",)] * 3,
+    "absorb": [("car-ccr",)] * 3,
+    "generator_action": [("normal-order",)] * 3,
+}
+
+
+@pytest.mark.parametrize("name", FAULT_MATRIX)
+def test_fault_matrix_pins_the_suites_that_see_each_kernel_fault(name, monkeypatch):
+    original = getattr(suites, name)
+    seen = []
+    for factor in FAULT_FACTORS:
+        monkeypatch.setattr(suites, name, lambda *args, _factor=factor: _scaled(original(*args), _factor))
+        seen.append(_reporting_suites())
+    assert seen == FAULT_MATRIX[name]
+
+
+def _names_looked_up(code) -> set:
+    return set(code.co_names).union(*(_names_looked_up(c) for c in code.co_consts if inspect.iscode(c)))
+
+
+def test_fault_matrix_covers_every_kernel_a_check_looks_up():
+    # every function of the kernel modules that a check or a suite calls, but
+    # the predicate k_hermiticity_check, which returns no value to scale
+    looked_up = set().union(
+        *(_names_looked_up(f.__code__) for name, f in vars(suites).items() if name.startswith(("check_", "_suite_")))
+    )
+    kernels = {
+        name for name in looked_up
+        if inspect.isfunction(f := getattr(suites, name, None)) and f.__module__ not in ("spinorkit.suites", "spinorkit.prng")
+    }
+    assert kernels == set(FAULT_MATRIX) | {"k_hermiticity_check"}
+
+
+def test_no_suite_sees_the_pauli_tetrad_orientation(monkeypatch):
+    # the pauli suite checks the Gram matrix, which is quadratic in each tetrad element
+    original = EpsilonStructure.pauli_tetrad
+    calls = []
+
+    def flipped(self, b1, b2):
+        calls.append(b1)
+        t0, t1, t2, t3 = original(self, b1, b2)
+        return t0, t1, -t2, t3
+
+    monkeypatch.setattr(EpsilonStructure, "pauli_tetrad", flipped)
+    assert _reporting_suites() == () and len(calls) == 10
