@@ -11,15 +11,17 @@ Scalar literals are ordinary arithmetic over the constants `i` and `r2`
 (so `1-3/2*i` is exact), `^` is the exterior/wedge product, `|` the interior
 product, a trailing `'` dualizes a fock state.  Every value prints in its
 canonical form, and literals round-trip bit-exactly through their printers.
+The parser alone decides where a statement ends: outside every bracket, a
+'+' or '-' that opens a line starts the next statement.
 
 Errors: every failure the DSL reports is a DslError carrying the line and
 column of the offending token.  Each function call, operator, mode reference,
 literal and `universe` statement reaches the kernel through
 `Parser.call_kernel`, the one place that turns a kernel exception into a
-DslError; it converts ValueError, VarianceError and ZeroDivisionError, which
-cover every error the package declares for bad input.  Any other exception,
-a plain TypeError included, is an internal failure of the kernel and
-propagates unchanged.  `call_kernel` also holds each result to the size budget
+DslError; it converts ValueError and ZeroDivisionError, which cover every
+error the package declares for bad input.  Any other exception, a plain
+TypeError included, is an internal failure of the kernel and propagates
+unchanged.  `call_kernel` also holds each result to the size budget
 MAX_COEFF_BITS and MAX_TERMS, so a chain of growing results stops with a
 DslError at the first operation over it instead of running without bound.
 The bit budget bounds the exponents of a form's polynomials as well as the
@@ -29,6 +31,7 @@ lower, so every result within budget can be printed.
 
 from __future__ import annotations
 
+import operator
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -81,17 +84,13 @@ def _coeff_bit_budget() -> int:
 
 
 class Token:
-    __slots__ = ("kind", "value", "line", "col", "starts_line")
+    __slots__ = ("kind", "value", "line", "col")
 
     def __init__(self, kind, value, line, col):
         self.kind = kind  # 'int' | 'name' | 'punct' | 'string' | 'eof'
         self.value = value
         self.line = line
         self.col = col
-        self.starts_line = False  # first on its line and outside every bracket
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r})"
 
 
 def tokenize(text: str) -> List[Token]:
@@ -143,14 +142,6 @@ def tokenize(text: str) -> List[Token]:
         else:
             raise DslError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("eof", None, line, i - line_start + 1))
-    depth, prev_line = 0, 0
-    for tok in tokens:
-        tok.starts_line = depth == 0 and tok.line != prev_line
-        prev_line = tok.line
-        if tok.kind == "punct" and tok.value in ("(", "[", "{"):
-            depth += 1
-        elif tok.kind == "punct" and tok.value in (")", "]", "}"):
-            depth = max(depth - 1, 0)
     return tokens
 
 
@@ -269,6 +260,7 @@ class Parser:
         self.pos = 0
         self.env = env
         self.depth = depth
+        self.statement_depth = depth + 1  # the depth of a statement's expression, outside every bracket
 
     # -- cursor helpers ---------------------------------------------------------
 
@@ -321,11 +313,10 @@ class Parser:
             self.error("unexpected trailing input")
 
     def call_kernel(self, tok: Token, fn, *args):
-        """fn(*args), with a kernel's ValueError, VarianceError or ZeroDivisionError
-        and a result over the size budget as a DslError at `tok`."""
+        """fn(*args); a kernel's ValueError or ZeroDivisionError, or a result over budget, is a DslError at `tok`."""
         try:
             result = fn(*args)
-        except (ValueError, VarianceError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise DslError(f"{type(exc).__name__}: {exc}", tok.line, tok.col) from None
         budget = _coeff_bit_budget()
         if type(result) is Scalar:  # most results, and the cheapest to measure
@@ -419,13 +410,16 @@ class Parser:
     def _parse_binary(self, level: int):
         """A left-associative chain of the operators of _LEVELS[level]; past the last level, a unary expression.
 
-        Outside brackets, a level-0 operator that opens a line starts the next statement.
+        Each bracket nests a parse_expr, so a chain at the statement depth is outside every bracket; there a
+        level-0 operator on a later line than the token before it starts the next statement.
         """
         if level == len(_LEVELS):
             return self._parse_unary()
         ops = _LEVELS[level]
         value = self._parse_binary(level + 1)
-        while (tok := self.peek()).kind == "punct" and tok.value in ops and (level or not tok.starts_line):
+        while (tok := self.peek()).kind == "punct" and tok.value in ops:
+            if not level and self.depth == self.statement_depth and tok.line != self.tokens[self.pos - 1].line:
+                break
             self.pos += 1
             rhs = self._parse_binary(level + 1)
             result = self.call_kernel(tok, _BINARY[tok.value], value, rhs)
@@ -718,14 +712,9 @@ class Parser:
 # -- binary operators: each returns its result, or None for kinds it does not combine ----
 
 
-def _add(a, b):
-    if type(a) is type(b) and isinstance(a, (Scalar, Combination)):
-        return a + b
-
-
-def _sub(a, b):
-    if type(a) is type(b) and isinstance(a, (Scalar, Combination)):
-        return a - b
+def _alike(op):
+    """op(a, b) for two Scalars, or two Combinations of one type."""
+    return lambda a, b: op(a, b) if type(a) is type(b) and isinstance(a, (Scalar, Combination)) else None
 
 
 def _mul(a, b):
@@ -762,7 +751,7 @@ def _interior(a, b):
         return fockalg.interior_product(a, b)
 
 
-_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _wedge, "|": _interior}
+_BINARY = {"+": _alike(operator.add), "-": _alike(operator.sub), "*": _mul, "/": _div, "^": _wedge, "|": _interior}
 # the binary operators by precedence level, loosest first
 _LEVELS = (("+", "-"), ("*", "/", "|"), ("^",))
 
@@ -775,8 +764,4 @@ def format_value(value) -> str:
 
 def eval_program(text: str, env: Optional[Environment] = None) -> List[str]:
     """Evaluate a DSL program; returns the printed form of each expression."""
-    env = env or Environment()
-    parser = Parser(tokenize(text), env)
-    outputs = parser.parse_program()
-    parser.expect_eof()
-    return outputs
+    return Parser(tokenize(text), env or Environment()).parse_program()

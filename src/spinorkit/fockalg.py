@@ -462,8 +462,10 @@ class OperatorElement(Combination):
     __repr__ = __str__
 
 
-def _rank1_operator(state: FockState) -> OperatorElement:
-    """The one-generator words of a rank-1 state: emissions, or absorptions if dual."""
+def _rank1_operator(state: FockState, dual: bool, what: str) -> OperatorElement:
+    """The one-generator words of a rank-1 state of duality `dual`, else SectorMismatchError(what)."""
+    if state.dual != dual:
+        raise SectorMismatchError(what)
     vac = state.universe.vacuum
     terms: Dict[Word, Scalar] = {}
     for mono, coeff in state.terms.items():
@@ -476,16 +478,12 @@ def _rank1_operator(state: FockState) -> OperatorElement:
 
 def emit(z: FockState) -> OperatorElement:
     """Emission operator a+[z] phi = z <> phi for a rank-1 state z."""
-    if z.dual:
-        raise SectorMismatchError("emit takes a non-dual rank-1 state")
-    return _rank1_operator(z)
+    return _rank1_operator(z, False, "emit takes a non-dual rank-1 state")
 
 
 def absorb(zeta: FockState) -> OperatorElement:
     """Absorption operator a[zeta] phi = zeta | phi for a rank-1 dual state."""
-    if not zeta.dual:
-        raise SectorMismatchError("absorb takes a dual rank-1 state")
-    return _rank1_operator(zeta)
+    return _rank1_operator(zeta, True, "absorb takes a dual rank-1 state")
 
 
 def word_generators(universe: Universe, word: Word) -> Tuple[Generator, ...]:

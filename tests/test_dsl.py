@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import itertools
+import pkgutil
 import random
 import re
 import sys
@@ -174,6 +175,18 @@ def test_leading_sign_starts_a_new_statement(monkeypatch, capsys):
     assert eval_program("(3\n-1)") == ["2"]
     assert eval_program("g( e1*eb1\n+ e2*eb2, e1*eb1\n- e2*eb2 )") == ["0"]
     assert eval_program("tensor [U] { (1): 1\n-3; (2): 2 }") == ["tensor [U] { (1): -2; (2): 2 }"]
+    assert eval_program("dirac (u: [1\n-1, 0], lbar: [0, 0])") == ["dirac (u: [0, 0], lbar: [0, 0])"]
+    # a closed bracket, a literal or a comment before the line break leaves the statement ended
+    assert eval_program("(1)\n-2") == ["1", "-2"]
+    assert eval_program("tensor [U] { (1): 1 }\n-e1") == ["tensor [U] { (1): 1 }", "tensor [U] { (1): -1 }"]
+    assert eval_program("1 -- c\n-2") == ["1", "-2"]
+    # CR LF breaks a line, a lone CR does not
+    assert eval_program("1\r\n-2") == ["1", "-2"]
+    assert eval_program("1\r-2") == ["-1"]
+    assert eval_program("let a = 1\n-2\na") == ["-2", "1"]
+    # only an operator that opens a line ends the statement, not the operand after it
+    assert eval_program("1 +\n-2") == ["-1"]
+    assert eval_program("1\n\n-\n2") == ["1", "-2"]
 
 
 def test_parse_errors_carry_position():
@@ -451,6 +464,20 @@ def test_kernel_errors_are_usage_errors_at_their_token(program, prefix, tmp_path
     assert "Traceback" not in err
 
 
+def test_every_error_the_package_declares_is_a_value_error():
+    # call_kernel converts only ValueError and ZeroDivisionError; any other
+    # exception is an internal failure, so every declared bad-input error is a ValueError
+    package = importlib.import_module("spinorkit")
+    declared = [
+        obj
+        for info in pkgutil.iter_modules(package.__path__)
+        for obj in vars(importlib.import_module(f"spinorkit.{info.name}")).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == f"spinorkit.{info.name}"
+    ]
+    assert {"DslError", "VarianceError", "UnitMismatchError", "UnknownSuiteError"} <= {c.__name__ for c in declared}
+    assert [c.__qualname__ for c in declared if not issubclass(c, ValueError)] == []
+
+
 def test_term_budget_stops_the_first_result_over_it(monkeypatch):
     monkeypatch.setattr(dsl, "MAX_TERMS", 2)
     assert eval_program("e1*eb1 + e2*eb2") == ["tensor [U,Ubar] { (1,1): 1; (2,2): 1 }"]
@@ -644,21 +671,13 @@ def _reference_tokenize(text):
             continue
         raise DslError(f"unexpected character {ch!r}", line, col)
     tokens.append(dsl.Token("eof", None, line, col))
-    depth, prev_line = 0, 0
-    for tok in tokens:
-        tok.starts_line = depth == 0 and tok.line != prev_line
-        prev_line = tok.line
-        if tok.kind == "punct" and tok.value in ("(", "[", "{"):
-            depth += 1
-        elif tok.kind == "punct" and tok.value in (")", "]", "}"):
-            depth = max(depth - 1, 0)
     return tokens
 
 
 def token_rows(tokenizer, text):
-    """(kind, value, line, col, starts_line) of every token, or the DslError text."""
+    """(kind, value, line, col) of every token, or the DslError text."""
     try:
-        return [(t.kind, t.value, t.line, t.col, t.starts_line) for t in tokenizer(text)]
+        return [(t.kind, t.value, t.line, t.col) for t in tokenizer(text)]
     except DslError as exc:
         return str(exc)
 
@@ -701,9 +720,9 @@ def test_tokenize_matches_reference_on_edge_rows(text):
 
 
 def test_tokenize_edge_rows_read_as_documented():
-    assert token_rows(dsl.tokenize, "1 -- a comment") == [("int", 1, 1, 1, True), ("eof", None, 1, 3, False)]
+    assert token_rows(dsl.tokenize, "1 -- a comment") == [("int", 1, 1, 1), ("eof", None, 1, 3)]
     assert token_rows(dsl.tokenize, "²") == "1:1: unexpected character '²'"
-    assert token_rows(dsl.tokenize, "٣")[0] == ("int", 3, 1, 1, True)
+    assert token_rows(dsl.tokenize, "٣")[0] == ("int", 3, 1, 1)
     assert token_rows(dsl.tokenize, '"a\nb"') == "1:1: unterminated string"
 
 

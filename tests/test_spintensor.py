@@ -207,6 +207,10 @@ def test_g_pairing_unit_mismatch():
     bad = ScaledTensor(y.slots, y.terms, Fraction(0))
     with pytest.raises(UnitMismatchError):
         g_pairing(y, bad)
+    # only the total unit exponent counts: 1/2 + 3/2 pairs as 1 + 1 does
+    y2 = e(2).tensor(ebar(2))
+    half, three_halves = ScaledTensor(y.slots, y.terms, Fraction(1, 2)), ScaledTensor(y2.slots, y2.terms, Fraction(3, 2))
+    assert g_pairing(half, three_halves) == g_pairing(y, y2) == Scalar.one()
 
 
 MINK = [
@@ -368,6 +372,10 @@ SPINTENSOR_REFUSALS = [
     (
         lambda: STANDARD.pauli_tetrad(e(1), ScaledTensor((Variance.U,), {(2,): Scalar(1)}, 0)),
         UnitMismatchError, "basis spinors must carry equal unit exponents",
+    ),
+    (
+        lambda: g_pairing(*[ScaledTensor((Variance.U, Variance.U_BAR), {(1, 1): Scalar(1)}, Fraction(1, 2))] * 2),
+        UnitMismatchError, "g needs total unit exponent 2, got 1/2 + 1/2",
     ),
 ]
 
