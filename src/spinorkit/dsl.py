@@ -12,7 +12,8 @@ Scalar literals are ordinary arithmetic over the constants `i` and `r2`
 product, a trailing `'` dualizes a fock state.  Every value prints in its
 canonical form, and literals round-trip bit-exactly through their printers.
 The parser alone decides where a statement ends: outside every bracket, a
-'+' or '-' that opens a line starts the next statement.
+'+' or '-' that opens a line starts the next statement, and so does a '('
+that opens a line after a name.
 
 Errors: every failure the DSL reports is a DslError carrying the line and
 column of the offending token.  Each function call, operator, mode reference,
@@ -336,6 +337,10 @@ class Parser:
             self.error(f"result with a {bits}-bit coefficient is over the budget of {budget} bits", tok)
         return result
 
+    def _starts_statement(self) -> bool:
+        """Whether the next token opens the next statement: at the statement depth, on a later line than the last."""
+        return self.depth == self.statement_depth and self.peek().line != self.tokens[self.pos - 1].line
+
     def nested(self, parse, *args):
         """parse(*args) one nesting level deeper, refused beyond MAX_NESTING."""
         if self.depth >= MAX_NESTING:
@@ -411,14 +416,15 @@ class Parser:
         """A left-associative chain of the operators of _LEVELS[level]; past the last level, a unary expression.
 
         Each bracket nests a parse_expr, so a chain at the statement depth is outside every bracket; there a
-        level-0 operator on a later line than the token before it starts the next statement.
+        level-0 operator on a later line than the token before it starts the next statement, and so does a
+        '(' after a name (`_parse_atom`).
         """
         if level == len(_LEVELS):
             return self._parse_unary()
         ops = _LEVELS[level]
         value = self._parse_binary(level + 1)
         while (tok := self.peek()).kind == "punct" and tok.value in ops:
-            if not level and self.depth == self.statement_depth and tok.line != self.tokens[self.pos - 1].line:
+            if not level and self._starts_statement():
                 break
             self.pos += 1
             rhs = self._parse_binary(level + 1)
@@ -474,7 +480,7 @@ class Parser:
                     if self.env.universe is None:
                         self.error("no universe declared for mode reference", tok)
                     return self.call_kernel(tok, FockState.mode, self.env.universe, name, mode)
-            if self.peek().kind == "punct" and self.peek().value == "(":
+            if self.peek().kind == "punct" and self.peek().value == "(" and not self._starts_statement():
                 return self._parse_call(name, tok)
             value = self.env.lookup(name)
             if value is None:

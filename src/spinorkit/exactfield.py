@@ -6,11 +6,12 @@ ints over one positive int denominator.  The stored form is canonical,
 ``gcd(a, b, c, d, den) == 1`` with zero as ``(0, 0, 0, 0, 1)``, so ``==`` and
 ``hash`` compare five ints.  Each ``+``, ``-`` and ``*`` reduces its result
 with one ``math.gcd`` over five ints, and with none when the denominator is
-1; ``+`` and ``-`` cross-multiply only when the denominators differ.  A sum
-of products, such as a matrix entry or a pairing, goes through the fused
-kernel :func:`_dot`, which keeps one unreduced numerator over a running
-denominator and reduces once, at the end.  The set is closed under the four
-field operations, so all algebraic identities downstream can be asserted
+1; ``+`` and ``-`` cross-multiply only when the denominators differ, and a
+``*`` with a factor equal to 1 returns the other factor.  A sum of
+products, such as a matrix entry or a pairing, goes through the fused kernel
+:func:`_dot`, which keeps one unreduced numerator over a running denominator
+and reduces once, at the end.  The set is closed under the four field
+operations, so all algebraic identities downstream can be asserted
 with ``==`` instead of a tolerance.  The rational coordinates are read as
 the reduced ``Fraction`` properties ``a`` to ``d``, the five ints as
 :attr:`Scalar.ints`.  :func:`format_scalar` prints each nonzero coordinate
@@ -48,6 +49,7 @@ Ints = Tuple[int, int, int, int, int]
 _rat = Fraction
 _RAT_TYPES = (int, Fraction)
 _ZERO: Ints = (0, 0, 0, 0, 1)
+_UNIT: Ints = (1, 0, 0, 0, 1)
 
 
 class ExactError(ValueError):
@@ -184,7 +186,7 @@ class Scalar(Immutable):
 
     @classmethod
     def one(cls) -> "Scalar":
-        return _make((1, 0, 0, 0, 1))
+        return _make(_UNIT)
 
     @classmethod
     def i(cls) -> "Scalar":
@@ -226,8 +228,13 @@ class Scalar(Immutable):
         return _make((-a, -b, -c, -d, den))
 
     def __mul__(self, other) -> "Scalar":
-        a1, b1, c1, d1, n1 = self._v
-        a2, b2, c2, d2, n2 = _ints(other)
+        # Scalars are immutable, so returning the other factor of a unit is exact
+        a2, b2, c2, d2, n2 = v2 = _ints(other)
+        if v2 == _UNIT:
+            return self
+        a1, b1, c1, d1, n1 = v1 = self._v
+        if v1 == _UNIT:
+            return other if type(other) is Scalar else _make(v2)
         return _reduced(
             a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
             a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
@@ -406,12 +413,14 @@ class Combination(Immutable):
     def _fill(self, shape: tuple, terms: dict):
         _set_shape(self, shape)
         _set_terms(self, {key: c for key, c in terms.items() if not c.is_zero()})
-        return self
 
     @classmethod
     def _trusted(cls, shape: tuple, terms: dict):
         """The element of this shape with these canonical terms; drops zero coefficients, validates nothing."""
-        return object.__new__(cls)._fill(shape, terms)
+        self = object.__new__(cls)
+        _set_shape(self, shape)
+        _set_terms(self, {key: c for key, c in terms.items() if not c.is_zero()})
+        return self
 
     def _like(self, terms: dict):
         return self._trusted(self.shape, terms)

@@ -21,8 +21,9 @@ builds only its result as an ``OperatorElement``.
 
 Each universe builds its vacuum monomial (one empty mode tuple per sector)
 once and keeps it as ``Universe.vacuum``; the identity operator is the
-(vacuum, vacuum) word, which ``OperatorElement.apply`` copies the state
-through without contracting.
+(vacuum, vacuum) word with coefficient 1, and ``OperatorElement.apply``
+returns the state itself for it.  A multiple of that word scales the state
+without contracting.
 
 States and operators are ``exactfield.Combination`` subclasses, whose
 shapes are (universe, dual) and (universe).  The public constructors
@@ -285,49 +286,32 @@ def exterior_product(phi: FockState, psi: FockState) -> FockState:
 # -- interior product -------------------------------------------------------------
 
 
-def _contract_rank1(universe: Universe, sector_idx: int, mode: int, m: Monomial):
-    """Graded-derivation contraction of a single (dual) mode into a monomial.
-
-    Returns (factor, reduced monomial), or None when the mode does not occur.
-    A fermionic contraction's factor is the sign (-1)^k, k the number of
-    fermions standing to the left of the hit; a bosonic one's is the number
-    of occurrences, since bosons cross everything freely.
-    """
-    part = m[sector_idx]
-    if mode not in part:
-        return None
-    position = part.index(mode)
-    reduced = tuple(
-        part[:position] + part[position + 1:] if i == sector_idx else p
-        for i, p in enumerate(m)
-    )
-    is_fermion = universe.is_fermion
-    if not is_fermion[sector_idx]:
-        return part.count(mode), reduced
-    left = position + sum(len(m[i]) for i in range(sector_idx) if is_fermion[i])
-    return (-1 if left & 1 else 1), reduced
-
-
-def _monomial_items(m: Monomial):
-    for idx, part in enumerate(m):
-        for mode in part:
-            yield idx, mode
-
-
 def _contract_monomial(universe: Universe, contractor: Monomial, target: Monomial):
     """Full contraction of `contractor` into `target`, peeling leftmost first.
 
     Returns (int factor, reduced monomial), or None when a mode of
-    `contractor` is missing from what is left of `target`.
+    `contractor` is missing from what is left of `target`.  The contraction
+    runs sector by sector.  A fermionic hit multiplies the factor by the sign
+    (-1)^k, k the number of fermions standing to the left of the hit: those
+    left in the sectors already passed, plus its position in its own part.
+    A bosonic hit multiplies it by the number of occurrences of its mode
+    left in its part, since bosons cross everything freely.
     """
-    factor, mono = 1, target
-    for sector_idx, mode in _monomial_items(contractor):
-        hit = _contract_rank1(universe, sector_idx, mode, mono)
-        if hit is None:
-            return None
-        k, mono = hit
-        factor *= k
-    return factor, mono
+    factor, parts, fermions_before = 1, [], 0
+    for peel, part, odd in zip(contractor, target, universe.is_fermion):
+        for mode in peel:
+            if mode not in part:
+                return None
+            position = part.index(mode)
+            if not odd:
+                factor *= part.count(mode)
+            elif (fermions_before + position) & 1:
+                factor = -factor
+            part = part[:position] + part[position + 1:]
+        if odd:
+            fermions_before += len(part)
+        parts.append(part)
+    return factor, tuple(parts)
 
 
 class MixedRankError(ValueError):
@@ -424,15 +408,17 @@ class OperatorElement(Combination):
         universe, dual = psi.shape
         if dual:
             raise SectorMismatchError("operators act on non-dual states")
-        if self.shape[0] != universe:
+        if self.shape != (universe,):
             raise SectorMismatchError("operator and state universes differ")
         vac = universe.vacuum
+        terms = self.terms
+        if len(terms) == 1 and terms.get((vac, vac)) == _ONE:  # the identity
+            return psi
         out_terms: Dict[Monomial, Scalar] = {}
-        for (emit_m, absorb_m), coeff in self.terms.items():
+        for (emit_m, absorb_m), coeff in terms.items():
             if emit_m == vac and absorb_m == vac:  # a multiple of the identity
-                unit = coeff == _ONE
                 for m_mono, m_coeff in psi.terms.items():
-                    _accumulate(out_terms, m_mono, m_coeff if unit else coeff * m_coeff)
+                    _accumulate(out_terms, m_mono, coeff * m_coeff)
                 continue
             for m_mono, m_coeff in psi.terms.items():
                 contracted = _contract_monomial(universe, absorb_m, m_mono)
@@ -493,9 +479,8 @@ def word_generators(universe: Universe, word: Word) -> Tuple[Generator, ...]:
     peeling the leftmost factor first, so its generator sequence is descending.
     """
     emit_m, absorb_m = word
-    gens: List[Generator] = [("+", s, m) for s, m in _monomial_items(emit_m)]
-    gens.extend(("-", s, m) for s, m in reversed(tuple(_monomial_items(absorb_m))))
-    return tuple(gens)
+    absorbs = [("-", s, m) for s, part in enumerate(absorb_m) for m in part]
+    return tuple([("+", s, m) for s, part in enumerate(emit_m) for m in part] + absorbs[::-1])
 
 
 def _check_generator(universe: Universe, gen) -> Generator:
@@ -534,7 +519,7 @@ def _times_generator(universe: Universe, terms: Dict[Word, Scalar], gen: Generat
             if odd and monomial_grade(universe, absorb_m):
                 sign = -sign
             _accumulate(out, (mono, absorb_m), coeff, sign)
-        hit = _contract_rank1(universe, sector_idx, mode, absorb_m)
+        hit = _contract_monomial(universe, single, absorb_m)
         if hit is not None:
             _accumulate(out, (emit_m, hit[1]), _times(coeff, hit[0]))
     return out

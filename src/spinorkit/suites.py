@@ -25,9 +25,8 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .diracw import DiracVector, EndW, gamma, k_form, k_hermiticity_check
 from .exactfield import Scalar, _accumulate, _reduced
@@ -63,12 +62,11 @@ from .prng import SplitMix64, random_scalar, stream_for
 from .spintensor import EpsilonStructure, ScaledTensor, Variance, g_pairing
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     seed: int
     trials: int
-    failures: List[Dict[str, object]] = field(default_factory=list)
+    failures: List[Dict[str, object]]
     elapsed: float = 0.0
 
     @property

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, deterministic reports, eval subcommand."""
 
 import ast
+import hashlib
 import io
 import json
 import os
@@ -59,6 +60,22 @@ def test_check_is_byte_deterministic(capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+# sha256 of the `check --suite all --trials 20` stdout per seed, recorded before the
+# unit-aware Scalar product; a change that adds or alters a suite re-pins them and says so
+SUITE_ALL_DIGESTS = {
+    1: "54fdf5d588e9436a356c2e2da56fd2a37b1b6ad59a840fe7079f8a9824629b82",
+    7: "0e356d5b581a7f30fead3510b867d853cbd53978b578104254ff12210245c665",
+    42: "cb222c074802eb092e79107d8ad9b0458d94d92cc8853a6b09e761539a163f8c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SUITE_ALL_DIGESTS))
+def test_check_all_stdout_digest(seed, capsys):
+    code, out, _ = run_cli(["check", "--suite", "all", "--seed", str(seed), "--trials", "20"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_ALL_DIGESTS[seed]
 
 
 def test_check_ignores_threads_variable(capsys, monkeypatch):
@@ -168,6 +185,12 @@ def test_eval_nulldec_does_not_import_sympy(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.stdout == "(1, tensor [U] { (1): 2*i; (2): -1+i })\n0 False\n", proc.stderr
+
+
+def test_cli_import_does_not_import_dataclasses():
+    child = "import sys\nimport spinorkit.cli\nprint('dataclasses' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_eval_parse_error_exit_code(tmp_path, capsys):

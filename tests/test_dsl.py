@@ -187,6 +187,12 @@ def test_leading_sign_starts_a_new_statement(monkeypatch, capsys):
     # only an operator that opens a line ends the statement, not the operand after it
     assert eval_program("1 +\n-2") == ["-1"]
     assert eval_program("1\n\n-\n2") == ["1", "-2"]
+    # so does a '(' that opens a line after a name, by the same rule; inside brackets the call goes on
+    assert eval_program("let a = 1\na\n(2)") == ["1", "2"]
+    assert eval_program("e1\n(1)") == ["tensor [U] { (1): 1 }", "1"]
+    assert eval_program("2\n(3)") == ["2", "3"]
+    assert eval_program("(g\n(e1*eb1, e2*eb2))") == ["1"]
+    assert eval_program("g(e1*eb1, g\n(e1*eb1, e2*eb2) * e2*eb2)") == ["1"]
 
 
 def test_parse_errors_carry_position():

@@ -318,6 +318,20 @@ def test_mixed_rational_operands_on_both_sides(x, k):
     assert Scalar(k) == k and Scalar.coerce(k).ints == Scalar(k).ints
 
 
+def test_a_unit_factor_returns_the_other_factor():
+    rng = SplitMix64(23)
+    one = Scalar.one()
+    for _ in range(200):
+        x = random_scalar(rng)
+        for got in (x * one, one * x, x * 1, 1 * x, x * Fraction(1)):
+            assert type(got) is Scalar and got == x and got.ints == x.ints
+    # a rational factor times the unit is a Scalar too
+    for k in (3, -1, 0, Fraction(-2, 7)):
+        for got in (one * k, k * one):
+            assert type(got) is Scalar and got.ints == Scalar(k).ints
+    assert (one * one).ints == one.ints
+
+
 # -- the fused dot kernel against the chained * + - ---------------------------------
 
 

@@ -1,5 +1,6 @@
 """Multi-particle states, interior products, CAR/CCR and normal ordering."""
 
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -17,6 +18,7 @@ from spinorkit.fockalg import (
     SectorMismatchError,
     Statistics,
     Universe,
+    _contract_monomial,
     _times_generator,
     _validate_monomial,
     absorb,
@@ -161,6 +163,44 @@ def test_interior_rank1_examples():
     assert interior_product(st(BOSE, "b", 1, dual=True), z11) == st(BOSE, "b", 1).scaled(
         Scalar(2)
     )
+
+
+def reference_contract(universe, contractor, target):
+    """The peel-one-mode contraction that `_contract_monomial` must match.
+
+    Peels the modes of `contractor` leftmost first, each from the whole
+    monomial left so far.  A fermionic hit's factor is the sign (-1)^k, k the
+    number of fermions standing to the left of the hit; a bosonic one's is
+    the number of occurrences, since bosons cross everything freely.
+    """
+    is_fermion = universe.is_fermion
+    factor, mono = 1, target
+    for sector_idx, peel in enumerate(contractor):
+        for mode in peel:
+            part = mono[sector_idx]
+            if mode not in part:
+                return None
+            position = part.index(mode)
+            if is_fermion[sector_idx]:
+                left = position + sum(len(mono[i]) for i in range(sector_idx) if is_fermion[i])
+                factor *= -1 if left & 1 else 1
+            else:
+                factor *= part.count(mode)
+            mono = tuple(part[:position] + part[position + 1:] if i == sector_idx else p for i, p in enumerate(mono))
+    return factor, mono
+
+
+@pytest.mark.parametrize("universe", (SMALL_UNIVERSE, SANDWICH), ids=("small", "sandwich"))
+def test_contract_monomial_matches_the_peel_one_mode_reference(universe):
+    basis = basis_monomials(universe, 3)
+    factors = Counter()
+    for contractor in basis:
+        for target in basis:
+            got = _contract_monomial(universe, contractor, target)
+            assert got == reference_contract(universe, contractor, target), (contractor, target)
+            factors[None if got is None else got[0]] += 1
+    # misses, both fermion signs and a repeated boson's factor all occur
+    assert {None, 1, -1, 2} <= set(factors), factors
 
 
 def test_interior_is_a_graded_derivation():
@@ -442,6 +482,14 @@ def test_apply_with_a_unit_vacuum_word_matches_the_scaled_state():
                 expected = expected + OperatorElement(universe, {word: coeff}).apply(psi)
         assert x.apply(psi) == expected
     assert OperatorElement.identity(universe).apply(psi) == psi
+
+
+def test_identity_apply_returns_the_state():
+    # its refusals of a dual state and a foreign universe are rows of FOCKALG_REFUSALS
+    for universe in (MIXED, SANDWICH):
+        identity = OperatorElement.identity(universe)
+        for psi in basis_states(universe, 3):
+            assert identity.apply(psi) is psi
 
 
 def test_vacuum_monomial_is_the_universe_vacuum():
