@@ -10,10 +10,11 @@ with one ``math.gcd`` over five ints, and with none when the denominator is
 ``*`` with a factor equal to 1 returns the other factor.  A sum of
 products, such as a matrix entry or a pairing, goes through the fused kernel
 :func:`_dot`, which keeps one unreduced numerator over a running denominator
-and reduces once, at the end.  The set is closed under the four field
-operations, so all algebraic identities downstream can be asserted
-with ``==`` instead of a tolerance.  The rational coordinates are read as
-the reduced ``Fraction`` properties ``a`` to ``d``, the five ints as
+and reduces once, at the end; ``fnforms`` keeps one per coefficient of a
+form kernel's result.  The set is closed under the four field operations,
+so all algebraic identities downstream can be asserted with ``==`` instead
+of a tolerance.  The rational coordinates are read as the reduced
+``Fraction`` properties ``a`` to ``d``, the five ints as
 :attr:`Scalar.ints`.  :func:`format_scalar` prints each nonzero coordinate
 straight from the ints, reduced by one ``gcd`` with the denominator, and
 :meth:`Scalar.inverse` of a rational ``a / den`` is ``den / a`` with the sign

@@ -5,31 +5,36 @@ Q(i, sqrt2), so every identity below is decided exactly.  Scalar-, tangent-,
 vector- and matrix-valued forms are one construction, sections of
 Lambda^r T* (x) E for a fibre E, and one class, :class:`ValuedForm`, holds
 them all.  Components are stored sparsely on strictly increasing axis subsets
-and fibre indices; all signs flow from sorting permutation parity.
+and fibre indices; all signs flow from sorting permutation parity, memoized
+over the finite domain of `_merge_axes`.
 :class:`Poly` and :class:`ValuedForm` are both ``exactfield.Combination``
 subclasses: a form's coefficients are polynomials, whose coefficients are
 scalars.  Their public constructors validate every key; the results computed
 here are canonical by construction and go through the trusted constructor,
-which only drops zero coefficients.  On top of that class sit:
+which only drops zero coefficients.  Every kernel below and the polynomial
+product add their terms into one accumulator {(axes, fibre index):
+{exponents: (a, b, c, d, den)}} of unreduced numerators over a running
+denominator, the rule of ``exactfield._dot``, and `_poly_form` reduces each
+coefficient once and builds each component Poly once.  On top of that sit:
 
 * exterior differential and the wedge product with its fibre product rule,
-  the wedge accumulated straight into the term dicts of its result,
 * Lie derivative along a polynomial vector field by Cartan's formula
   L_u = d i_u + i_u d (the coordinate formula is the test reference),
 * the Frolicher-Nijenhuis bracket of tangent-valued forms via the five-term
-  rule on decomposables, accumulated straight into the term dicts of the
-  result's polynomials, with each wedge sign from the axis-merge parity
-  (`_merge_axes`) and each partial derivative computed once per call,
+  rule on decomposables, with each wedge sign from the axis-merge parity and
+  each partial derivative computed once per call,
 * covariant differential d_A = d + A /\\ . , curvature F = dA + A /\\ A, and the
-  Bianchi residual dF + [A, F] which must vanish identically.
+  Bianchi residual dF + A /\\ F - F /\\ A which must vanish identically; each
+  sum of kernels shares one accumulator.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add
 from typing import Dict, NamedTuple, Tuple
 
-from .exactfield import Combination, Scalar, _accumulate, shape_field
+from .exactfield import Combination, Scalar, _accumulate, _reduced, _set_shape, _set_terms, shape_field
 
 AXIS_NAMES = "xyzwuv"
 
@@ -51,21 +56,46 @@ def _check_dim(dim: int):
         raise ChartError(f"chart dimension must be 1..{len(AXIS_NAMES)}, got {dim}")
 
 
-def _add_product(out: dict, p: dict, q: dict, sign: int = 1):
-    """out += sign * p * q on polynomial term dicts {exponents: Scalar}; sign is +1 or -1."""
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            _accumulate(out, tuple(map(add, e1, e2)), c1 * c2, sign)
+def _raw(terms: dict) -> list:
+    """The items (exponents, canonical ints) of a polynomial term dict {exponents: Scalar}."""
+    return [(exps, coeff._v) for exps, coeff in terms.items()]
 
 
-def _partial(terms: dict, axis: int) -> dict:
-    """d/dx_axis on a polynomial term dict {exponents: Scalar}."""
-    out: Dict[Exponents, Scalar] = {}
-    for exps, coeff in terms.items():
+def _add_product(out: dict, p: list, q: list, sign: int = 1):
+    """out += sign * p * q (sign +1 or -1) for raw items p and q, into an accumulator {exponents: raw ints}."""
+    for e1, (a1, b1, c1, d1, n1) in p:
+        if sign < 0:
+            a1, b1, c1, d1 = -a1, -b1, -c1, -d1
+        for e2, (a2, b2, c2, d2, n2) in q:
+            e = tuple(map(add, e1, e2))
+            a = a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2)
+            b = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
+            c = a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2
+            d = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+            n = n1 * n2
+            prev = out.get(e)
+            if prev is not None:
+                a0, b0, c0, d0, m = prev
+                if m == n:
+                    a, b, c, d = a0 + a, b0 + b, c0 + c, d0 + d
+                else:
+                    a, b, c, d, n = a0 * n + a * m, b0 * n + b * m, c0 * n + c * m, d0 * n + d * m, m * n
+            out[e] = a, b, c, d, n
+
+
+def _finished(items) -> dict:
+    """The term dict {exponents: Scalar} of raw or accumulated items, each reduced once; zeros drop by their ints."""
+    return {exps: _reduced(*v) for exps, v in items if v[0] or v[1] or v[2] or v[3]}
+
+
+def _partial(items: list, axis: int) -> list:
+    """d/dx_axis on raw items; each coefficient times its exponent stays unreduced."""
+    out = []
+    for exps, (a, b, c, d, den) in items:
         k = exps[axis]
         if k:
             # distinct exponents stay distinct after d/dx_axis, so keys never collide
-            out[exps[:axis] + (k - 1,) + exps[axis + 1:]] = coeff * k
+            out.append((exps[:axis] + (k - 1,) + exps[axis + 1:], (a * k, b * k, c * k, d * k, den)))
     return out
 
 
@@ -104,12 +134,12 @@ class Poly(Combination):
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_mate(other)
-        terms: Dict[Exponents, Scalar] = {}
-        _add_product(terms, self.terms, other.terms)
-        return Poly._trusted(self.shape, terms)
+        out: Dict[Exponents, tuple] = {}
+        _add_product(out, _raw(self.terms), _raw(other.terms))
+        return Poly._trusted(self.shape, _finished(out.items()))
 
     def diff(self, axis: int) -> "Poly":
-        return Poly._trusted(self.shape, _partial(self.terms, axis))
+        return Poly._trusted(self.shape, _finished(_partial(_raw(self.terms), axis)))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -132,6 +162,7 @@ class Poly(Combination):
     __repr__ = __str__
 
 
+@cache
 def _merge_axes(s1: Axes, s2: Axes):
     """Concatenate-and-sort with Koszul sign; None when an axis repeats."""
     merged = list(s1 + s2)
@@ -232,34 +263,10 @@ class ValuedForm(Combination):
 
     def wedge(self, other: "ValuedForm") -> "ValuedForm":
         """Wedge of the forms, contracting the last fibre index of self with the first of other."""
-        dim = self.shape[0]
-        if not isinstance(other, ValuedForm) or dim != other.shape[0]:
-            raise ChartError("wedge across different charts")
-        fibre = _product_fibre(self.fibre, other.fibre)
-        out: Dict[Key, Dict[Exponents, Scalar]] = {}
-        for (s1, i1), p1 in self.terms.items():
-            for (s2, i2), p2 in other.terms.items():
-                if i1[1:] != i2[:1]:
-                    continue
-                merged = _merge_axes(s1, s2)
-                if merged is None:
-                    continue
-                sign, axes = merged
-                _add_product(out.setdefault((axes, i1[:1] + i2[1:]), {}), p1.terms, p2.terms, sign)
-        return _poly_form((dim, self.degree + other.degree, fibre), out)
+        return _sum_form((_add_wedge, self, other))
 
     def d(self) -> "ValuedForm":
-        _require(self, _DIFFERENTIABLE, "d")
-        out: Dict[Key, Poly] = {}
-        for (axes, index), poly in self.terms.items():
-            for j in range(self.dim):
-                if j in axes:
-                    continue
-                dp = poly.diff(j)
-                if not dp.is_zero():
-                    sign, new_axes = _merge_axes((j,), axes)
-                    _accumulate(out, (new_axes, index), dp, sign)
-        return ValuedForm._trusted((self.dim, self.degree + 1, self.fibre), out)
+        return _sum_form((_add_d, self))
 
     def interior(self, field) -> "ValuedForm":
         """Contraction of a scalar form with a polynomial vector field (list of dim polynomials)."""
@@ -316,14 +323,57 @@ class ValuedForm(Combination):
     __repr__ = __str__
 
 
-def _poly_form(shape: tuple, out: Dict[Key, Dict[Exponents, Scalar]]) -> ValuedForm:
-    """The form of this shape whose component at each key is the polynomial with the term dict out[key].
+def _add_wedge(out: dict, left: ValuedForm, right: ValuedForm, sign: int = 1) -> tuple:
+    """Add sign * left /\\ right into the accumulator `out` of a form; returns the product's shape."""
+    dim = left.shape[0]
+    if not isinstance(right, ValuedForm) or dim != right.shape[0]:
+        raise ChartError("wedge across different charts")
+    fibre = _product_fibre(left.fibre, right.fibre)
+    by_first: Dict[tuple, list] = {}  # the right factor's components by first fibre index
+    for (s2, i2), p2 in right.terms.items():
+        by_first.setdefault(i2[:1], []).append((s2, i2[1:], _raw(p2.terms)))
+    for (s1, i1), p1 in left.terms.items():
+        group = by_first.get(i1[1:])
+        if group:
+            head, q1 = i1[:1], _raw(p1.terms)
+            for s2, tail, q2 in group:
+                merged = _merge_axes(s1, s2)
+                if merged is not None:
+                    _add_product(out.setdefault((merged[1], head + tail), {}), q1, q2, sign * merged[0])
+    return dim, left.degree + right.degree, fibre
 
-    The wedge and the FN bracket add every product of coefficients straight
-    into these term dicts, so each component Poly is built once, here.
-    """
-    poly_shape = shape[:1]
-    return ValuedForm._trusted(shape, {key: Poly._trusted(poly_shape, terms) for key, terms in out.items()})
+
+def _add_d(out: dict, form: ValuedForm) -> tuple:
+    """Add d form into the accumulator `out` of a form; returns the shape of d form."""
+    _require(form, _DIFFERENTIABLE, "d")
+    dim, degree, fibre = form.shape
+    one = [((0,) * dim, (1, 0, 0, 0, 1))]  # the raw items of the polynomial 1: d adds d_j p * 1
+    for (axes, index), poly in form.terms.items():
+        items = _raw(poly.terms)
+        for j in range(dim):
+            if j not in axes:
+                sign, new_axes = _merge_axes((j,), axes)
+                _add_product(out.setdefault((new_axes, index), {}), _partial(items, j), one, sign)
+    return dim, degree + 1, fibre
+
+
+def _poly_form(shape: tuple, out: Dict[Key, dict]) -> ValuedForm:
+    """The form of this shape in the accumulator `out`, each coefficient reduced and each Poly built once."""
+    poly_shape, comps = shape[:1], {}
+    for key, terms in out.items():
+        coeffs = _finished(terms.items())
+        if coeffs:  # zeros are gone, so the Poly is built without a second pass of ``_trusted``
+            comps[key] = poly = object.__new__(Poly)
+            _set_shape(poly, poly_shape)
+            _set_terms(poly, coeffs)
+    return ValuedForm._trusted(shape, comps)
+
+
+def _sum_form(*parts) -> ValuedForm:
+    """The sum of the parts (adder, *args), each added into one accumulator by `adder`, which returns its shape."""
+    out: Dict[Key, dict] = {}
+    shapes = [adder(out, *args) for adder, *args in parts]
+    return _poly_form(shapes[0], out)
 
 
 def _axes_label(axes: Axes) -> str:
@@ -384,14 +434,14 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
         fnb = l /\\ (L[u] m) (x) v  -  (L[v] l) /\\ m (x) u
               + (-1)^r (v | l) /\\ dm (x) u  +  (-1)^r dl /\\ (u | m) (x) v
 
-    The terms are expanded on the term dicts of the coefficient polynomials:
-    each product sign * p * q is added straight into one term dict per output
-    component, and each component becomes a Poly once, at the end.  The
-    partial derivatives of every component are computed once per call.  Every
-    wedge sign comes from `_merge_axes` on the axes of the two factors: l and
-    m in terms 2 and 3, (v | l) and dx^i /\\ m in term 4 (dm is the sum of
-    d_i m dx^i /\\ m), dx^i /\\ l and (u | m) in term 5.  Contracting the
-    coordinate field of the axis in slot t of a form adds (-1)^t.
+    The terms are expanded on the raw coefficients of the component
+    polynomials: each product sign * p * q is added into the accumulator of
+    the output component, and `_poly_form` reduces each coefficient once, at
+    the end.  The partial derivatives of every component are computed once
+    per call.  Every wedge sign comes from `_merge_axes` on the axes of the
+    two factors: l and m in terms 2 and 3, (v | l) and dx^i /\\ m in term 4
+    (dm is the sum of d_i m dx^i /\\ m), dx^i /\\ l and (u | m) in term 5.
+    Contracting the coordinate field of the axis in slot t of a form adds (-1)^t.
     """
     _require(zeta, ("tangent",), "fn_bracket")
     _require(xi, ("tangent",), "fn_bracket")
@@ -406,19 +456,16 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
     axes_range = range(dim)
 
     def components(form: ValuedForm):
-        """(axes, output axis, polynomial terms, terms of its dim partials) per component."""
-        return [
-            (axes, out_axis, poly.terms, [_partial(poly.terms, i) for i in axes_range])
-            for (axes, (out_axis,)), poly in form.terms.items()
-        ]
+        """(axes, output axis, raw polynomial items, raw items of its dim partials) per component."""
+        out = []
+        for (axes, (out_axis,)), poly in form.terms.items():
+            items = _raw(poly.terms)
+            out.append((axes, out_axis, items, [_partial(items, i) for i in axes_range]))
+        return out
 
     lams = components(zeta)
     mus = lams if xi is zeta else components(xi)
-    out: Dict[Key, Dict[Exponents, Scalar]] = {}
-
-    def add_product(axes: Axes, out_axis: int, p: dict, q: dict, sign: int):
-        _add_product(out.setdefault((axes, (out_axis,)), {}), p, q, sign)
-
+    out: Dict[Key, dict] = {}
     sign_r = (-1) ** r
     for s_axes, j, lam, d_lam in lams:
         for t_axes, k, mu, d_mu in mus:
@@ -426,9 +473,9 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
             if merged is not None:
                 sign, axes = merged
                 # term 2: l /\ (d_j m) (x) v
-                add_product(axes, k, lam, d_mu[j], sign)
+                _add_product(out.setdefault((axes, (k,)), {}), lam, d_mu[j], sign)
                 # term 3: - (d_k l) /\ m (x) u
-                add_product(axes, j, d_lam[k], mu, -sign)
+                _add_product(out.setdefault((axes, (j,)), {}), d_lam[k], mu, -sign)
             # term 4: (-1)^r (v | l) /\ dm (x) u
             if k in s_axes:
                 t = s_axes.index(k)
@@ -437,7 +484,7 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
                     merged = _merge_axes(rest, (i,) + t_axes)
                     if merged is not None:
                         sign, axes = merged
-                        add_product(axes, j, lam, d_mu[i], sign * sign_r * (-1) ** t)
+                        _add_product(out.setdefault((axes, (j,)), {}), lam, d_mu[i], sign * sign_r * (-1) ** t)
             # term 5: (-1)^r dl /\ (u | m) (x) v
             if j in t_axes:
                 t = t_axes.index(j)
@@ -446,7 +493,7 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
                     merged = _merge_axes((i,) + s_axes, rest)
                     if merged is not None:
                         sign, axes = merged
-                        add_product(axes, k, d_lam[i], mu, sign * sign_r * (-1) ** t)
+                        _add_product(out.setdefault((axes, (k,)), {}), d_lam[i], mu, sign * sign_r * (-1) ** t)
     return _poly_form((dim, r + s, Fibre("tangent", dim)), out)
 
 
@@ -455,8 +502,7 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
 
 def ext_derivative(omega: ValuedForm) -> ValuedForm:
     """Exterior differential of a scalar-, vector- or matrix-valued form."""
-    _require(omega, _DIFFERENTIABLE, "d")
-    return omega.d()
+    return _sum_form((_add_d, omega))
 
 
 def lie_derivative(field: ValuedForm, omega: ValuedForm) -> ValuedForm:
@@ -472,7 +518,7 @@ def covariant_differential(a: ValuedForm, phi: ValuedForm) -> ValuedForm:
     _require(phi, ("vector",), "covariant_differential")
     if a.degree != 1:
         raise ChartError("connection form must have degree 1")
-    return phi.d() + a.wedge(phi)
+    return _sum_form((_add_wedge, a, phi), (_add_d, phi))
 
 
 def curvature(a: ValuedForm) -> ValuedForm:
@@ -480,10 +526,10 @@ def curvature(a: ValuedForm) -> ValuedForm:
     _require(a, ("matrix",), "curvature")
     if a.degree != 1:
         raise ChartError("connection form must have degree 1")
-    return a.d() + a.wedge(a)
+    return _sum_form((_add_d, a), (_add_wedge, a, a))
 
 
 def bianchi_residual(a: ValuedForm) -> ValuedForm:
     """dF + A /\\ F - F /\\ A; identically zero for every connection form."""
     f = curvature(a)
-    return f.d() + a.wedge(f) - f.wedge(a)
+    return _sum_form((_add_d, f), (_add_wedge, a, f), (_add_wedge, f, a, -1))

@@ -297,10 +297,20 @@ def check_bianchi(rng: SplitMix64, trial: int) -> Optional[dict]:
     if not residual.is_zero():
         return _failure(trial, f"A = {a}", "dF + [A, F] = 0", str(residual))
     phi = random_form(rng, 3, rng.randint(0, 1), Fibre("vector", 2))
-    lhs = covariant_differential(a, covariant_differential(a, phi))
+    d_phi = covariant_differential(a, phi)
+    lhs = covariant_differential(a, d_phi)
     rhs = f.wedge(phi)
     if lhs != rhs:
         return _failure(trial, f"A = {a}; phi = {phi}", "d_A d_A phi = F /\\ phi", f"lhs = {lhs}; rhs = {rhs}")
+    # the Leibniz rule is linear in d_A, so it sees a sign that the quadratic identity above keeps
+    p = random_poly(rng, 3)
+    g = ValuedForm._trusted((3, 0, Fibre("matrix", 2)), {((), (0, 0)): p, ((), (1, 1)): p})
+    lhs = covariant_differential(a, g.wedge(phi))
+    rhs = g.d().wedge(phi) + g.wedge(d_phi)
+    if lhs != rhs:
+        return _failure(
+            trial, f"A = {a}; phi = {phi}; f = {p}", "d_A (f phi) = df /\\ phi + f d_A phi", f"lhs = {lhs}; rhs = {rhs}"
+        )
     return None
 
 

@@ -1,6 +1,8 @@
 """Exterior calculus, the FN bracket, curvature and Bianchi, all exact."""
 
 import hashlib
+import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -505,6 +507,137 @@ def test_bianchi_residual_vanishes():
         assert bianchi_residual(a).is_zero()
 
 
+# -- the accumulating kernels against a plain-Scalar reference -------------------------
+
+
+def _plain_product(p: dict, q: dict, sign: int) -> dict:
+    """sign * p * q on term dicts, by Scalar * and + alone."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Scalar.zero()) + c1 * c2 * sign
+    return out
+
+
+def _plain_add(out: dict, key, terms: dict):
+    acc = out.setdefault(key, {})
+    for e, c in terms.items():
+        acc[e] = acc.get(e, Scalar.zero()) + c
+
+
+def _plain_form(shape, out) -> ValuedForm:
+    dim, degree, fibre = shape
+    return ValuedForm(dim, degree, fibre, {key: Poly(dim, terms) for key, terms in out.items()})
+
+
+def _reference_d(form):
+    """d by the coordinate formula: d_j p dx^j /\\ dx^axes, the sign of dx^j moved past the smaller axes."""
+    out = {}
+    for (axes, index), poly in form.terms.items():
+        for j in range(form.dim):
+            if j in axes:
+                continue
+            sign = (-1) ** sum(a < j for a in axes)
+            partial = {}
+            for exps, coeff in poly.terms.items():
+                if exps[j]:
+                    partial[exps[:j] + (exps[j] - 1,) + exps[j + 1:]] = coeff * exps[j] * sign
+            _plain_add(out, (tuple(sorted(axes + (j,))), index), partial)
+    return _plain_form((form.dim, form.degree + 1, form.fibre), out)
+
+
+def _fibre_triples(left, right):
+    """(output index, left index, right index) of every term of the fibre product rule, densely."""
+    if left.fibre.kind == "scalar":
+        return [((), (), ())]
+    n = range(left.fibre.size)
+    if right.fibre.kind == "matrix":
+        return [((i, k), (i, j), (j, k)) for i in n for j in n for k in n]
+    return [((i,), (i, j), (j,)) for i in n for j in n]
+
+
+def _reference_wedge(left, right):
+    """left /\\ right densely: every output axis set split every way, each sign by an inversion count."""
+    dim, r, s = left.dim, left.degree, right.degree
+    out = {}
+    for axes in itertools.combinations(range(dim), r + s):
+        for s1 in itertools.combinations(axes, r):
+            s2 = tuple(a for a in axes if a not in s1)
+            sign = (-1) ** sum(x > y for x, y in itertools.combinations(s1 + s2, 2))
+            for index, i1, i2 in _fibre_triples(left, right):
+                p, q = left.terms.get((s1, i1)), right.terms.get((s2, i2))
+                if p is not None and q is not None:
+                    _plain_add(out, (axes, index), _plain_product(p.terms, q.terms, sign))
+    return _plain_form((dim, r + s, right.fibre), out)
+
+
+def _assert_canonical(form):
+    """No zero component and no zero coefficient survives in `form`."""
+    for poly in form.terms.values():
+        assert poly.terms and not any(c.is_zero() for c in poly.terms.values())
+
+
+def test_kernels_match_a_plain_scalar_reference():
+    rng = SplitMix64(24)
+    # mixed denominators: the x^2 dx^dy coefficient of a /\ b sums 1/6 and -1/3 over 18 and reduces to -1/6
+    p = P(2, {(1, 0): Scalar(Fraction(1, 6)), (0, 1): Scalar(0, Fraction(2, 9))})
+    q = P(2, {(0, 0): Scalar(Fraction(1, 3), 0, Fraction(1, 4)), (1, 0): Scalar(Fraction(1, 3))})
+    a = Form(2, 1, {(0,): p, (1,): q})
+    assert a.wedge(Form(2, 1, {(0,): x_(2), (1,): x_(2)})).terms[((0, 1), ())].terms[(2, 0)] == Fraction(-1, 6)
+    hand = [(a, Form(2, 1, {(0,): x_(2), (1,): x_(2)})), (a, Form(2, 1, {(0,): q, (1,): p + p}))]
+    for dim in (1, 2, 3, 4):
+        for r in range(dim + 1):
+            s = rng.randint(0, dim - r)
+            hand.append((suite_random_form(rng, dim, r, SCALAR), suite_random_form(rng, dim, s, SCALAR, sparse=True)))
+    for a, b in hand:
+        for got, want in (
+            (a.d(), _reference_d(a)),
+            (a.wedge(b), _reference_wedge(a, b)),
+            (a.wedge(a), _reference_wedge(a, a)),
+        ):
+            assert got == want and str(got) == str(want)
+            _assert_canonical(got)
+        # an odd form's square cancels term by term inside one accumulator
+        if a.degree % 2:
+            assert a.wedge(a).terms == {}
+        cancelled = a.wedge(b) + (-a).wedge(b)
+        assert cancelled.is_zero() and cancelled.terms == {}
+    for _ in range(12):
+        a = suite_random_form(rng, 3, 1, Fibre("matrix", 2))
+        phi = suite_random_form(rng, 3, rng.randint(0, 2), Fibre("vector", 2), sparse=True)
+        f = _reference_d(a) + _reference_wedge(a, a)
+        cases = (
+            (curvature(a), f),
+            (covariant_differential(a, phi), _reference_d(phi) + _reference_wedge(a, phi)),
+            (a.wedge(phi), _reference_wedge(a, phi)),
+            (bianchi_residual(a), _reference_d(f) + _reference_wedge(a, f) - _reference_wedge(f, a)),
+        )
+        for got, want in cases:
+            assert got == want and str(got) == str(want)
+            _assert_canonical(got)
+        assert bianchi_residual(a).terms == {}
+
+
+def test_merge_axes_matches_an_inversion_count():
+    sorted_axes = [t for k in range(7) for t in itertools.combinations(range(6), k)]
+    led = [(i,) + t for i in range(6) for t in sorted_axes]  # the shape fn_bracket passes, repeats included
+    pairs = itertools.chain(
+        itertools.product(sorted_axes, sorted_axes),
+        itertools.product(led, sorted_axes),
+        itertools.product(sorted_axes, led),
+    )
+    for s1, s2 in pairs:
+        merged = s1 + s2
+        if len(set(merged)) < len(merged):
+            expected = None
+        else:
+            expected = (-1) ** sum(x > y for x, y in itertools.combinations(merged, 2)), tuple(sorted(merged))
+        assert _merge_axes(s1, s2) == expected
+    # the memo answers a repeated call with the same result
+    assert _merge_axes((2,), (0, 1)) == (1, (0, 1, 2)) and _merge_axes((1, 0), (2,)) == (-1, (0, 1, 2))
+
+
 def test_chart_dimension_bounds():
     with pytest.raises(ChartError):
         Poly(7)
@@ -568,6 +701,12 @@ FNFORMS_REFUSALS = [
         "connection form must have degree 1",
     ),
     (lambda: curvature(MatrixForm(2, 2, 2)), ChartError, "connection form must have degree 1"),
+    # d_A checks the section against the connection before it differentiates anything
+    (
+        lambda: covariant_differential(MatrixForm(2, 1, 2), VectorForm(2, 0, 3)), ChartError,
+        "no wedge product of a matrix-valued form (fibre size 2) and a vector-valued form (fibre size 3)",
+    ),
+    (lambda: covariant_differential(MatrixForm(2, 1, 2), VectorForm(3, 0, 2)), ChartError, "wedge across different charts"),
 ]
 
 
