@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Tuple
 
-from .exactfield import Combination, Scalar, UnitMismatchError, _accumulate, _dot, _reduced, shape_field
+from .exactfield import Combination, Scalar, UnitMismatchError, _dot, _reduced, shape_field
 from .spintensor import (
     _INV_R2,
     EpsilonStructure,
@@ -200,11 +200,11 @@ def gamma(y: ScaledTensor) -> EndW:
         p, q, r, s, n = v.ints
         r2v = _reduced(2 * r, 2 * s, p, q, n)
         # upper-right block: out_u^a += sqrt2 * y^{ab} * lbar_b
-        _accumulate(terms, (a - 1, b + 1), r2v)
+        terms[(a - 1, b + 1)] = r2v
         # lower-left block: out_lbar_d += sqrt2 * y^{ab} eps_{ac} epsbar_{bd} u^c; only
         # c = 3 - a and d = 3 - b contribute, with eps_{12} = 1 and eps_{21} = -1
         # (the phase enters as phase * conj(phase) = 1)
-        _accumulate(terms, (4 - b, 2 - a), r2v, 1 if a == b else -1)
+        terms[(4 - b, 2 - a)] = r2v if a == b else -r2v
     return EndW._trusted((), terms)
 
 

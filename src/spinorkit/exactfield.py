@@ -32,9 +32,12 @@ subclasses :class:`Combination`.  It holds the nonzero coefficients in
 live in one space once; a subclass only declares the error that a mismatch
 of each shape entry raises.  Results computed from canonical operands go
 through its trusted constructor ``_trusted``, which only drops zero
-coefficients; ``_accumulate`` is the one merge step behind every sum of
-terms.  On containers ``*`` means only the algebra product of two elements
-of one class; a scalar multiple is always ``scaled``.
+coefficients.  Sums of Scalar products go through ``_dot`` (grouped by key
+in ``diracw._sum_products``), form kernels through the accumulator of
+``fnforms``, and every other sum of terms, ``+``, ``-`` and the Fock products
+included, through ``_accumulate`` with an int factor.  On containers ``*``
+means only the algebra product of two elements of one class; a scalar
+multiple is always ``scaled``.
 """
 
 from __future__ import annotations
@@ -376,13 +379,15 @@ def shape_field(index: int, doc: str, error: type, label: str) -> property:
     return field
 
 
-def _accumulate(out: dict, key, value, sign: int = 1):
-    """out[key] += sign * value for sign +1 or -1, without a zero placeholder or a multiply by -1."""
+def _accumulate(out: dict, key, value, k: int = 1):
+    """out[key] += k * value for an int k, without a zero placeholder; a k of 1 or -1 multiplies nothing."""
+    if k != 1 and k != -1:
+        value, k = value * k if type(value) is Scalar else value.scaled(k), 1
     prev = out.get(key)
     if prev is None:
-        out[key] = value if sign > 0 else -value
+        out[key] = value if k > 0 else -value
     else:
-        out[key] = prev + value if sign > 0 else prev - value
+        out[key] = prev + value if k > 0 else prev - value
 
 
 class Combination(Immutable):

@@ -17,9 +17,11 @@ product add their terms into one accumulator {(axes, fibre index):
 denominator, the rule of ``exactfield._dot``, and `_poly_form` reduces each
 coefficient once and builds each component Poly once.  On top of that sit:
 
-* exterior differential and the wedge product with its fibre product rule,
+* exterior differential, interior product and the wedge product with its
+  fibre product rule,
 * Lie derivative along a polynomial vector field by Cartan's formula
-  L_u = d i_u + i_u d (the coordinate formula is the test reference),
+  L_u = d i_u + i_u d in one accumulator (the coordinate formula is the test
+  reference),
 * the Frolicher-Nijenhuis bracket of tangent-valued forms via the five-term
   rule on decomposables, with each wedge sign from the axis-merge parity and
   each partial derivative computed once per call,
@@ -34,7 +36,7 @@ from functools import cache
 from operator import add
 from typing import Dict, NamedTuple, Tuple
 
-from .exactfield import Combination, Scalar, _accumulate, _reduced, _set_shape, _set_terms, shape_field
+from .exactfield import Combination, Scalar, _reduced, _set_shape, _set_terms, shape_field
 
 AXIS_NAMES = "xyzwuv"
 
@@ -270,21 +272,12 @@ class ValuedForm(Combination):
 
     def interior(self, field) -> "ValuedForm":
         """Contraction of a scalar form with a polynomial vector field (list of dim polynomials)."""
-        _require(self, ("scalar",), "interior")
-        out: Dict[Key, Poly] = {}
-        for (axes, index), poly in self.terms.items():
-            for t, axis in enumerate(axes):
-                u_comp = field[axis]
-                if not u_comp.is_zero():
-                    _accumulate(out, (axes[:t] + axes[t + 1:], index), u_comp * poly, (-1) ** t)
-        return ValuedForm._trusted((self.dim, max(self.degree - 1, 0), self.fibre), out)
+        return _sum_form((_add_interior, self, field))
 
     def lie(self, field) -> "ValuedForm":
         """Lie derivative of a scalar form along a polynomial vector field: Cartan's L_u = [i_u, d]."""
         _require(self, ("scalar",), "lie")
-        out = self.d().interior(field)
-        # i_u of a 0-form would stay at degree 0, so only forms of positive degree get d(i_u w)
-        return out + self.interior(field).d() if self.degree else out
+        return _sum_form((_add_interior, self.d(), field), (_add_d, self.interior(field)))
 
     def field_components(self):
         """For a degree-0 tangent form: the dim polynomial components."""
@@ -355,6 +348,22 @@ def _add_d(out: dict, form: ValuedForm) -> tuple:
                 sign, new_axes = _merge_axes((j,), axes)
                 _add_product(out.setdefault((new_axes, index), {}), _partial(items, j), one, sign)
     return dim, degree + 1, fibre
+
+
+def _add_interior(out: dict, form: ValuedForm, field) -> tuple:
+    """Add i_u form into the accumulator `out` of a form, u a list of dim polynomials; returns the shape of i_u form."""
+    _require(form, ("scalar",), "interior")
+    dim, degree, fibre = form.shape
+    field_dim = next((p.dim for p in field if p.dim != dim), len(field))
+    if field_dim != dim:
+        raise ChartError(f"dimension mismatch: {field_dim} vs {dim}")
+    u = [_raw(p.terms) for p in field]
+    for (axes, index), poly in form.terms.items():
+        items = _raw(poly.terms)
+        for t, axis in enumerate(axes):
+            if u[axis]:  # contracting the axis in slot t moves it past t others
+                _add_product(out.setdefault((axes[:t] + axes[t + 1:], index), {}), u[axis], items, (-1) ** t)
+    return dim, max(degree - 1, 0), fibre
 
 
 def _poly_form(shape: tuple, out: Dict[Key, dict]) -> ValuedForm:

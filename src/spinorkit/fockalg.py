@@ -15,15 +15,15 @@ element through the products and the relation
 a[zeta] a+[z] = (-1)^{|zeta||z|} a+[z] a[zeta] + <zeta, z> id.  `normal_order`
 folds a word into the identity, and `_compose` folds the words of a right
 factor into a left one; equal words merge at every step.  Products and
-brackets compose plain {word: coeff} term dicts through `_compose`:
-`super_bracket` splits each operand once into its even and odd terms and
-builds only its result as an ``OperatorElement``.
+brackets compose plain {word: coeff} term dicts through `_compose`, which
+adds k times the product into its caller's accumulator: `super_bracket`
+splits each operand once into its even and odd terms and composes all four
+products into one dict.
 
 Each universe builds its vacuum monomial (one empty mode tuple per sector)
 once and keeps it as ``Universe.vacuum``; the identity operator is the
 (vacuum, vacuum) word with coefficient 1, and ``OperatorElement.apply``
-returns the state itself for it.  A multiple of that word scales the state
-without contracting.
+returns the state itself for it.
 
 States and operators are ``exactfield.Combination`` subclasses, whose
 shapes are (universe, dual) and (universe).  The public constructors
@@ -142,11 +142,6 @@ def monomial_rank(m: Monomial) -> int:
 
 def monomial_grade(universe: Universe, m: Monomial) -> int:
     return sum(len(part) for part, odd in zip(m, universe.is_fermion) if odd) % 2
-
-
-def _times(x: Scalar, k: int) -> Scalar:
-    """x * k for an int k, without a multiply when k is 1 or -1."""
-    return x if k == 1 else -x if k == -1 else x * k
 
 
 def _mode_monomial(universe: Universe, sector_idx: int, mode: int) -> Monomial:
@@ -342,7 +337,7 @@ def interior_product(lam: FockState, psi: FockState):
             contracted = _contract_monomial(universe, lower, higher)
             if contracted is not None:
                 factor, mono = contracted
-                _accumulate(sides[dual], mono, _times(d_coeff * m_coeff, factor))
+                _accumulate(sides[dual], mono, d_coeff * m_coeff, factor)
     state_part = FockState._trusted((universe, False), sides[0])
     dual_part = FockState._trusted((universe, True), sides[1])
     if not dual_part.is_zero() and not state_part.is_zero():
@@ -401,7 +396,7 @@ class OperatorElement(Combination):
         if not isinstance(other, OperatorElement):
             return NotImplemented
         self._check_mate(other)
-        return self._like(_compose(self.universe, self.terms, other.terms))
+        return self._like(_compose(self.universe, {}, self.terms, other.terms))
 
     def apply(self, psi: FockState) -> FockState:
         """Evaluate the endomorphism: contract the absorb part, wedge the emit part."""
@@ -416,10 +411,6 @@ class OperatorElement(Combination):
             return psi
         out_terms: Dict[Monomial, Scalar] = {}
         for (emit_m, absorb_m), coeff in terms.items():
-            if emit_m == vac and absorb_m == vac:  # a multiple of the identity
-                for m_mono, m_coeff in psi.terms.items():
-                    _accumulate(out_terms, m_mono, coeff * m_coeff)
-                continue
             for m_mono, m_coeff in psi.terms.items():
                 contracted = _contract_monomial(universe, absorb_m, m_mono)
                 if contracted is None:
@@ -429,7 +420,7 @@ class OperatorElement(Combination):
                 if prod is None:
                     continue
                 sign, result = prod
-                _accumulate(out_terms, result, _times(coeff * m_coeff, sign * factor))
+                _accumulate(out_terms, result, coeff * m_coeff, sign * factor)
         return FockState._trusted((universe, False), out_terms)
 
     __call__ = apply
@@ -509,7 +500,7 @@ def _times_generator(universe: Universe, terms: Dict[Word, Scalar], gen: Generat
             prod = monomial_product(universe, single, absorb_m)
             if prod is not None:
                 # distinct absorb monomials stay distinct, so keys never collide
-                out[(emit_m, prod[1])] = _times(coeff, prod[0])
+                out[(emit_m, prod[1])] = coeff if prod[0] > 0 else -coeff
         return out
     odd = universe.is_fermion[sector_idx]
     for (emit_m, absorb_m), coeff in terms.items():
@@ -521,24 +512,23 @@ def _times_generator(universe: Universe, terms: Dict[Word, Scalar], gen: Generat
             _accumulate(out, (mono, absorb_m), coeff, sign)
         hit = _contract_monomial(universe, single, absorb_m)
         if hit is not None:
-            _accumulate(out, (emit_m, hit[1]), _times(coeff, hit[0]))
+            _accumulate(out, (emit_m, hit[1]), coeff, hit[0])
     return out
 
 
-def _compose(universe: Universe, x_terms: Dict[Word, Scalar], y_terms: Dict[Word, Scalar]):
-    """The normal-ordered {word: coeff} of X Y, for normal-ordered X = `x_terms` and Y = `y_terms`.
+def _compose(universe: Universe, out: dict, x_terms: Dict[Word, Scalar], y_terms: Dict[Word, Scalar], k: int = 1):
+    """Add k X Y into the accumulator `out`, for normal-ordered X = `x_terms` and Y = `y_terms`; returns `out`.
 
     Folds the generators of each word of Y into X, one `_times_generator`
-    step each; the result may hold zero coefficients.
+    step each; `out` may then hold zero coefficients.
     """
-    terms: Dict[Word, Scalar] = {}
     for w2, c2 in y_terms.items():
         piece = x_terms
         for gen in word_generators(universe, w2):
             piece = _times_generator(universe, piece, gen)
         for word, coeff in piece.items():
-            _accumulate(terms, word, coeff * c2)
-    return terms
+            _accumulate(out, word, coeff * c2, k)
+    return out
 
 
 def _graded_terms(universe: Universe, terms: Dict[Word, Scalar]):
@@ -598,23 +588,17 @@ def super_bracket(x: OperatorElement, y: OperatorElement) -> OperatorElement:
     """XY - (-1)^{|X||Y|} YX on definite-grade parts, extended bilinearly.
 
     Each operand is split once into its graded term dicts, and the products
-    of the parts are composed and summed as term dicts.
+    of the parts are composed into one accumulator.
     """
     x._check_mate(y)
     universe = x.universe
     y_parts = _graded_terms(universe, y.terms)
     out: Dict[Word, Scalar] = {}
     for x_grade, xe in enumerate(_graded_terms(universe, x.terms)):
-        if not xe:
-            continue
         for y_grade, ye in enumerate(y_parts):
-            if not ye:
-                continue
-            for word, coeff in _compose(universe, xe, ye).items():
-                _accumulate(out, word, coeff)
-            sign = 1 if x_grade and y_grade else -1
-            for word, coeff in _compose(universe, ye, xe).items():
-                _accumulate(out, word, coeff, sign)
+            if xe and ye:
+                _compose(universe, out, xe, ye)
+                _compose(universe, out, ye, xe, 1 if x_grade and y_grade else -1)
     return x._like(out)
 
 

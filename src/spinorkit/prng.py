@@ -69,7 +69,7 @@ def stream_for(seed: int, label: str) -> SplitMix64:
 
 
 def random_scalar(rng: SplitMix64) -> Scalar:
-    """Random field element; each coordinate is zero half the time, else one `fraction` draw."""
+    """Random field element; each coordinate is zero half the time, else randint(-9, 9) / randint(1, 9)."""
     randint = rng.randint
     draws = []
     for _ in range(4):

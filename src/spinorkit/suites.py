@@ -92,7 +92,7 @@ _SPINOR_SHAPE = ((Variance.U,), Fraction(1, 2))
 
 
 def _random_real(rng: SplitMix64) -> Scalar:
-    """p + q*sqrt2 for two `fraction` draws p and q, in that order."""
+    """p + q*sqrt2 for rationals p and q, each randint(-9, 9) / randint(1, 9), drawn in that order."""
     randint = rng.randint
     a, p, c, q = randint(-9, 9), randint(1, 9), randint(-9, 9), randint(1, 9)
     return _reduced(a * q, 0, c * p, 0, p * q)

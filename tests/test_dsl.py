@@ -452,6 +452,19 @@ EVAL_ERROR_ROWS = [
     ("- tetrad(e1, e2)", "error: 1:1: cannot negate tuple"),
     ("e1'", "error: 1:3: cannot dualize ScaledTensor"),
     ("universe { sector f: quark [1] }", "error: 1:28: sector kind must be 'fermion' or 'boson'"),
+    # a vector field on another chart is refused before any product, also where no field component meets the form
+    (
+        'let t0 = form deg=0 dim=2 { 1 -> axis y : poly "y" }\nlie(t0, form deg=1 dim=3 { dz : poly "1" })',
+        "error: 2:1: ChartError: dimension mismatch: 2 vs 3",
+    ),
+    (
+        'let t0 = form deg=0 dim=2 { 1 -> axis y : poly "y" }\nlie(t0, form deg=0 dim=3 { 1 : poly "z" })',
+        "error: 2:1: ChartError: dimension mismatch: 2 vs 3",
+    ),
+    (
+        'lie(form deg=0 dim=3 { 1 -> axis z : poly "x" }, form deg=1 dim=2 { dx : poly "x*y"; dy : poly "2" })',
+        "error: 1:1: ChartError: dimension mismatch: 3 vs 2",
+    ),
     # the 12th squaring is the first result over MAX_COEFF_BITS; the 24th would not end within a minute
     (
         "let a = 3+r2\n" + "let a = a*a\n" * 30,
@@ -468,6 +481,67 @@ def test_kernel_errors_are_usage_errors_at_their_token(program, prefix, tmp_path
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(prefix), err
     assert "Traceback" not in err
+
+
+# One value of each kind the DSL has: scalars, spinor tensors, Dirac vectors and
+# End W, forms of every fibre kind on charts 2 and 3, and Fock states, duals and
+# operators over two universes.
+CALL_MATRIX_PRELUDE = """\
+let s = 1/2 - i*r2
+let z = 0
+let u = e2 - i*e1
+let ls = es2
+let h = e1*eb1
+let obs = theta0
+let uu = e1*e2 + e2*e1
+let t32 = tensor [U, Ubar*] unit=3/2 { (1,2): 1-3/2*i; (2,1): r2 }
+let a = dirac (u: [1, i], lbar: [0, r2])
+let ad = adjoint(a)
+let gm = gamma(e1*eb1)
+let f2 = form deg=1 dim=2 { dx : poly "x*y"; dy : poly "2" }
+let f3 = form deg=0 dim=3 { 1 : poly "z^2 - x" }
+let t2 = form deg=0 dim=2 { 1 -> axis y : poly "y" }
+let t3 = form deg=0 dim=3 { 1 -> axis z : poly "x" }
+let t31 = form deg=1 dim=3 { dx -> axis y : poly "z" }
+let v2 = vform deg=0 dim=2 fibre=2 { 1 : [poly "x", poly "y"] }
+let v3 = vform deg=1 dim=3 fibre=3 { dz : [poly "x", poly "1", poly "0"] }
+let m2 = mform deg=1 dim=2 fibre=2 { dx : [[poly "0", poly "y"], [poly "x", poly "1"]] }
+let f31 = form deg=1 dim=3 { dz : poly "1" }
+let m3 = mform deg=1 dim=3 fibre=3 { dy : [[poly "z", poly "0", poly "1"], [poly "0", poly "x", poly "0"],
+                                          [poly "1", poly "0", poly "y"]] }
+universe fb { sector f: fermion [1,2]; sector b: boson [1] }
+let st = f:1 ^ f:2 * (1+i) + b:1
+let one = f:1
+let du = f:1' + b:1'
+let op = emit(f:2) * absorb(f:1') + absorb(b:1')
+let vacuum = vac
+universe { sector c: fermion [1] }
+let other = c:1
+let oop = emit(c:1)
+"""
+
+
+def test_every_kind_correct_call_returns_or_is_a_usage_error():
+    env = Environment()
+    eval_program(CALL_MATRIX_PRELUDE, env)
+    values = list(env.bindings.values())
+    calls = [
+        (name, fn, args)
+        for name, (fn, *kinds) in dsl._FUNCTIONS.items()
+        for args in itertools.product(*([v for v in values if isinstance(v, kind)] for kind in kinds))
+    ]
+    assert {name for name, _, _ in calls} == set(dsl._FUNCTIONS)
+    calls += [(op, fn, args) for op, fn in dsl._BINARY.items() for args in itertools.product(values, repeat=2)]
+    parser = dsl.Parser(dsl.tokenize("call"), env)
+    leaked = []
+    for name, fn, args in calls:
+        try:
+            parser.call_kernel(parser.peek(), fn, *args)
+        except DslError:
+            pass
+        except Exception as exc:  # `eval` would exit 3 on it
+            leaked.append(f"{name} {tuple(map(str, args))}: {type(exc).__name__}: {exc}")
+    assert not leaked, leaked
 
 
 def test_every_error_the_package_declares_is_a_value_error():

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinorkit.dsl import DslError, Environment, Parser, tokenize
-from spinorkit.exactfield import ExactError, Scalar, _dot, format_scalar
+from spinorkit.exactfield import ExactError, Scalar, _accumulate, _dot, format_scalar
 from spinorkit.prng import SplitMix64, random_scalar
+from spinorkit.suites import random_poly
 
 R2 = sympy.sqrt(2)
 
@@ -382,6 +383,27 @@ def test_dot_matches_chained_operations_on_grown_coefficients(triples):
     got = _dot(triples)
     assert_canonical(got)
     assert got.ints == chained_dot(triples).ints
+
+
+# -- adding an int multiple of a term into a result dict ------------------------------
+
+
+@pytest.mark.parametrize("k", [-3, -2, -1, 1, 2])
+def test_accumulate_adds_an_int_multiple(k):
+    rng = SplitMix64(380 + k)
+    for _ in range(30):
+        x, y = random_scalar(rng), random_scalar(rng)
+        p, q = random_poly(rng, 2), random_poly(rng, 2)
+        out = {}
+        for key, value in (("x", x), ("p", p), ("y", y), ("x", y), ("p", q), ("p", p)):
+            _accumulate(out, key, value, k)
+        assert out["x"].ints == (x * k + y * k).ints and out["y"].ints == (y * k).ints
+        assert out["p"] == p.scaled(k) + q.scaled(k) + p.scaled(k)
+        assert not any(c.is_zero() for c in out["p"].terms.values())
+        # adding -k times the same terms cancels to the canonical zeros
+        for key, value in (("x", x), ("x", y), ("y", y), ("p", p), ("p", q), ("p", p)):
+            _accumulate(out, key, value, -k)
+        assert out["x"].ints == out["y"].ints == (0, 0, 0, 0, 1) and out["p"].terms == {}
 
 
 # -- printing from the ints and the rational inverse, against the Fraction forms -------

@@ -201,6 +201,34 @@ def _reference_lie(omega, field):
     return omega._like(out)
 
 
+def _reference_interior(omega, field):
+    """i_u omega by Poly products merged term by term, an oracle independent of the form accumulator."""
+    out = {}
+    for (axes, index), poly in omega.terms.items():
+        for t, axis in enumerate(axes):
+            u_comp = field[axis]
+            if not u_comp.is_zero():
+                _accumulate(out, (axes[:t] + axes[t + 1:], index), u_comp * poly, (-1) ** t)
+    return ValuedForm._trusted((omega.dim, max(omega.degree - 1, 0), omega.fibre), out)
+
+
+def test_interior_matches_poly_products():
+    rng = SplitMix64(125)
+    for dim in (2, 3, 4):
+        for degree in range(dim + 1):
+            for _ in range(3):
+                omega = random_form(rng, dim, degree)
+                u = random_field(rng, dim)
+                u[rng.randint(0, dim - 1)] = Poly(dim)  # a field with a zero component
+                for field in (u, [Poly(dim)] * dim):
+                    got, want = omega.interior(field), _reference_interior(omega, field)
+                    assert got == want and str(got) == str(want)
+                    _assert_canonical(got)
+    # i_u (dx^dy + dx^dz) for u = (0, x, -x) is -(x - x) dx: the two terms cancel inside one accumulator
+    cancelled = Form(3, 2, {(0, 1): const(3), (0, 2): const(3)}).interior([Poly(3), x_(3), -x_(3)])
+    assert cancelled.terms == {} and cancelled.shape == (3, 1, SCALAR)
+
+
 def test_cartan_formula():
     rng = SplitMix64(104)
     for dim in (2, 3, 4):
@@ -707,6 +735,10 @@ FNFORMS_REFUSALS = [
         "no wedge product of a matrix-valued form (fibre size 2) and a vector-valued form (fibre size 3)",
     ),
     (lambda: covariant_differential(MatrixForm(2, 1, 2), VectorForm(3, 0, 2)), ChartError, "wedge across different charts"),
+    # i_u and L_u check the field against the form's chart before any product
+    (lambda: Form(2, 1, {(0,): x_(2)}).interior([Poly(3), x_(3)]), ChartError, "dimension mismatch: 3 vs 2"),
+    (lambda: Form(2, 1, {(0,): x_(2)}).interior([x_(2)]), ChartError, "dimension mismatch: 1 vs 2"),
+    (lambda: Form(3, 0, {(): Poly.var(3, 2)}).lie([x_(2), Poly(2)]), ChartError, "dimension mismatch: 2 vs 3"),
 ]
 
 
