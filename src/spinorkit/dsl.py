@@ -208,7 +208,7 @@ _FUNCTIONS = {
     "g": (spintensor.g_pairing, ScaledTensor, ScaledTensor),
     "gamma": (diracw.gamma, ScaledTensor),
     "fnb": (fnforms.fn_bracket, ValuedForm, ValuedForm),
-    "d": (fnforms.ext_derivative, ValuedForm),
+    "d": (ValuedForm.d, ValuedForm),
     "lie": (fnforms.lie_derivative, ValuedForm, ValuedForm),
     "curv": (fnforms.curvature, ValuedForm),
     "bianchi": (fnforms.bianchi_residual, ValuedForm),
@@ -262,6 +262,7 @@ class Parser:
         self.env = env
         self.depth = depth
         self.statement_depth = depth + 1  # the depth of a statement's expression, outside every bracket
+        self.bit_budget = _coeff_bit_budget()  # read once per program, not once per call_kernel
 
     # -- cursor helpers ---------------------------------------------------------
 
@@ -319,7 +320,6 @@ class Parser:
             result = fn(*args)
         except (ValueError, ZeroDivisionError) as exc:
             raise DslError(f"{type(exc).__name__}: {exc}", tok.line, tok.col) from None
-        budget = _coeff_bit_budget()
         if type(result) is Scalar:  # most results, and the cheapest to measure
             terms, ints = 1, result.ints
         else:
@@ -328,13 +328,13 @@ class Parser:
             terms, ints = len(coefficients), [x for c in coefficients for x in c.ints]
             # an exponent prints as a decimal int too, so it is held to the same budget
             bits = max(exponents, default=0).bit_length()
-            if bits > budget:
-                self.error(f"result with a {bits}-bit exponent is over the budget of {budget} bits", tok)
+            if bits > self.bit_budget:
+                self.error(f"result with a {bits}-bit exponent is over the budget of {self.bit_budget} bits", tok)
         if terms > MAX_TERMS:
             self.error(f"result of {terms} terms is over the budget of {MAX_TERMS}", tok)
         bits = max(map(int.bit_length, ints), default=0)
-        if bits > budget:
-            self.error(f"result with a {bits}-bit coefficient is over the budget of {budget} bits", tok)
+        if bits > self.bit_budget:
+            self.error(f"result with a {bits}-bit coefficient is over the budget of {self.bit_budget} bits", tok)
         return result
 
     def _starts_statement(self) -> bool:
@@ -501,9 +501,11 @@ class Parser:
         for position, (arg, kind) in enumerate(zip(args, kinds), 1):
             if not isinstance(arg, kind):
                 self.error(f"{name}() argument {position} must be {_kind_name(kind)}, got {type(arg).__name__}", tok)
-        # call the kernel through its module's binding, so that a rebound name (a tracer's wrapper) runs
-        fn = getattr(sys.modules.get(fn.__module__), fn.__name__, fn)
-        return self.call_kernel(tok, fn, *args)
+        # call the kernel through its binding in its module (or class), so that a rebound name runs; else as is
+        bound = sys.modules.get(fn.__module__)
+        for attr in fn.__qualname__.split("."):
+            bound = getattr(bound, attr, None)
+        return self.call_kernel(tok, bound or fn, *args)
 
     # -- literals -----------------------------------------------------------------
 

@@ -268,6 +268,7 @@ class ValuedForm(Combination):
         return _sum_form((_add_wedge, self, other))
 
     def d(self) -> "ValuedForm":
+        """Exterior differential of a scalar-, vector- or matrix-valued form."""
         return _sum_form((_add_d, self))
 
     def interior(self, field) -> "ValuedForm":
@@ -507,11 +508,6 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
 
 
 # -- gauge calculus ------------------------------------------------------------
-
-
-def ext_derivative(omega: ValuedForm) -> ValuedForm:
-    """Exterior differential of a scalar-, vector- or matrix-valued form."""
-    return _sum_form((_add_d, omega))
 
 
 def lie_derivative(field: ValuedForm, omega: ValuedForm) -> ValuedForm:

@@ -11,7 +11,9 @@ totally positive unit left over.  Returns None when the equation has no
 solution in the field, which happens exactly when the target is not totally
 positive or some rational prime p = 7 mod 8 divides its norm to an odd
 power; that verdict is exact, not a search cutoff.
-A broken internal invariant raises ArithmeticError.
+A broken internal invariant raises ArithmeticError.  Each prime's split and
+lift are memoized in LRU tables of PRIME_CACHE_SIZE entries; this is exact,
+since each is a pure function of the prime, and no exception is cached.
 
 The rational arithmetic underneath is self-contained.  The absolute norm is
 factored by trial division by the primes below 1000, a perfect-power test and
@@ -31,6 +33,7 @@ remainder 0; the gcds, and so the printed spinors, depend on that order.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Optional, Tuple
 
@@ -49,6 +52,8 @@ S2_FUND: S2 = (1, 1)  # 1 + sqrt2, the fundamental unit (norm -1)
 # x86_64 machine under Python 3.11.  With near certainty that splits off every
 # prime factor below 10^9 but the largest; larger ones may exhaust it.
 FACTOR_BUDGET = 1 << 20
+# Entries kept by each per-prime memo (_sqrt2_primes_above, _lift_prime).
+PRIME_CACHE_SIZE = 1024
 
 
 class FactorBudgetError(ValueError):
@@ -302,10 +307,6 @@ def z8_from_s2(m: S2) -> Z8:
     return (m[0], m[1], 0, -m[1])
 
 
-def z8_from_int(n: int) -> Z8:
-    return (n, 0, 0, 0)
-
-
 def _least_remainder(r: Z8, b: Z8) -> Tuple[int, Tuple[int, int, int, int], Z8]:
     """(norm, off, r - sum off[k] * z^k * b): the first off in (0, -1, 1)^4, in
     product order, whose remainder has the least absolute norm; a remainder 0
@@ -448,17 +449,18 @@ def _normalize_totally_positive(pi: S2) -> S2:
     return pi
 
 
-def _sqrt2_primes_above(p: int) -> list:
-    """The primes of Z[sqrt2] above a rational prime, as a deterministic list."""
+@lru_cache(maxsize=PRIME_CACHE_SIZE)
+def _sqrt2_primes_above(p: int) -> Tuple[S2, ...]:
+    """The primes of Z[sqrt2] above a rational prime, in a deterministic order."""
     if p == 2:
-        return [S2_SQRT2]
+        return (S2_SQRT2,)
     if p % 8 in (1, 7):
-        t = _sqrt_mod(2, p)
-        pi = s2_gcd((p, 0), (t, -1))
-        return [pi, s2_conj(pi)]
-    return [(p, 0)]
+        pi = s2_gcd((p, 0), (_sqrt_mod(2, p), -1))
+        return (pi, s2_conj(pi))
+    return ((p, 0),)
 
 
+@lru_cache(maxsize=PRIME_CACHE_SIZE)
 def _lift_prime(pi: S2, p: int) -> Z8:
     """An element sigma of Z[zeta8] with sigma * conj(sigma) = pi times a unit.
 
@@ -467,12 +469,9 @@ def _lift_prime(pi: S2, p: int) -> Z8:
     totally positive, so a square; solve_norm_s2 takes its root at the end.
     """
     if p % 4 == 1:
-        r: Z8 = z8_from_int(_sqrt_mod(p - 1, p))
-    else:
-        # p = 3 mod 8: the residue field is F_{p^2}; -1/2 is a square mod p
-        inv2 = pow(2, -1, p)
-        b = _sqrt_mod(-inv2, p)
-        r = z8_from_s2((0, b))
+        r: Z8 = (_sqrt_mod(p - 1, p), 0, 0, 0)
+    else:  # p = 3 mod 8: the residue field is F_{p^2}; -1/2 is a square mod p
+        r = z8_from_s2((0, _sqrt_mod(-pow(2, -1, p), p)))
     sigma = z8_gcd(z8_from_s2(pi), z8_sub(r, Z8_I))
     ratio = s2_divides_exactly(z8_relative_norm(sigma), pi)
     if ratio is None or abs(s2_norm(ratio)) != 1:
@@ -483,7 +482,10 @@ def _lift_prime(pi: S2, p: int) -> Z8:
 def solve_norm_s2(m: S2) -> Optional[Z8]:
     """x in Z[zeta8] with x * conj(x) = m, or None when no solution exists.
 
-    Raises FactorBudgetError when the norm of m is too hard to factor.
+    Raises FactorBudgetError when the norm of m is too hard to factor; no
+    exception is cached, that one included.  Each prime's split and lift are
+    memoized (PRIME_CACHE_SIZE entries each); both are pure functions of the
+    prime, so x does not depend on what was solved before.
     """
     if m == (0, 0):
         return (0, 0, 0, 0)

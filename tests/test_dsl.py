@@ -1,6 +1,7 @@
 """DSL parsing, evaluation and canonical round-trips."""
 
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -659,9 +660,10 @@ def test_mutated_programs_are_evaluated_or_refused(text):
 
 
 def test_call_table_kernels_are_their_module_bindings():
-    # a call looks its kernel up in the kernel's module, which must find the table's own callable
+    # a call looks its kernel up in the kernel's module (a method in its class
+    # there), which must find the table's own callable
     for name, (fn, *_kinds) in dsl._FUNCTIONS.items():
-        assert getattr(sys.modules[fn.__module__], fn.__name__) is fn, name
+        assert functools.reduce(getattr, fn.__qualname__.split("."), sys.modules[fn.__module__]) is fn, name
 
 
 TRACED_CALLS = [

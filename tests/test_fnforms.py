@@ -23,7 +23,6 @@ from spinorkit.fnforms import (
     bianchi_residual,
     covariant_differential,
     curvature,
-    ext_derivative,
     fn_bracket,
     lie_derivative,
     vector_field,
@@ -125,13 +124,13 @@ def test_poly_ring_and_derivative():
 def test_d_textbook_examples():
     # d(x dy) = dx /\ dy
     omega = Form(2, 1, {(1,): x_(2)})
-    assert ext_derivative(omega) == Form(2, 2, {(0, 1): const(2)})
+    assert omega.d() == Form(2, 2, {(0, 1): const(2)})
     # top degree goes to zero
     top = Form(2, 2, {(0, 1): const(2)})
-    assert ext_derivative(top).is_zero()
+    assert top.d().is_zero()
     # d(x^2 y dx) = -x^2 dx /\ dy: the dy slips past dx with one transposition
     omega = Form(2, 1, {(0,): P(2, {(2, 1): 1})})
-    assert ext_derivative(omega) == Form(2, 2, {(0, 1): P(2, {(2, 0): -1})})
+    assert omega.d() == Form(2, 2, {(0, 1): P(2, {(2, 0): -1})})
 
 
 def test_d_squared_is_zero():
@@ -686,7 +685,7 @@ def test_kind_mismatches_raise_chart_error():
         lambda: matrix.wedge(scalar),
         lambda: vector.wedge(matrix),
         lambda: matrix.wedge(MatrixForm(2, 1, 3, {})),
-        lambda: ext_derivative(tangent),
+        lambda: tangent.d(),
         lambda: fn_bracket(scalar, tangent),
         lambda: fn_bracket(tangent, matrix),
         lambda: curvature(scalar),

@@ -12,11 +12,16 @@ from hypothesis import strategies as st
 from sympy.ntheory import sqrt_mod
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
+from spinorkit.dsl import eval_program
 from spinorkit.exactfield import Scalar
 from spinorkit.normsolve import (
+    PRIME_CACHE_SIZE,
     FactorBudgetError,
     _is_prime,
+    _lift_prime,
+    _normalize_totally_positive,
     _prime_factors,
+    _sqrt2_primes_above,
     _sqrt_mod,
     _strong_lucas_prp,
     _strong_prp,
@@ -362,3 +367,77 @@ def test_solve_norm_s2_golden_associates():
     outs = [solve_norm_s2(m) for m in golden_targets()]
     assert 100 < sum(x is None for x in outs) < 300
     assert hashlib.sha256(repr(outs).encode()).hexdigest() == SOLVE_NORM_GOLDEN
+
+
+# -- the per-prime memos ---------------------------------------------------------
+
+MEMOS = (_sqrt2_primes_above, _lift_prime)
+
+
+def clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def lift_arguments(p):
+    """The (pi, p) that solve_norm_s2 may pass to _lift_prime for the rational prime p."""
+    if p == 2 or p % 8 == 7:
+        return []
+    return [(_normalize_totally_positive(pi), p) for pi in _sqrt2_primes_above(p)]
+
+
+def test_prime_memos_equal_their_originals():
+    clear_memos()
+    # every prime above 20,000 that the golden targets or the big primes lift
+    large = set(BIG_PRIMES + [P20, Q20])
+    for m in golden_targets():
+        if s2_totally_positive(m):
+            large |= {p for p in _prime_factors(s2_norm(m)) if p >= 20000}
+    for p in [*sympy.primerange(2, 20000), *sorted(large)]:
+        want = _sqrt2_primes_above.__wrapped__(p)
+        assert type(want) is tuple and _sqrt2_primes_above(p) == want and _sqrt2_primes_above(p) == want, p
+        for args in lift_arguments(p):
+            want = _lift_prime.__wrapped__(*args)
+            assert _lift_prime(*args) == want and _lift_prime(*args) == want, args  # a miss, then a hit
+    assert all(memo.cache_info().hits > PRIME_CACHE_SIZE for memo in MEMOS)
+
+
+def test_golden_associates_do_not_depend_on_memo_state():
+    clear_memos()
+    outs = [solve_norm_s2(m) for m in reversed(golden_targets())][::-1]
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == SOLVE_NORM_GOLDEN
+
+
+def test_prime_memos_stay_within_their_bound():
+    clear_memos()
+    primes = (p for p in sympy.primerange(3, 10**6) if p % 8 != 7)
+    for p in itertools.islice(primes, 2 * PRIME_CACHE_SIZE):
+        for args in lift_arguments(p):
+            _lift_prime(*args)
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.misses > info.maxsize == PRIME_CACHE_SIZE >= info.currsize, (memo, info)
+
+
+def nulldec_program(seed, count):
+    """count nulldec statements of u (x) ubar, u with Z[zeta8] coordinates up to 700."""
+    rng = SplitMix64(seed)
+    statements = []
+    for _ in range(count):
+        a, b = (z8_to_scalar(random_z8(rng, 700)) for _ in range(2))
+        statements.append(f"let a = {a}\nlet b = {b}\nnulldec((a*e1 + b*e2) * (conj(a)*eb1 + conj(b)*eb2))")
+    return "\n".join(statements)
+
+
+def test_nulldec_prints_the_same_cold_and_warm():
+    program = nulldec_program(26, 40)
+    clear_memos()
+    cold = eval_program(program)
+    # warm up on other targets, then on the program itself
+    for m in golden_targets():
+        solve_norm_s2(m)
+    eval_program(nulldec_program(27, 40))
+    hits = _lift_prime.cache_info().hits
+    assert eval_program(program) == cold
+    assert eval_program(program) == cold
+    assert len(cold) == 40 and _lift_prime.cache_info().hits > hits
