@@ -17,11 +17,10 @@ product add their terms into one accumulator {(axes, fibre index):
 denominator, the rule of ``exactfield._dot``, and `_poly_form` reduces each
 coefficient once and builds each component Poly once.  On top of that sit:
 
-* exterior differential, interior product and the wedge product with its
-  fibre product rule,
-* Lie derivative along a polynomial vector field by Cartan's formula
-  L_u = d i_u + i_u d in one accumulator (the coordinate formula is the test
-  reference),
+* exterior differential, the wedge product with its fibre product rule, and
+  the insertion i_K w = K^j_I dx^I /\\ i_{d_j} w of a tangent-valued k-form K
+  (a vector field is k = 0), with the Lie derivative L_K = [i_K, d] =
+  i_K d - (-1)^(k-1) d i_K in one accumulator, so L_[K,L] = [L_K, L_L],
 * the Frolicher-Nijenhuis bracket of tangent-valued forms via the five-term
   rule on decomposables, with each wedge sign from the axis-merge parity and
   each partial derivative computed once per call,
@@ -271,21 +270,9 @@ class ValuedForm(Combination):
         """Exterior differential of a scalar-, vector- or matrix-valued form."""
         return _sum_form((_add_d, self))
 
-    def interior(self, field) -> "ValuedForm":
-        """Contraction of a scalar form with a polynomial vector field (list of dim polynomials)."""
-        return _sum_form((_add_interior, self, field))
-
-    def lie(self, field) -> "ValuedForm":
-        """Lie derivative of a scalar form along a polynomial vector field: Cartan's L_u = [i_u, d]."""
-        _require(self, ("scalar",), "lie")
-        return _sum_form((_add_interior, self.d(), field), (_add_d, self.interior(field)))
-
-    def field_components(self):
-        """For a degree-0 tangent form: the dim polynomial components."""
-        _require(self, ("tangent",), "field_components")
-        if self.degree != 0:
-            raise ChartError("not a vector field")
-        return [self.terms.get(((), (j,)), Poly(self.dim)) for j in range(self.dim)]
+    def interior(self, k_form: "ValuedForm") -> "ValuedForm":
+        """i_K of a scalar form for a tangent-valued k-form K on its chart; a vector field is k = 0."""
+        return _sum_form((_add_interior, self, k_form))
 
     def __str__(self) -> str:
         kind, size = self.fibre
@@ -337,8 +324,8 @@ def _add_wedge(out: dict, left: ValuedForm, right: ValuedForm, sign: int = 1) ->
     return dim, left.degree + right.degree, fibre
 
 
-def _add_d(out: dict, form: ValuedForm) -> tuple:
-    """Add d form into the accumulator `out` of a form; returns the shape of d form."""
+def _add_d(out: dict, form: ValuedForm, sign: int = 1) -> tuple:
+    """Add sign * d form into the accumulator `out` of a form; returns the shape of d form."""
     _require(form, _DIFFERENTIABLE, "d")
     dim, degree, fibre = form.shape
     one = [((0,) * dim, (1, 0, 0, 0, 1))]  # the raw items of the polynomial 1: d adds d_j p * 1
@@ -346,25 +333,33 @@ def _add_d(out: dict, form: ValuedForm) -> tuple:
         items = _raw(poly.terms)
         for j in range(dim):
             if j not in axes:
-                sign, new_axes = _merge_axes((j,), axes)
-                _add_product(out.setdefault((new_axes, index), {}), _partial(items, j), one, sign)
+                merged_sign, new_axes = _merge_axes((j,), axes)
+                _add_product(out.setdefault((new_axes, index), {}), _partial(items, j), one, sign * merged_sign)
     return dim, degree + 1, fibre
 
 
-def _add_interior(out: dict, form: ValuedForm, field) -> tuple:
-    """Add i_u form into the accumulator `out` of a form, u a list of dim polynomials; returns the shape of i_u form."""
+def _add_interior(out: dict, form: ValuedForm, k_form: ValuedForm) -> tuple:
+    """Add i_K form = K^j_I dx^I /\\ i_{d_j} form into the accumulator `out`; returns the shape of i_K form.
+
+    Contracting d_j with the axis in slot t adds (-1)^t; dx^I meets the axes left by `_merge_axes`.
+    """
     _require(form, ("scalar",), "interior")
+    _require(k_form, ("tangent",), "i_K")
     dim, degree, fibre = form.shape
-    field_dim = next((p.dim for p in field if p.dim != dim), len(field))
-    if field_dim != dim:
-        raise ChartError(f"dimension mismatch: {field_dim} vs {dim}")
-    u = [_raw(p.terms) for p in field]
+    if k_form.dim != dim:
+        raise ChartError(f"dimension mismatch: {k_form.dim} vs {dim}")
+    by_axis: Dict[int, list] = {}  # K's components by output axis j: (I, raw items of K^j_I)
+    for (k_axes, (j,)), poly in k_form.terms.items():
+        by_axis.setdefault(j, []).append((k_axes, _raw(poly.terms)))
     for (axes, index), poly in form.terms.items():
         items = _raw(poly.terms)
         for t, axis in enumerate(axes):
-            if u[axis]:  # contracting the axis in slot t moves it past t others
-                _add_product(out.setdefault((axes[:t] + axes[t + 1:], index), {}), u[axis], items, (-1) ** t)
-    return dim, max(degree - 1, 0), fibre
+            rest = axes[:t] + axes[t + 1:]
+            for k_axes, k_items in by_axis.get(axis, ()):
+                merged = _merge_axes(k_axes, rest)
+                if merged is not None:
+                    _add_product(out.setdefault((merged[1], index), {}), k_items, items, merged[0] * (-1) ** t)
+    return dim, max(degree + k_form.degree - 1, 0), fibre
 
 
 def _poly_form(shape: tuple, out: Dict[Key, dict]) -> ValuedForm:
@@ -510,11 +505,10 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
 # -- gauge calculus ------------------------------------------------------------
 
 
-def lie_derivative(field: ValuedForm, omega: ValuedForm) -> ValuedForm:
-    """Lie derivative of a scalar form along a vector field (degree-0 tangent form)."""
-    _require(field, ("tangent",), "lie")
-    _require(omega, ("scalar",), "lie")
-    return omega.lie(field.field_components())
+def lie_derivative(k_form: ValuedForm, omega: ValuedForm) -> ValuedForm:
+    """L_K omega = i_K d omega - (-1)^(k-1) d i_K omega for a tangent-valued k-form K (Cartan's formula at k = 0)."""
+    inner = omega.interior(k_form)  # checks K and its chart before d omega is taken
+    return _sum_form((_add_interior, omega.d(), k_form), (_add_d, inner, (-1) ** k_form.degree))
 
 
 def covariant_differential(a: ValuedForm, phi: ValuedForm) -> ValuedForm:

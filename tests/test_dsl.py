@@ -309,6 +309,9 @@ FORM_ROWS = [
     ('d(m1)', 0, 'mform deg=2 dim=2 fibre=2 { dx^dy : [[poly "0", poly "-1"], [poly "0", poly "0"]] }\n'),
     ('lie(t0, f0)', 0, 'form deg=0 dim=2 { 1 : poly "(2)*x*y" }\n'),
     ('lie(t0, f1)', 0, 'form deg=1 dim=2 { dx : poly "y^2"; dy : poly "x*y" }\n'),
+    # along a tangent 1-form, L_K = i_K d - d i_K: i_K d(f1) = 0 and d i_K f1 = d(2x dx) = 0; i_K dy = x dx
+    ('lie(t1, f1)', 0, 'form deg=2 dim=2 {  }\n'),
+    ('lie(t1, form deg=0 dim=2 { 1 : poly "y" })', 0, 'form deg=1 dim=2 { dx : poly "x" }\n'),
     ('fnb(t1, t0)', 0, 'form deg=1 dim=2 { dx -> axis x : poly "x"; dx -> axis y : poly "-y"; dy -> axis y : poly "-x" }\n'),
     ('fnb(t0, t0)', 0, 'form deg=0 dim=2 {  }\n'),
     ('curv(m1)', 0, 'mform deg=2 dim=2 fibre=2 { dx^dy : [[poly "0", poly "-1"], [poly "0", poly "0"]] }\n'),
@@ -337,7 +340,6 @@ FORM_ROWS = [
     ('lie(t0, m1)', 2, ''),
     ('lie(t0, v0)', 2, ''),
     ('lie(f0, f1)', 2, ''),
-    ('lie(t1, f1)', 2, ''),
     ('bianchi(f1)', 2, ''),
     ('f1 + t1', 2, ''),
     ('f1 + m1', 2, ''),

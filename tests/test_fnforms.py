@@ -200,32 +200,58 @@ def _reference_lie(omega, field):
     return omega._like(out)
 
 
-def _reference_interior(omega, field):
-    """i_u omega by Poly products merged term by term, an oracle independent of the form accumulator."""
-    out = {}
-    for (axes, index), poly in omega.terms.items():
-        for t, axis in enumerate(axes):
-            u_comp = field[axis]
-            if not u_comp.is_zero():
-                _accumulate(out, (axes[:t] + axes[t + 1:], index), u_comp * poly, (-1) ** t)
-    return ValuedForm._trusted((omega.dim, max(omega.degree - 1, 0), omega.fibre), out)
+def _reference_interior(omega, k_form):
+    """i_K omega as the sum of K^j_I dx^I /\\ i_{d_j} omega, each i_{d_j} omega by Poly signs alone.
+
+    An oracle independent of the insertion kernel: it contracts one coordinate
+    field at a time and wedges with the one-term form K^j_I dx^I.
+    """
+    dim, p, k = omega.dim, omega.degree, k_form.degree
+    out = Form(dim, max(p + k - 1, 0))
+    for (k_axes, (j,)), k_poly in k_form.terms.items():
+        contracted = {}  # i_{d_j} omega: the axis j in slot t leaves with (-1)^t
+        for (axes, index), poly in omega.terms.items():
+            if j in axes:
+                t = axes.index(j)
+                _accumulate(contracted, (axes[:t] + axes[t + 1:], index), poly, (-1) ** t)
+        if contracted:
+            out += Form(dim, k, {k_axes: k_poly}).wedge(ValuedForm._trusted((dim, p - 1, SCALAR), contracted))
+    return out
+
+
+def identity_form(dim):
+    """The tangent 1-form sum_j dx^j (x) d_j, the identity of the tangent bundle."""
+    return TangentForm(dim, 1, {((j,), j): const(dim) for j in range(dim)})
 
 
 def test_interior_matches_poly_products():
     rng = SplitMix64(125)
+    nonzero = 0
     for dim in (2, 3, 4):
         for degree in range(dim + 1):
-            for _ in range(3):
-                omega = random_form(rng, dim, degree)
-                u = random_field(rng, dim)
-                u[rng.randint(0, dim - 1)] = Poly(dim)  # a field with a zero component
-                for field in (u, [Poly(dim)] * dim):
-                    got, want = omega.interior(field), _reference_interior(omega, field)
-                    assert got == want and str(got) == str(want)
-                    _assert_canonical(got)
+            for k in range(dim + 1):
+                for _ in range(2):
+                    omega = random_form(rng, dim, degree)
+                    if k == 0:
+                        u = random_field(rng, dim)
+                        u[rng.randint(0, dim - 1)] = Poly(dim)  # a field with a zero component
+                        k_form = vector_field(dim, u)
+                    else:
+                        k_form = random_tangent(rng, dim, k)
+                    for kk in (k_form, TangentForm(dim, k)):
+                        got, want = omega.interior(kk), _reference_interior(omega, kk)
+                        assert got == want and str(got) == str(want)
+                        assert got.shape == (dim, max(degree + k - 1, 0), SCALAR)
+                        _assert_canonical(got)
+                        nonzero += k > 0 and not got.is_zero()
+    assert nonzero >= 20
     # i_u (dx^dy + dx^dz) for u = (0, x, -x) is -(x - x) dx: the two terms cancel inside one accumulator
-    cancelled = Form(3, 2, {(0, 1): const(3), (0, 2): const(3)}).interior([Poly(3), x_(3), -x_(3)])
+    cancelled = Form(3, 2, {(0, 1): const(3), (0, 2): const(3)}).interior(vector_field(3, [Poly(3), x_(3), -x_(3)]))
     assert cancelled.terms == {} and cancelled.shape == (3, 1, SCALAR)
+    # the identity tangent 1-form inserts a p-form into p times itself
+    for degree in range(4):
+        omega = random_form(rng, 3, degree)
+        assert omega.interior(identity_form(3)) == omega.scaled(degree)
 
 
 def test_cartan_formula():
@@ -234,17 +260,56 @@ def test_cartan_formula():
         for degree in range(dim + 1):
             omega = random_form(rng, dim, degree)
             u = random_field(rng, dim)
-            lie, reference = omega.lie(u), _reference_lie(omega, u)
+            lie, reference = lie_derivative(vector_field(dim, u), omega), _reference_lie(omega, u)
             assert lie == reference and str(lie) == str(reference)
+    # L_I = [i_I, d] = d for the identity tangent 1-form I
+    for degree in range(4):
+        omega = random_form(rng, 3, degree)
+        assert lie_derivative(identity_form(3), omega) == omega.d()
 
 
 def test_lie_is_a_derivation_of_wedge():
+    # L_K is a derivation of degree k: L_K(a /\ b) = L_K a /\ b + (-1)^(k deg a) a /\ L_K b
     rng = SplitMix64(105)
     for _ in range(10):
         a = random_form(rng, 3, 1)
         b = random_form(rng, 3, 1)
-        u = random_field(rng, 3)
-        assert a.wedge(b).lie(u) == a.lie(u).wedge(b) + a.wedge(b.lie(u))
+        u = vector_field(3, random_field(rng, 3))
+        assert lie_derivative(u, a.wedge(b)) == lie_derivative(u, a).wedge(b) + a.wedge(lie_derivative(u, b))
+    for k in (1, 2):
+        for r in range(3 - k):
+            a, b, kk = random_form(rng, 3, r), random_form(rng, 3, 1), random_tangent(rng, 3, k)
+            lhs = lie_derivative(kk, a.wedge(b))
+            assert lhs == lie_derivative(kk, a).wedge(b) + a.wedge(lie_derivative(kk, b)).scaled((-1) ** (k * r))
+
+
+# the (dim, k, l, p) shapes of the FN bracket's defining identity L_[K,L] = [L_K, L_L]
+FN_LIE_SHAPES = [(3, 1, 1, 1), (4, 1, 1, 1), (4, 1, 1, 2), (4, 2, 1, 1), (4, 1, 2, 0), (3, 0, 1, 1), (4, 2, 2, 0),
+                 (2, 1, 1, 0), (3, 1, 1, 0)]
+
+
+def test_fn_bracket_is_the_commutator_of_lie_derivatives():
+    # Kolar, Michor and Slovak (1993), section 8: [K, L] is the one bracket with
+    # L_[K,L] = L_K L_L - (-1)^(kl) L_L L_K; a constant factor c != 1 on fn_bracket
+    # scales the right side and fails wherever the left side is nonzero
+    nonzero = 0
+    for dim, k, l, p in FN_LIE_SHAPES:
+        tangent = Fibre("tangent", dim)
+        for seed in range(10):
+            rng = SplitMix64(seed)
+            kk = suite_random_form(rng, dim, k, tangent, sparse=True)
+            ll = suite_random_form(rng, dim, l, tangent, sparse=True)
+            omega = suite_random_form(rng, dim, p, SCALAR, sparse=True)
+            lhs = lie_derivative(kk, lie_derivative(ll, omega)) - lie_derivative(
+                ll, lie_derivative(kk, omega)
+            ).scaled((-1) ** (k * l))
+            bracket = fn_bracket(kk, ll)
+            assert lhs == lie_derivative(bracket, omega)
+            if not lhs.is_zero():
+                nonzero += 1
+                for factor in (Scalar(2), Scalar(0, 1), Scalar(-1)):
+                    assert lhs != lie_derivative(bracket.scaled(factor), omega)
+    assert nonzero >= 25
 
 
 # -- FN bracket -------------------------------------------------------------------
@@ -269,7 +334,7 @@ def test_fn_bracket_of_vector_fields_is_lie_bracket():
             bracket = fn_bracket(
                 vector_field(dim, u), vector_field(dim, v)
             )
-            assert bracket.field_components() == lie_bracket_oracle(u, v, dim)
+            assert bracket == vector_field(dim, lie_bracket_oracle(u, v, dim))
     # fnb(x d/dy, d/dx) = -d/dy
     xy = vector_field(2, [Poly(2), x_(2)])
     ddx = vector_field(2, [const(2), Poly(2)])
@@ -346,7 +411,7 @@ def _reference_fn_bracket(zeta, xi):
         return TangentForm(dim, r + s, comps).scaled(sign)
 
     def basis_field(axis):
-        return [Poly.const(dim, 1) if i == axis else Poly(dim) for i in range(dim)]
+        return vector_field(dim, [Poly.const(dim, 1) if i == axis else Poly(dim) for i in range(dim)])
 
     sign_r = (-1) ** r
     for (s_axes, (j,)), lam_poly in zeta.terms.items():
@@ -694,7 +759,8 @@ def test_kind_mismatches_raise_chart_error():
         lambda: covariant_differential(vector, vector),
         lambda: lie_derivative(field, matrix),
         lambda: lie_derivative(scalar, scalar),
-        lambda: vector.interior([x, x]),
+        lambda: vector.interior(field),
+        lambda: scalar.interior(matrix),
         lambda: scalar + tangent,
     ]
     for call in calls:
@@ -734,10 +800,18 @@ FNFORMS_REFUSALS = [
         "no wedge product of a matrix-valued form (fibre size 2) and a vector-valued form (fibre size 3)",
     ),
     (lambda: covariant_differential(MatrixForm(2, 1, 2), VectorForm(3, 0, 2)), ChartError, "wedge across different charts"),
-    # i_u and L_u check the field against the form's chart before any product
-    (lambda: Form(2, 1, {(0,): x_(2)}).interior([Poly(3), x_(3)]), ChartError, "dimension mismatch: 3 vs 2"),
-    (lambda: Form(2, 1, {(0,): x_(2)}).interior([x_(2)]), ChartError, "dimension mismatch: 1 vs 2"),
-    (lambda: Form(3, 0, {(): Poly.var(3, 2)}).lie([x_(2), Poly(2)]), ChartError, "dimension mismatch: 2 vs 3"),
+    # i_K and L_K check K against the form's chart before any product
+    (lambda: Form(2, 1, {(0,): x_(2)}).interior(vector_field(3, [Poly(3), x_(3)])), ChartError, "dimension mismatch: 3 vs 2"),
+    (
+        lambda: lie_derivative(vector_field(2, [x_(2), Poly(2)]), Form(3, 0, {(): Poly.var(3, 2)})), ChartError,
+        "dimension mismatch: 2 vs 3",
+    ),
+    # K is a tangent-valued form, never a list of component polynomials or a scalar form
+    (lambda: Form(2, 1, {(0,): x_(2)}).interior([x_(2), Poly(2)]), ChartError, "i_K is not defined for a list"),
+    (
+        lambda: Form(2, 1, {(0,): x_(2)}).interior(Form(2, 0, {(): x_(2)})), ChartError,
+        "i_K is not defined for a scalar-valued form",
+    ),
 ]
 
 
