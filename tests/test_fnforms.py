@@ -266,6 +266,17 @@ def test_cartan_formula():
     for degree in range(4):
         omega = random_form(rng, 3, degree)
         assert lie_derivative(identity_form(3), omega) == omega.d()
+    # Cartan's formula L_K = i_K d + (-1)^k d i_K, from the public d and interior alone, for K of every degree k
+    nonzero = 0
+    for dim in (2, 3, 4):
+        for k in range(1, dim + 1):
+            for degree in range(dim + 1):
+                for _ in range(3):
+                    k_form, omega = random_tangent(rng, dim, k), random_form(rng, dim, degree)
+                    lie = lie_derivative(k_form, omega)
+                    assert lie == omega.d().interior(k_form) + omega.interior(k_form).d().scaled((-1) ** k)
+                    nonzero += not lie.is_zero()
+    assert nonzero >= 20
 
 
 def test_lie_is_a_derivation_of_wedge():
@@ -463,6 +474,31 @@ def test_fn_bracket_golden_digest():
     for _, zeta, xi in bracket_pairs(2011, 300):
         digest.update(str(fn_bracket(zeta, xi)).encode() + b"\n")
     assert digest.hexdigest() == "409d5ddf0d5aa07be106319075df9a071b01832e9d75b99ca3cc6cb2710ff3c1"
+
+
+def lie_pairs(seed):
+    """(K, w) for seeded sparse suite draws in dims 1-4: ten pairs for every degree k of K and p of w."""
+    rng = SplitMix64(seed)
+    for dim in range(1, 5):
+        tangent = Fibre("tangent", dim)
+        for k in range(dim + 1):
+            for p in range(dim + 1):
+                for _ in range(10):
+                    yield suite_random_form(rng, dim, k, tangent, sparse=True), suite_random_form(
+                        rng, dim, p, SCALAR, sparse=True
+                    )
+
+
+def test_lie_derivative_golden_digest():
+    # sha256 of the printed L_K w, recorded from Cartan's formula i_K d w + (-1)^k d i_K w
+    digest = hashlib.sha256()
+    nonzero = 0
+    for k_form, omega in lie_pairs(2011):
+        lie = lie_derivative(k_form, omega)
+        digest.update(str(lie).encode() + b"\n")
+        nonzero += not lie.is_zero()
+    assert nonzero >= 60
+    assert digest.hexdigest() == "425f64df3d5f99cc59d9b819adc3912dd59b00307785b62a00c8788e8220ba8b"
 
 
 def test_suite_tangent_form_draws_golden_digest():
