@@ -9,7 +9,7 @@ A program is a sequence of statements:
 
 Scalar literals are ordinary arithmetic over the constants `i` and `r2`
 (so `1-3/2*i` is exact), `^` is the exterior/wedge product, `|` the interior
-product, a trailing `'` dualizes a fock state.  Every value prints in its
+product (`K | w` is i_K w on forms), a trailing `'` dualizes a fock state.  Every value prints in its
 canonical form, and literals round-trip bit-exactly through their printers.
 The parser alone decides where a statement ends: outside every bracket, a
 '+' or '-' that opens a line starts the next statement, and so does a '('
@@ -757,6 +757,8 @@ def _wedge(a, b):
 def _interior(a, b):
     if isinstance(a, FockState) and isinstance(b, FockState):
         return fockalg.interior_product(a, b)
+    if isinstance(a, ValuedForm) and isinstance(b, ValuedForm):
+        return b.interior(a)
 
 
 _BINARY = {"+": _alike(operator.add), "-": _alike(operator.sub), "*": _mul, "/": _div, "^": _wedge, "|": _interior}

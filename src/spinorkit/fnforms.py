@@ -19,11 +19,11 @@ coefficient once and builds each component Poly once.  On top of that sit:
 
 * exterior differential, the wedge product with its fibre product rule, and
   the insertion i_K w = K^j_I dx^I /\\ i_{d_j} w of a tangent-valued k-form K
-  (a vector field is k = 0), with the Lie derivative L_K = [i_K, d] =
-  i_K d - (-1)^(k-1) d i_K in one accumulator, so L_[K,L] = [L_K, L_L],
-* the Frolicher-Nijenhuis bracket of tangent-valued forms via the five-term
-  rule on decomposables, with each wedge sign from the axis-merge parity and
-  each partial derivative computed once per call,
+  (a vector field is k = 0),
+* one coordinate rule for the Lie derivative, L_K w = K^j /\\ d_j w +
+  (-1)^k dK^j /\\ i_{d_j} w (Cartan's [i_K, d]), the fibre index of w riding
+  along, and from it the Frolicher-Nijenhuis bracket of tangent-valued forms,
+  [K, L] = L_K L - (-1)^(kl) L_L K, so that L_[K,L] = [L_K, L_L],
 * covariant differential d_A = d + A /\\ . , curvature F = dA + A /\\ A, and the
   Bianchi residual dF + A /\\ F - F /\\ A which must vanish identically; each
   sum of kernels shares one accumulator.
@@ -48,7 +48,7 @@ class ChartError(ValueError):
 
 
 class DegreeOverflowError(ValueError):
-    """Requested form degree exceeds the chart dimension."""
+    """Requested form degree is negative or exceeds the chart dimension."""
 
 
 def _check_dim(dim: int):
@@ -338,16 +338,21 @@ def _add_d(out: dict, form: ValuedForm, sign: int = 1) -> tuple:
     return dim, degree + 1, fibre
 
 
+def _check_insertion(form, k_form):
+    """ChartError unless `form` is scalar-valued and `k_form` tangent-valued on the same chart."""
+    _require(form, ("scalar",), "interior")
+    _require(k_form, ("tangent",), "i_K")
+    if k_form.dim != form.dim:
+        raise ChartError(f"dimension mismatch: {k_form.dim} vs {form.dim}")
+
+
 def _add_interior(out: dict, form: ValuedForm, k_form: ValuedForm) -> tuple:
     """Add i_K form = K^j_I dx^I /\\ i_{d_j} form into the accumulator `out`; returns the shape of i_K form.
 
     Contracting d_j with the axis in slot t adds (-1)^t; dx^I meets the axes left by `_merge_axes`.
     """
-    _require(form, ("scalar",), "interior")
-    _require(k_form, ("tangent",), "i_K")
+    _check_insertion(form, k_form)
     dim, degree, fibre = form.shape
-    if k_form.dim != dim:
-        raise ChartError(f"dimension mismatch: {k_form.dim} vs {dim}")
     by_axis: Dict[int, list] = {}  # K's components by output axis j: (I, raw items of K^j_I)
     for (k_axes, (j,)), poly in k_form.terms.items():
         by_axis.setdefault(j, []).append((k_axes, _raw(poly.terms)))
@@ -360,6 +365,39 @@ def _add_interior(out: dict, form: ValuedForm, k_form: ValuedForm) -> tuple:
                 if merged is not None:
                     _add_product(out.setdefault((merged[1], index), {}), k_items, items, merged[0] * (-1) ** t)
     return dim, max(degree + k_form.degree - 1, 0), fibre
+
+
+def _parts(form: ValuedForm) -> list:
+    """(axes, fibre index, raw items, {axis i: raw items of the nonzero d_i}) for each component of `form`."""
+    axes_range = range(form.shape[0])
+    parts = []
+    for (axes, index), poly in form.terms.items():
+        items = _raw(poly.terms)
+        parts.append((axes, index, items, {i: d_i for i in axes_range if (d_i := _partial(items, i))}))
+    return parts
+
+
+def _add_lie(out: dict, k_parts: list, k_degree: int, parts: list, dim: int, sign: int = 1):
+    """Add sign * L_K w = K^j /\\ d_j w + (-1)^k dK^j /\\ i_{d_j} w into `out`, from the `_parts` of K and w.
+
+    Each K^j_I dx^I meets each p dx^J of w, whose fibre index rides along: K^j_I d_j p adds into
+    `_merge_axes(I, J)`, and where j sits in J at slot t, (-1)^t d_i K^j_I p into `_merge_axes((i,) + I, J - j)`.
+    """
+    sign_k = sign * (-1) ** k_degree
+    for k_axes, (j,), k_items, k_partials in k_parts:
+        for axes, index, items, partials in parts:
+            d_j = partials.get(j)
+            if d_j:
+                merged = _merge_axes(k_axes, axes)
+                if merged is not None:
+                    _add_product(out.setdefault((merged[1], index), {}), k_items, d_j, sign * merged[0])
+            if k_partials and j in axes:
+                t = axes.index(j)
+                rest, slot_sign = axes[:t] + axes[t + 1:], sign_k * (-1) ** t
+                for i, d_i in k_partials.items():
+                    merged = _merge_axes((i,) + k_axes, rest)
+                    if merged is not None:
+                        _add_product(out.setdefault((merged[1], index), {}), d_i, items, slot_sign * merged[0])
 
 
 def _poly_form(shape: tuple, out: Dict[Key, dict]) -> ValuedForm:
@@ -431,22 +469,11 @@ def MatrixForm(dim: int, degree: int, fibre: int, comps=None) -> ValuedForm:
 
 
 def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
-    """Frolicher-Nijenhuis bracket via the five-term rule on decomposables.
+    """Frolicher-Nijenhuis bracket [K, L] = L_K L - (-1)^(kl) L_L K of tangent-valued forms.
 
-    For decomposables l (x) u and m (x) v (u, v coordinate fields, so [u,v]
-    and the frame terms of L[u] vanish):
-
-        fnb = l /\\ (L[u] m) (x) v  -  (L[v] l) /\\ m (x) u
-              + (-1)^r (v | l) /\\ dm (x) u  +  (-1)^r dl /\\ (u | m) (x) v
-
-    The terms are expanded on the raw coefficients of the component
-    polynomials: each product sign * p * q is added into the accumulator of
-    the output component, and `_poly_form` reduces each coefficient once, at
-    the end.  The partial derivatives of every component are computed once
-    per call.  Every wedge sign comes from `_merge_axes` on the axes of the
-    two factors: l and m in terms 2 and 3, (v | l) and dx^i /\\ m in term 4
-    (dm is the sum of d_i m dx^i /\\ m), dx^i /\\ l and (u | m) in term 5.
-    Contracting the coordinate field of the axis in slot t of a form adds (-1)^t.
+    Each Lie derivative acts component by component, the output axis of its
+    argument riding along (Kolar, Michor and Slovak 1993, section 8).  Both add
+    into one accumulator from the `_parts` of each form, taken once per call.
     """
     _require(zeta, ("tangent",), "fn_bracket")
     _require(xi, ("tangent",), "fn_bracket")
@@ -455,50 +482,12 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
         raise ChartError("bracket across different charts")
     r, s = zeta.degree, xi.degree
     if r + s > dim:
-        raise DegreeOverflowError(
-            f"bracket degree {r}+{s} exceeds chart dimension {dim}"
-        )
-    axes_range = range(dim)
-
-    def components(form: ValuedForm):
-        """(axes, output axis, raw polynomial items, raw items of its dim partials) per component."""
-        out = []
-        for (axes, (out_axis,)), poly in form.terms.items():
-            items = _raw(poly.terms)
-            out.append((axes, out_axis, items, [_partial(items, i) for i in axes_range]))
-        return out
-
-    lams = components(zeta)
-    mus = lams if xi is zeta else components(xi)
+        raise DegreeOverflowError(f"bracket degree {r}+{s} exceeds chart dimension {dim}")
+    zeta_parts = _parts(zeta)
+    xi_parts = zeta_parts if xi is zeta else _parts(xi)
     out: Dict[Key, dict] = {}
-    sign_r = (-1) ** r
-    for s_axes, j, lam, d_lam in lams:
-        for t_axes, k, mu, d_mu in mus:
-            merged = _merge_axes(s_axes, t_axes)
-            if merged is not None:
-                sign, axes = merged
-                # term 2: l /\ (d_j m) (x) v
-                _add_product(out.setdefault((axes, (k,)), {}), lam, d_mu[j], sign)
-                # term 3: - (d_k l) /\ m (x) u
-                _add_product(out.setdefault((axes, (j,)), {}), d_lam[k], mu, -sign)
-            # term 4: (-1)^r (v | l) /\ dm (x) u
-            if k in s_axes:
-                t = s_axes.index(k)
-                rest = s_axes[:t] + s_axes[t + 1:]
-                for i in axes_range:
-                    merged = _merge_axes(rest, (i,) + t_axes)
-                    if merged is not None:
-                        sign, axes = merged
-                        _add_product(out.setdefault((axes, (j,)), {}), lam, d_mu[i], sign * sign_r * (-1) ** t)
-            # term 5: (-1)^r dl /\ (u | m) (x) v
-            if j in t_axes:
-                t = t_axes.index(j)
-                rest = t_axes[:t] + t_axes[t + 1:]
-                for i in axes_range:
-                    merged = _merge_axes((i,) + s_axes, rest)
-                    if merged is not None:
-                        sign, axes = merged
-                        _add_product(out.setdefault((axes, (k,)), {}), d_lam[i], mu, sign * sign_r * (-1) ** t)
+    _add_lie(out, zeta_parts, r, xi_parts, dim)
+    _add_lie(out, xi_parts, s, zeta_parts, dim, -((-1) ** (r * s)))
     return _poly_form((dim, r + s, Fibre("tangent", dim)), out)
 
 
@@ -506,9 +495,12 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
 
 
 def lie_derivative(k_form: ValuedForm, omega: ValuedForm) -> ValuedForm:
-    """L_K omega = i_K d omega - (-1)^(k-1) d i_K omega for a tangent-valued k-form K (Cartan's formula at k = 0)."""
-    inner = omega.interior(k_form)  # checks K and its chart before d omega is taken
-    return _sum_form((_add_interior, omega.d(), k_form), (_add_d, inner, (-1) ** k_form.degree))
+    """L_K omega of a scalar form for a tangent-valued k-form K; equal to i_K d omega - (-1)^(k-1) d i_K omega."""
+    _check_insertion(omega, k_form)
+    dim, degree, fibre = omega.shape
+    out: Dict[Key, dict] = {}
+    _add_lie(out, _parts(k_form), k_form.degree, _parts(omega), dim)
+    return _poly_form((dim, degree + k_form.degree, fibre), out)
 
 
 def covariant_differential(a: ValuedForm, phi: ValuedForm) -> ValuedForm:
