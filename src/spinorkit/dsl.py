@@ -9,8 +9,9 @@ A program is a sequence of statements:
 
 Scalar literals are ordinary arithmetic over the constants `i` and `r2`
 (so `1-3/2*i` is exact), `^` is the exterior/wedge product, `|` the interior
-product (`K | w` is i_K w on forms), a trailing `'` dualizes a fock state.  Every value prints in its
-canonical form, and literals round-trip bit-exactly through their printers.
+product (`K | w` is i_K w on forms), a trailing `'` dualizes a fock state.
+Every value prints in its canonical form, and literals round-trip
+bit-exactly through their printers.
 The parser alone decides where a statement ends: outside every bracket, a
 '+' or '-' that opens a line starts the next statement, and so does a '('
 that opens a line after a name.

@@ -377,7 +377,7 @@ def _parts(form: ValuedForm) -> list:
     return parts
 
 
-def _add_lie(out: dict, k_parts: list, k_degree: int, parts: list, dim: int, sign: int = 1):
+def _add_lie(out: dict, k_parts: list, k_degree: int, parts: list, sign: int = 1):
     """Add sign * L_K w = K^j /\\ d_j w + (-1)^k dK^j /\\ i_{d_j} w into `out`, from the `_parts` of K and w.
 
     Each K^j_I dx^I meets each p dx^J of w, whose fibre index rides along: K^j_I d_j p adds into
@@ -486,8 +486,8 @@ def fn_bracket(zeta: ValuedForm, xi: ValuedForm) -> ValuedForm:
     zeta_parts = _parts(zeta)
     xi_parts = zeta_parts if xi is zeta else _parts(xi)
     out: Dict[Key, dict] = {}
-    _add_lie(out, zeta_parts, r, xi_parts, dim)
-    _add_lie(out, xi_parts, s, zeta_parts, dim, -((-1) ** (r * s)))
+    _add_lie(out, zeta_parts, r, xi_parts)
+    _add_lie(out, xi_parts, s, zeta_parts, -((-1) ** (r * s)))
     return _poly_form((dim, r + s, Fibre("tangent", dim)), out)
 
 
@@ -499,7 +499,7 @@ def lie_derivative(k_form: ValuedForm, omega: ValuedForm) -> ValuedForm:
     _check_insertion(omega, k_form)
     dim, degree, fibre = omega.shape
     out: Dict[Key, dict] = {}
-    _add_lie(out, _parts(k_form), k_form.degree, _parts(omega), dim)
+    _add_lie(out, _parts(k_form), k_form.degree, _parts(omega))
     return _poly_form((dim, degree + k_form.degree, fibre), out)
 
 
