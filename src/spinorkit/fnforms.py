@@ -62,6 +62,21 @@ def _raw(terms: dict) -> list:
     return [(exps, coeff._v) for exps, coeff in terms.items()]
 
 
+def _merged(prev: tuple, a: int, b: int, c: int, d: int, n: int) -> tuple:
+    """The raw ints of prev + (a, b, c, d) / n: the accumulator's one merge rule, which keeps a shared denominator."""
+    a0, b0, c0, d0, m = prev
+    if m == n:
+        return a0 + a, b0 + b, c0 + c, d0 + d, n
+    return a0 * n + a * m, b0 * n + b * m, c0 * n + c * m, d0 * n + d * m, m * n
+
+
+def _add_items(out: dict, items: list):
+    """out += items for raw items, into an accumulator {exponents: raw ints}."""
+    for e, v in items:
+        prev = out.get(e)
+        out[e] = v if prev is None else _merged(prev, *v)
+
+
 def _add_product(out: dict, p: list, q: list, sign: int = 1):
     """out += sign * p * q (sign +1 or -1) for raw items p and q, into an accumulator {exponents: raw ints}."""
     for e1, (a1, b1, c1, d1, n1) in p:
@@ -73,15 +88,8 @@ def _add_product(out: dict, p: list, q: list, sign: int = 1):
             b = a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2)
             c = a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2
             d = a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
-            n = n1 * n2
             prev = out.get(e)
-            if prev is not None:
-                a0, b0, c0, d0, m = prev
-                if m == n:
-                    a, b, c, d = a0 + a, b0 + b, c0 + c, d0 + d
-                else:
-                    a, b, c, d, n = a0 * n + a * m, b0 * n + b * m, c0 * n + c * m, d0 * n + d * m, m * n
-            out[e] = a, b, c, d, n
+            out[e] = (a, b, c, d, n1 * n2) if prev is None else _merged(prev, a, b, c, d, n1 * n2)
 
 
 def _finished(items) -> dict:
@@ -89,14 +97,15 @@ def _finished(items) -> dict:
     return {exps: _reduced(*v) for exps, v in items if v[0] or v[1] or v[2] or v[3]}
 
 
-def _partial(items: list, axis: int) -> list:
-    """d/dx_axis on raw items; each coefficient times its exponent stays unreduced."""
+def _partial(items: list, axis: int, sign: int = 1) -> list:
+    """sign * d/dx_axis on raw items; each coefficient times its exponent stays unreduced."""
     out = []
     for exps, (a, b, c, d, den) in items:
         k = exps[axis]
         if k:
             # distinct exponents stay distinct after d/dx_axis, so keys never collide
-            out.append((exps[:axis] + (k - 1,) + exps[axis + 1:], (a * k, b * k, c * k, d * k, den)))
+            m = k * sign
+            out.append((exps[:axis] + (k - 1,) + exps[axis + 1:], (a * m, b * m, c * m, d * m, den)))
     return out
 
 
@@ -328,13 +337,12 @@ def _add_d(out: dict, form: ValuedForm, sign: int = 1) -> tuple:
     """Add sign * d form into the accumulator `out` of a form; returns the shape of d form."""
     _require(form, _DIFFERENTIABLE, "d")
     dim, degree, fibre = form.shape
-    one = [((0,) * dim, (1, 0, 0, 0, 1))]  # the raw items of the polynomial 1: d adds d_j p * 1
     for (axes, index), poly in form.terms.items():
         items = _raw(poly.terms)
         for j in range(dim):
             if j not in axes:
                 merged_sign, new_axes = _merge_axes((j,), axes)
-                _add_product(out.setdefault((new_axes, index), {}), _partial(items, j), one, sign * merged_sign)
+                _add_items(out.setdefault((new_axes, index), {}), _partial(items, j, sign * merged_sign))
     return dim, degree + 1, fibre
 
 

@@ -193,6 +193,13 @@ def test_cli_import_does_not_import_dataclasses():
     assert proc.stdout == "False\n", proc.stderr
 
 
+def test_cli_import_does_not_import_numpy_or_sympy():
+    # importing either adds 0.1 s or more to every CLI start-up
+    child = "import sys\nimport spinorkit.cli\nprint([m for m in ('numpy', 'sympy') if m in sys.modules])\n"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.stdout == "[]\n", proc.stderr
+
+
 def test_eval_parse_error_exit_code(tmp_path, capsys):
     script = tmp_path / "bad.txt"
     script.write_text("g( e1*eb1\n")
